@@ -1,15 +1,29 @@
 """Small deterministic numerical helpers shared across the package.
 
-Everything here is scalar-oriented and allocation-free on purpose: the
-callers evaluate cheap rational functions many times inside scans, and
-plain floats beat array round-trips at these sizes.
+Every scan-and-refine goes through GridScan: it samples a function once
+on a midpoint grid and reports where the samples change sign or turn;
+the scalar bisect_root and golden_min then refine each bracket.  The
+refinement stays scalar because it sets the last digits of every
+result: it evaluates the caller's own closure, so a result depends only
+on that closure's arithmetic and the grid size.
 """
 from __future__ import annotations
 
+import copy
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# rest-level and split-critical-point scans use the fine grid; extrema
+# and the D2 feasibility scan the coarse one
+FINE_GRID = 4096
+COARSE_GRID = 2048
+
+
+def finite_positive(x: float) -> bool:
+    """Whether x is a finite number > 0; NaN and +-inf are not."""
+    return 0.0 < x < math.inf
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
@@ -71,31 +85,75 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
     return x, -v
 
 
-def grid_extrema(f: Callable[[float], float], lo: float, hi: float,
-                 n: int = 2048, x_tol: float = 1e-10,
+class GridScan:
+    """f sampled on the midpoint grid lo + step * (i + 0.5), i < n.
+
+    The grid stays half a step clear of lo and hi, so f may have a pole
+    or be undefined at either end.
+    """
+
+    def __init__(self, f: Callable[[float], float], lo: float, hi: float,
+                 n: int):
+        self.lo, self.hi, self.n = lo, hi, n
+        self.step = step = (hi - lo) / n
+        self.xs = [lo + step * (i + 0.5) for i in range(n)]
+        self.vs = [f(x) for x in self.xs]
+
+    def of(self, g: Callable[[float], float]) -> "GridScan":
+        """The same grid sampled with g."""
+        scan = copy.copy(self)
+        scan.vs = [g(x) for x in self.xs]
+        return scan
+
+    def brackets(self) -> list[tuple[float, float]]:
+        """Neighbouring grid points (x[i-1], x[i]) across which f's sign flips.
+
+        The sign is v > 0, so a crossing through an exact grid zero gives
+        one bracket, with the zero at an end where bisect_root returns it.
+        """
+        xs, vs = self.xs, self.vs
+        return [(xs[i - 1], xs[i]) for i in range(1, self.n)
+                if (vs[i] > 0.0) != (vs[i - 1] > 0.0)]
+
+    def around(self, i: int) -> tuple[float, float]:
+        """The grid neighbours of x[i], with lo and hi past either end."""
+        return (self.xs[i - 1] if i > 0 else self.lo,
+                self.xs[i + 1] if i < self.n - 1 else self.hi)
+
+    def argmin(self) -> int:
+        """Index of the smallest value; ties go to the first index."""
+        return min(range(self.n), key=self.vs.__getitem__)
+
+    def extrema(self) -> tuple[list[int], list[int]]:
+        """Indices of the interior discrete minima and maxima.
+
+        A grid value counts when it is no worse than both neighbours and
+        strictly better than one, so both ends of a flat minimum or
+        maximum count; grid_extrema merges what refines to one point.
+        """
+        vs = self.vs
+        cells = list(zip(range(1, self.n - 1), vs, vs[1:], vs[2:]))
+        return ([i for i, a, v, b in cells
+                 if v <= a and v <= b and (v < a or v < b)],
+                [i for i, a, v, b in cells
+                 if v >= a and v >= b and (v > a or v > b)])
+
+
+def grid_extrema(f: Callable[[float], float], lo: float, hi: float
                  ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """Interior local minima and maxima of f on the open interval (lo, hi).
 
-    Scans a midpoint grid of n cells and golden-refines every discrete
-    extremum.  Endpoint behaviour is the caller's business: only strictly
-    interior grid extrema are reported.
+    Scans a COARSE_GRID midpoint grid and golden-refines every discrete
+    extremum to 1e-10.  Endpoint behaviour is the caller's business:
+    only strictly interior grid extrema are reported.
     """
-    h = (hi - lo) / n
-    xs = [lo + h * (i + 0.5) for i in range(n)]
-    vs = [f(x) for x in xs]
-    mins: list[tuple[float, float]] = []
-    maxs: list[tuple[float, float]] = []
-    for i in range(1, n - 1):
-        if vs[i] <= vs[i - 1] and vs[i] <= vs[i + 1] and (vs[i] < vs[i - 1] or vs[i] < vs[i + 1]):
-            mins.append(golden_min(f, xs[i - 1], xs[i + 1], x_tol))
-        if vs[i] >= vs[i - 1] and vs[i] >= vs[i + 1] and (vs[i] > vs[i - 1] or vs[i] > vs[i + 1]):
-            x, v = golden_min(lambda s: -f(s), xs[i - 1], xs[i + 1], x_tol)
-            maxs.append((x, -v))
-    # grid-value ties around a flat extremum make two adjacent cells
-    # refine to the same point; anything closer than one cell is one
-    # extremum as far as this scan can resolve
-    return (_merge_extrema(mins, h, keep_smaller=True),
-            _merge_extrema(maxs, h, keep_smaller=False))
+    scan = GridScan(f, lo, hi, COARSE_GRID)
+    min_idx, max_idx = scan.extrema()
+    mins = [golden_min(f, *scan.around(i)) for i in min_idx]
+    maxs = [golden_max(f, *scan.around(i)) for i in max_idx]
+    # refined points closer than one cell are one extremum to this scan
+    return (_merge_extrema(mins, scan.step, keep_smaller=True),
+            _merge_extrema(maxs, scan.step, keep_smaller=False))
 
 
 def _merge_extrema(points: list[tuple[float, float]], spacing: float,
@@ -110,16 +168,12 @@ def _merge_extrema(points: list[tuple[float, float]], spacing: float,
     return out
 
 
-def grid_min(f: Callable[[float], float], lo: float, hi: float,
-             n: int = 2048, x_tol: float = 1e-10) -> tuple[float, float]:
-    """Global interior minimum of f on (lo, hi) by grid scan + refinement."""
-    h = (hi - lo) / n
-    xs = [lo + h * (i + 0.5) for i in range(n)]
-    vs = [f(x) for x in xs]
-    i = min(range(n), key=lambda k: vs[k])
-    a = xs[i - 1] if i > 0 else lo
-    b = xs[i + 1] if i < n - 1 else hi
-    return golden_min(f, a, b, x_tol)
+def grid_min(f: Callable[[float], float], lo: float,
+             hi: float) -> tuple[float, float]:
+    """Global interior minimum of f on (lo, hi): COARSE_GRID scan, then
+    golden refinement to 1e-10 around the first smallest grid value."""
+    scan = GridScan(f, lo, hi, COARSE_GRID)
+    return golden_min(f, *scan.around(scan.argmin()))
 
 
 def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:

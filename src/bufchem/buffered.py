@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ._numerics import bisect_root, newton_polish, real_cubic_roots
+from ._numerics import (FINE_GRID, GridScan, bisect_root, finite_positive,
+                        newton_polish, real_cubic_roots)
 from .kinetics import GrowthModel, Haldane
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
 BRANCH_POSITIVE = "buffer_positive"
 BRANCH_WASHOUT = "buffer_washout"
 
-_SCAN_POINTS = 4096
 _RESIDUAL_TOL = 1e-10          # absolute, on the rest-point equations
 _TANGENCY_TOL = 1e-8           # |deficit| at a critical point counted as a double root
 _NEAR_TANGENCY = 1e-4          # triggers the refined pair-recovery pass
@@ -103,11 +103,11 @@ class BufferedConfig:
     physical: Optional[tuple[float, float, float, float]] = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.S_in <= 0.0:
+        if not finite_positive(self.S_in):
             raise ValueError("feed concentration S_in must be positive")
-        if self.D <= 0.0:
+        if not finite_positive(self.D):
             raise ValueError("dilution rate D must be positive")
-        if self.alpha <= 0.0:
+        if not finite_positive(self.alpha):
             raise ValueError("flow share alpha must be positive")
         if not (0.0 < self.r < 1.0):
             raise ValueError("volume split r must lie strictly inside (0, 1)")
@@ -117,9 +117,9 @@ class BufferedConfig:
                 "would be negative")
         if self.physical is not None:
             q1, q2, v1, v2 = self.physical
-            if v1 <= 0.0 or v2 <= 0.0:
+            if not (finite_positive(v1) and finite_positive(v2)):
                 raise ValueError("physical volumes must be positive")
-            if q2 <= 0.0 or q1 < 0.0:
+            if not (finite_positive(q2) and (q1 == 0.0 or finite_positive(q1))):
                 raise ValueError("physical flows need Q2 > 0 and Q1 >= 0")
             d = (q1 + q2) / (v1 + v2)
             r = v1 / (v1 + v2)
@@ -140,13 +140,13 @@ class BufferedConfig:
         buffer volume V2 or main volume V1 has no finite counterpart in
         this parameterization and is rejected.
         """
-        if V1 <= 0.0:
+        if not finite_positive(V1):
             raise ValueError("V1 = 0 (pure by-pass) is unsupported")
-        if V2 <= 0.0:
+        if not finite_positive(V2):
             raise ValueError("V2 = 0 (no buffer vessel) is unsupported")
-        if Q2 <= 0.0:
+        if not finite_positive(Q2):
             raise ValueError("buffer feed flow Q2 must be positive")
-        if Q1 < 0.0:
+        if not (Q1 == 0.0 or finite_positive(Q1)):
             raise ValueError("main feed flow Q1 must be >= 0")
         q = Q1 + Q2
         v = V1 + V2
@@ -230,13 +230,38 @@ def pivot_level(model: GrowthModel, S_in: float, D: float,
     return alpha * s2 + (1.0 - alpha) * S_in
 
 
-def _ratio(S_in: float, alpha: float, r: float, s2: float, s: float) -> float:
-    return 1.0 + ((1.0 - r) / r) * (1.0 - alpha * (S_in - s2) / (S_in - s))
+def _deficit_fn(config: BufferedConfig):
+    """(ratio, ratio', deficit, deficit') of the level s, as closures.
+
+    ratio is the required growth ratio and deficit = D * ratio - mu.
+    deficit' keeps the rest-level scan's rounding; growth_deficit_prime
+    keeps D * ratio' - mu' for the eigenvalues (they differ in the last bit).
+    """
+    model, S_in, D, alpha, r = (config.model, config.S_in, config.D,
+                                config.alpha, config.r)
+    s2 = buffer_substrate(model, S_in, D, alpha)
+    mu, mu_p = model._rate_raw, model._rate_prime_raw
+    k = (1.0 - r) / r
+    a_gap = alpha * (S_in - s2)
+
+    def ratio(s: float) -> float:
+        return 1.0 + k * (1.0 - a_gap / (S_in - s))
+
+    def ratio_prime(s: float) -> float:
+        return -k * alpha * (S_in - s2) / (S_in - s) ** 2
+
+    def f(s: float) -> float:
+        return D * (1.0 + k * (1.0 - a_gap / (S_in - s))) - mu(s)
+
+    def fp(s: float) -> float:
+        return -D * k * a_gap / (S_in - s) ** 2 - mu_p(s)
+
+    return ratio, ratio_prime, f, fp
 
 
-def _ratio_prime(S_in: float, alpha: float, r: float, s2: float,
-                 s: float) -> float:
-    return -((1.0 - r) / r) * alpha * (S_in - s2) / (S_in - s) ** 2
+def _check_level(config: BufferedConfig, s: float) -> None:
+    if not (0.0 <= s < config.S_in):
+        raise ValueError(f"level s must lie in [0, S_in), got {s}")
 
 
 def required_growth_ratio(config: BufferedConfig, s: float) -> float:
@@ -245,17 +270,13 @@ def required_growth_ratio(config: BufferedConfig, s: float) -> float:
     Strictly decreasing in s with a pole at the feed level; equals 1 at
     the pivot level regardless of r.
     """
-    if not (0.0 <= s < config.S_in):
-        raise ValueError(f"level s must lie in [0, S_in), got {s}")
-    s2 = buffer_substrate(config.model, config.S_in, config.D, config.alpha)
-    return _ratio(config.S_in, config.alpha, config.r, s2, s)
+    _check_level(config, s)
+    return _deficit_fn(config)[0](s)
 
 
 def required_growth_ratio_prime(config: BufferedConfig, s: float) -> float:
-    if not (0.0 <= s < config.S_in):
-        raise ValueError(f"level s must lie in [0, S_in), got {s}")
-    s2 = buffer_substrate(config.model, config.S_in, config.D, config.alpha)
-    return _ratio_prime(config.S_in, config.alpha, config.r, s2, s)
+    _check_level(config, s)
+    return _deficit_fn(config)[1](s)
 
 
 def growth_deficit(config: BufferedConfig, s: float) -> float:
@@ -266,19 +287,13 @@ def growth_deficit(config: BufferedConfig, s: float) -> float:
     (0, S_in) are exactly the buffer-active rest levels of the main
     vessel.
     """
-    return config.D * required_growth_ratio(config, s) - config.model.rate(s)
+    _check_level(config, s)
+    return _deficit_fn(config)[2](s)
 
 
 def growth_deficit_prime(config: BufferedConfig, s: float) -> float:
-    return (config.D * required_growth_ratio_prime(config, s)
-            - config.model.rate_prime(s))
-
-
-def _split_pieces(model: GrowthModel, S_in: float, D: float, alpha: float,
-                  s: float, pivot: float) -> tuple[float, float]:
-    num = pivot - s
-    den = pivot - S_in + (S_in - s) * model.rate(s) / D
-    return num, den
+    _check_level(config, s)
+    return config.D * _deficit_fn(config)[1](s) - config.model.rate_prime(s)
 
 
 def equilibrium_split(config: BufferedConfig, s: float) -> float:
@@ -292,7 +307,9 @@ def equilibrium_split(config: BufferedConfig, s: float) -> float:
 
     is used inside a narrow window around the pivot in that case.
     """
-    return _split_value(config.model, config.S_in, config.D, config.alpha, s)
+    if not (0.0 < s < config.S_in):
+        raise ValueError(f"level s must lie in (0, S_in), got {s}")
+    return split_map(config.model, config.S_in, config.D, config.alpha)(s)
 
 
 def split_map(model: GrowthModel, S_in: float, D: float, alpha: float):
@@ -303,12 +320,15 @@ def split_map(model: GrowthModel, S_in: float, D: float, alpha: float):
     (present exactly when the growth rate there equals D) is patched by
     its continuous extension inside a 1e-9-wide window; any other
     denominator zero raises SingularSplitPoint.
+
+    The closure's prime_numerator attribute, -(den + (pivot - s) den'),
+    is the numerator of its derivative: same zeros, no poles.
     """
     pv = pivot_level(model, S_in, D, alpha)
-    mu = model._rate_raw
+    mu, mu_p = model._rate_raw, model._rate_prime_raw
     ext: Optional[float] = None
     if 0.0 < pv < S_in and abs(mu(pv) - D) <= 1e-6 * D:
-        ext = 1.0 / (1.0 - (S_in - pv) * model._rate_prime_raw(pv) / D)
+        ext = 1.0 / (1.0 - (S_in - pv) * mu_p(pv) / D)
     window = 1e-9 * max(1.0, abs(pv))
 
     def gamma(s: float) -> float:
@@ -321,28 +341,14 @@ def split_map(model: GrowthModel, S_in: float, D: float, alpha: float):
                 f"equilibrium_split has a non-removable singularity at s = {s}")
         return num / den
 
-    return gamma
-
-
-def _split_value(model: GrowthModel, S_in: float, D: float, alpha: float,
-                 s: float) -> float:
-    if not (0.0 < s < S_in):
-        raise ValueError(f"level s must lie in (0, S_in), got {s}")
-    return split_map(model, S_in, D, alpha)(s)
-
-
-def _split_prime_sign_fn(model: GrowthModel, S_in: float, D: float,
-                         alpha: float, pv: float):
-    """Numerator of the split map's derivative (same zeros, no poles).
-
-    With num = pv - s and den the split denominator, the derivative's
-    sign is carried by -(den + num * den'), den' = (-mu + (S_in-s) mu')/D.
-    """
-    def h(s: float) -> float:
-        num, den = _split_pieces(model, S_in, D, alpha, s, pv)
-        den_p = (-model.rate(s) + (S_in - s) * model.rate_prime(s)) / D
+    def prime_numerator(s: float) -> float:
+        num = pv - s
+        den = pv - S_in + (S_in - s) * mu(s) / D
+        den_p = (-mu(s) + (S_in - s) * mu_p(s)) / D
         return -(den + num * den_p)
-    return h
+
+    gamma.prime_numerator = prime_numerator
+    return gamma
 
 
 def equilibrium_split_prime_zeros(config: BufferedConfig, lo: float,
@@ -352,41 +358,16 @@ def equilibrium_split_prime_zeros(config: BufferedConfig, lo: float,
     The derivative's zeros are located through its numerator, which is
     continuous across the map's own poles, so no cell is skipped.
     """
-    model, S_in, D, alpha = (config.model, config.S_in, config.D, config.alpha)
-    pv = pivot_level(model, S_in, D, alpha)
-    h = _split_prime_sign_fn(model, S_in, D, alpha, pv)
-    step = (hi - lo) / _SCAN_POINTS
-    zeros: list[float] = []
-    prev_x = lo + 0.5 * step
-    prev_v = h(prev_x)
-    for i in range(1, _SCAN_POINTS):
-        x = lo + (i + 0.5) * step
-        v = h(x)
-        if (v > 0.0) != (prev_v > 0.0):
-            zeros.append(bisect_root(h, prev_x, x, 0.0))
-        prev_x, prev_v = x, v
-    return zeros
+    if lo < 0.0:
+        raise ValueError(f"levels must be >= 0, got lo = {lo}")
+    h = split_map(config.model, config.S_in, config.D,
+                  config.alpha).prime_numerator
+    return [bisect_root(h, a, b, 0.0)
+            for a, b in GridScan(h, lo, hi, FINE_GRID).brackets()]
 
 
 # ---------------------------------------------------------------------------
 # rest-point enumeration
-
-def _deficit_fn(config: BufferedConfig):
-    model, S_in, D, alpha, r = (config.model, config.S_in, config.D,
-                                config.alpha, config.r)
-    s2 = buffer_substrate(model, S_in, D, alpha)
-    mu = model._rate_raw
-    k = (1.0 - r) / r
-    a_gap = alpha * (S_in - s2)
-
-    def f(s: float) -> float:
-        return D * (1.0 + k * (1.0 - a_gap / (S_in - s))) - mu(s)
-
-    def fp(s: float) -> float:
-        return -D * k * a_gap / (S_in - s) ** 2 - model._rate_prime_raw(s)
-
-    return f, fp
-
 
 def _positive_levels(config: BufferedConfig) -> list[float]:
     """Sorted rest levels of the main vessel on (0, S_in).
@@ -397,16 +378,12 @@ def _positive_levels(config: BufferedConfig) -> list[float]:
     cross-checked; disagreement raises ConsistencyError.
     """
     S_in = config.S_in
-    f, fp = _deficit_fn(config)
-    step = S_in / _SCAN_POINTS
-    xs = [(i + 0.5) * step for i in range(_SCAN_POINTS)]
-    vs = [f(x) for x in xs]
+    _, _, f, fp = _deficit_fn(config)
+    scan = GridScan(f, 0.0, S_in, FINE_GRID)
+    xs, vs, step = scan.xs, scan.vs, scan.step
     scale = max(1.0, config.D)
 
-    roots: list[float] = []
-    for i in range(1, _SCAN_POINTS):
-        if (vs[i] > 0.0) != (vs[i - 1] > 0.0):
-            roots.append(bisect_root(f, xs[i - 1], xs[i], 0.0))
+    roots = [bisect_root(f, a, b, 0.0) for a, b in scan.brackets()]
 
     # the midpoint scan stops half a step short of each end; a root can
     # hide there (near the feed the deficit always ends at -inf, and the
@@ -418,23 +395,19 @@ def _positive_levels(config: BufferedConfig) -> list[float]:
         roots.append(bisect_root(f, xs[-1], hi_edge, 0.0))
 
     # critical points with small residual: double roots or hidden pairs
-    prev = fp(xs[0])
-    for i in range(1, _SCAN_POINTS):
-        cur = fp(xs[i])
-        if (cur > 0.0) != (prev > 0.0):
-            c = bisect_root(fp, xs[i - 1], xs[i], 0.0)
-            fc = f(c)
-            if abs(fc) <= _TANGENCY_TOL * scale:
-                roots.append(c)
-            elif abs(fc) <= _NEAR_TANGENCY * scale:
-                # a root pair may hide inside one grid cell around c
-                j = min(int(c / step), _SCAN_POINTS - 1)
-                left = xs[j - 1] if j > 0 else 0.5 * step * 0.01
-                right = xs[j + 1] if j < _SCAN_POINTS - 1 else S_in - 1e-12
-                if (f(left) > 0.0) != (fc > 0.0):
-                    roots.append(bisect_root(f, left, c, 0.0))
-                    roots.append(bisect_root(f, c, right, 0.0))
-        prev = cur
+    for a, b in scan.of(fp).brackets():
+        c = bisect_root(fp, a, b, 0.0)
+        fc = f(c)
+        if abs(fc) <= _TANGENCY_TOL * scale:
+            roots.append(c)
+        elif abs(fc) <= _NEAR_TANGENCY * scale:
+            # a root pair may hide inside one grid cell around c
+            j = min(int(c / step), FINE_GRID - 1)
+            left = xs[j - 1] if j > 0 else 0.5 * step * 0.01
+            right = xs[j + 1] if j < FINE_GRID - 1 else S_in - 1e-12
+            if (f(left) > 0.0) != (fc > 0.0):
+                roots.append(bisect_root(f, left, c, 0.0))
+                roots.append(bisect_root(f, c, right, 0.0))
 
     for i, s in enumerate(roots):
         if abs(fp(s)) > 1e-9 * scale:
@@ -525,7 +498,7 @@ def surplus_region(config: BufferedConfig) -> IntervalSet:
     feed level, so the region always reaches up to S_in.  Left endpoints
     of its components are the attracting rest levels.
     """
-    f, _ = _deficit_fn(config)
+    f = _deficit_fn(config)[2]
     S_in = config.S_in
     roots = _positive_levels(config)
     cuts = [0.0] + roots + [S_in]

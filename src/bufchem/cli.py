@@ -47,7 +47,6 @@ def _break_even_payload(window) -> dict | None:
 def _cmd_kinetics(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     peak = cfg.model.peak()
     payload = {
-        "seed": cfg.seed,
         "model": _model_payload(cfg.model),
         "peak": {"abscissa": io.finite_or_none(peak.abscissa),
                  "height": peak.height},
@@ -62,7 +61,6 @@ def _cmd_kinetics(cfg: RunConfig, out: str, fmt: str) -> list[str]:
 def _cmd_classify(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     portrait = single.classify_portrait(cfg.single_params())
     payload = {
-        "seed": cfg.seed,
         "S_in": cfg.S_in,
         "D": cfg.D,
         "case": portrait.case,
@@ -79,7 +77,6 @@ def _cmd_equilibria(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     bc = cfg.buffered_config()
     points = buffered.find_equilibria(bc)
     payload = {
-        "seed": cfg.seed,
         "S_in": bc.S_in,
         "D": bc.D,
         "alpha": bc.alpha,
@@ -121,7 +118,6 @@ def _cmd_domain(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     csv_path = os.path.join(out, "domain.csv")
     io.write_csv(csv_path, ["alpha", "r_bar"], curve.points)
     payload = {
-        "seed": cfg.seed,
         "S_in": cfg.S_in,
         "D": cfg.D,
         "alpha_min": grid[0],
@@ -138,7 +134,6 @@ def _cmd_domain(cfg: RunConfig, out: str, fmt: str) -> list[str]:
 def _cmd_design(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     report = design.buffer_design(cfg.model, cfg.S_in, cfg.D)
     payload = {
-        "seed": cfg.seed,
         "S_in": cfg.S_in,
         "D": cfg.D,
         "delta_v_inf": report.delta_v_inf,
@@ -182,7 +177,7 @@ def _cmd_simulate(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     traj = simulate.integrate(system, cfg.initial, cfg.integrator)
     if fmt == "json":
         path = os.path.join(out, "trajectory.json")
-        io.write_json(path, io.trajectory_payload(traj, cfg.seed))
+        io.write_json(path, io.trajectory_payload(traj))
     else:
         path = os.path.join(out, "trajectory.csv")
         io.write_trajectory_csv(path, traj)
@@ -194,22 +189,13 @@ def _cmd_audit(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     if topology is None:
         raise ConfigError("audit needs an [audit] section")
     flags = single.washout_audit(cfg.single_params(), topology)
-    if isinstance(topology, single.Serial):
-        kind = "serial"
-        flow = None
-        dilutions = [cfg.D / r for r in topology.volume_fractions]
-    else:
-        kind = "parallel"
-        flow = list(topology.flow_fractions)
-        dilutions = [a / r * cfg.D
-                     for a, r in zip(topology.flow_fractions,
-                                     topology.volume_fractions)]
+    parallel = isinstance(topology, single.Parallel)
     payload = {
-        "seed": cfg.seed,
-        "kind": kind,
+        "kind": "parallel" if parallel else "serial",
         "volume_fractions": list(topology.volume_fractions),
-        "flow_fractions": flow,
-        "effective_dilutions": dilutions,
+        "flow_fractions": (list(topology.flow_fractions) if parallel
+                           else None),
+        "effective_dilutions": single._vessel_dilutions(cfg.D, topology),
         "flags": flags,
         "any_flagged": any(flags),
     }

@@ -17,11 +17,13 @@ Sections:
     [sweep]      alpha_min, alpha_max, points
     [audit]      kind = serial | parallel, volume_fractions,
                  flow_fractions (parallel only)
-    [run]        seed
+
+Numbers must be finite: nan and inf are rejected where they are read.
 """
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -50,7 +52,6 @@ _SECTION_KEYS = {
     "initial": {"state"},
     "sweep": {"alpha_min", "alpha_max", "points"},
     "audit": {"kind", "volume_fractions", "flow_fractions"},
-    "run": {"seed"},
 }
 
 
@@ -68,7 +69,6 @@ class RunConfig:
     initial: Optional[tuple[float, ...]] = None
     sweep: Optional[tuple[float, float, int]] = None
     audit_topology: Optional[object] = None
-    seed: int = 0
 
     @property
     def has_buffered(self) -> bool:
@@ -91,10 +91,14 @@ class RunConfig:
 
 def _float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
@@ -290,21 +294,11 @@ def parse_config(path: str) -> RunConfig:
 
     topology = _parse_audit(sections["audit"]) if "audit" in sections else None
 
-    seed = 0
-    if "run" in sections:
-        _check_keys("run", sections["run"])
-        raw = sections["run"].get("seed", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"[run] seed: expected an integer, got {raw!r}") from None
-
     try:
         cfg = RunConfig(model=model, S_in=s_in, D=d, yield_factor=y,
                         alpha=alpha, r=r, physical=physical,
                         integrator=integrator, initial=initial, sweep=sweep,
-                        audit_topology=topology, seed=seed)
+                        audit_topology=topology)
         # validate the buffered block eagerly so errors name this file
         if cfg.has_buffered:
             cfg.buffered_config()

@@ -18,9 +18,10 @@ buffer can reach, and it always undercuts the Scenario 1 requirement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from ._numerics import bisect_root, golden_max
+from ._numerics import (COARSE_GRID, GridScan, bisect_root, finite_positive,
+                        grid_min)
 from .kinetics import GrowthModel
 
 __all__ = [
@@ -31,18 +32,15 @@ __all__ = [
     "buffer_design",
 ]
 
-_GRID = 2048
-
-
 def min_enlargement_ratio(model: GrowthModel, S_in: float, D: float) -> float:
     """Scenario 1: minimal relative volume increase, max(0, D/mu(S_in) - 1).
 
     Zero when growth at the feed level already beats dilution (nothing
     to fix).
     """
-    if S_in <= 0.0:
+    if not finite_positive(S_in):
         raise ValueError("feed concentration S_in must be positive")
-    if D <= 0.0:
+    if not finite_positive(D):
         raise ValueError("dilution rate D must be positive")
     mu_feed = model.rate(S_in)
     if mu_feed <= 0.0:
@@ -96,7 +94,7 @@ class DesignReport:
         lower break-even of D2) < S_in; empty (None) for v2 below
         v2_inf.  Boundaries located by bisection after a grid bracket.
         """
-        if v2 <= 0.0:
+        if not finite_positive(v2):
             raise ValueError("buffer volume fraction v2 must be positive")
         model, S_in = self._model, self._S_in
         mu_feed = model.rate(S_in)
@@ -104,10 +102,9 @@ class DesignReport:
         def load(d2: float) -> float:
             return d2 * v2 * (S_in - model.break_even(d2).lower)
 
-        n = _GRID
-        step = mu_feed / n
-        xs = [step * (i + 0.5) for i in range(n)]
-        ok = [self.surplus_max < load(x) < S_in for x in xs]
+        scan = GridScan(lambda d: self.surplus_max < load(d) < S_in,
+                        0.0, mu_feed, COARSE_GRID)
+        xs, ok, n = scan.xs, scan.vs, scan.n
         if not any(ok):
             return None
         i0 = ok.index(True)
@@ -128,18 +125,6 @@ class DesignReport:
         return (lo, hi)
 
 
-def _grid_max(f: Callable[[float], float], lo: float,
-              hi: float) -> tuple[float, float]:
-    """Global max on (lo, hi): 2048-point bracket + golden refinement."""
-    step = (hi - lo) / _GRID
-    xs = [lo + step * (i + 0.5) for i in range(_GRID)]
-    vs = [f(x) for x in xs]
-    i = max(range(_GRID), key=lambda k: vs[k])
-    a = xs[i - 1] if i > 0 else lo
-    b = xs[i + 1] if i < _GRID - 1 else hi
-    return golden_max(f, a, b, 1e-10)
-
-
 def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
     """Scenario 2: minimal buffer volume fraction and how to run it.
 
@@ -147,9 +132,9 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
     upper break-even sits below the feed.  Errors name the failing
     clause otherwise.
     """
-    if S_in <= 0.0:
+    if not finite_positive(S_in):
         raise ValueError("feed concentration S_in must be positive")
-    if D <= 0.0:
+    if not finite_positive(D):
         raise ValueError("dilution rate D must be positive")
     window = model.break_even(D)
     if window is None:
@@ -169,10 +154,12 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
                          "level is unreachable elsewhere")
     s_bar = feed_window.lower
 
-    _, surplus_max = _grid_max(
-        lambda s: washout_surplus(model, S_in, D, s), window.upper, S_in)
-    s_best, capacity_max = _grid_max(
-        lambda s: uptake_capacity(model, S_in, s), 0.0, s_bar)
+    # both maxima by grid_min on the negated curves
+    _, neg_surplus = grid_min(
+        lambda s: -washout_surplus(model, S_in, D, s), window.upper, S_in)
+    s_best, neg_capacity = grid_min(
+        lambda s: -uptake_capacity(model, S_in, s), 0.0, s_bar)
+    surplus_max, capacity_max = -neg_surplus, -neg_capacity
     return DesignReport(
         delta_v_inf=min_enlargement_ratio(model, S_in, D),
         v2_inf=surplus_max / capacity_max,

@@ -73,9 +73,8 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     write_csv(path, _trajectory_header(traj), rows)
 
 
-def trajectory_payload(traj: Trajectory, seed: int) -> dict:
+def trajectory_payload(traj: Trajectory) -> dict:
     return {
-        "seed": seed,
         "columns": _trajectory_header(traj),
         "times": list(traj.times),
         "states": [list(s) for s in traj.states],

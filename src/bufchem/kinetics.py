@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ._numerics import bisect_root
+from ._numerics import bisect_root, finite_positive
 
 __all__ = [
     "BreakEvenInterval",
@@ -159,7 +159,7 @@ class Monod(GrowthModel):
     K_s: float
 
     def __post_init__(self) -> None:
-        if self.mu_max <= 0.0 or self.K_s <= 0.0:
+        if not (finite_positive(self.mu_max) and finite_positive(self.K_s)):
             raise ValueError("Monod parameters must be strictly positive")
 
     def _rate_raw(self, s):
@@ -192,7 +192,7 @@ class Haldane(GrowthModel):
     K_I: float
 
     def __post_init__(self) -> None:
-        if self.mu_bar <= 0.0 or self.K <= 0.0 or self.K_I <= 0.0:
+        if not all(map(finite_positive, (self.mu_bar, self.K, self.K_I))):
             raise ValueError("Haldane parameters must be strictly positive")
 
     def _rate_raw(self, s):
@@ -236,9 +236,10 @@ class CustomUnimodal(GrowthModel):
     sample_scale: float = field(default=1.0)
 
     def __post_init__(self) -> None:
-        if self.peak_abscissa <= 0.0:
+        if not (self.peak_abscissa == math.inf
+                or finite_positive(self.peak_abscissa)):
             raise ValueError("peak abscissa must be positive (math.inf allowed)")
-        if self.sample_scale <= 0.0:
+        if not finite_positive(self.sample_scale):
             raise ValueError("sample scale must be positive")
         self._shape_check()
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._numerics import bisect_root, golden_min, grid_extrema, grid_min
-from .buffered import (BufferedConfig, ConsistencyError, buffer_substrate,
-                       equilibrium_split, equilibrium_split_prime_zeros,
-                       pivot_level, split_map, SingularSplitPoint)
+from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
+                       buffer_substrate, equilibrium_split_prime_zeros,
+                       pivot_level, split_map)
 from .kinetics import GrowthModel, Haldane
 
 __all__ = [
@@ -151,10 +151,11 @@ def tangency_abscissas(config: BufferedConfig) -> list[float]:
     curve.  Empty both for monotone kinetics and for splits strictly
     inside the uniqueness set.
     """
+    gamma = split_map(config.model, config.S_in, config.D, config.alpha)
     out: list[float] = []
     for s in equilibrium_split_prime_zeros(config, 0.0, config.S_in):
         try:
-            value = equilibrium_split(config, s)
+            value = gamma(s)
         except SingularSplitPoint:
             continue
         if abs(value - config.r) <= _TANGENCY_MATCH:
@@ -171,7 +172,7 @@ def _minus_band(gamma, interval: Optional[tuple[float, float]]
     """
     if interval is None or interval[1] <= interval[0]:
         return None
-    mins, maxs = grid_extrema(gamma, interval[0], interval[1], n=2048)
+    mins, maxs = grid_extrema(gamma, interval[0], interval[1])
     if not mins and not maxs:
         return None
     min_vals = [v for _, v in mins]

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
+from ._numerics import finite_positive
 from .buffered import BufferedConfig
 from .single import SingleParams
 
@@ -77,9 +78,9 @@ class IntegratorSettings:
         for name, v in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not (0.0 < v <= 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {v}")
-        if self.max_step <= 0.0:
+        if not (self.max_step == math.inf or finite_positive(self.max_step)):
             raise ValueError("max_step must be positive")
-        if self.t_end is not None and self.t_end <= 0.0:
+        if self.t_end is not None and not finite_positive(self.t_end):
             raise ValueError("t_end must be positive")
 
 

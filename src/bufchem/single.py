@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ._numerics import finite_positive
 from .kinetics import GrowthModel
 
 __all__ = [
@@ -72,9 +73,9 @@ class SingleParams:
     D: float
 
     def __post_init__(self) -> None:
-        if self.S_in <= 0.0:
+        if not finite_positive(self.S_in):
             raise ValueError("feed concentration S_in must be positive")
-        if self.D <= 0.0:
+        if not finite_positive(self.D):
             raise ValueError("dilution rate D must be positive")
 
 
@@ -159,6 +160,16 @@ def _check_fractions(name: str, fractions: tuple[float, ...]) -> None:
         raise ValueError(f"{name} must sum to 1 within 1e-9")
 
 
+def _vessel_dilutions(D: float, topology) -> list[float]:
+    """Each vessel's own dilution rate, as washout_audit describes."""
+    if isinstance(topology, Serial):
+        return [D / r for r in topology.volume_fractions]
+    if isinstance(topology, Parallel):
+        return [a / r * D for a, r in zip(topology.flow_fractions,
+                                          topology.volume_fractions)]
+    raise TypeError(f"unsupported topology {type(topology).__name__}")
+
+
 def washout_audit(params: SingleParams, topology) -> list[bool]:
     """Per-vessel washout-attraction flags for a vessel network.
 
@@ -169,17 +180,8 @@ def washout_audit(params: SingleParams, topology) -> list[bool]:
     break-even interval of the aggregate rate D, at least one flag is
     True: the fractions cannot all exceed their flow shares at once.
     """
-    if isinstance(topology, Serial):
-        rates = [params.D / r for r in topology.volume_fractions]
-    elif isinstance(topology, Parallel):
-        rates = [a / r * params.D
-                 for a, r in zip(topology.flow_fractions,
-                                 topology.volume_fractions)]
-    else:
-        raise TypeError(f"unsupported topology {type(topology).__name__}")
-
     flags = []
-    for rate in rates:
+    for rate in _vessel_dilutions(params.D, topology):
         sub = SingleParams(params.model, params.S_in, rate)
         try:
             portrait = classify_portrait(sub)

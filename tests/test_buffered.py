@@ -20,7 +20,7 @@ from bufchem import (
     required_growth_ratio,
     surplus_region,
 )
-from bufchem.buffered import SingularSplitPoint
+from bufchem.buffered import SingularSplitPoint, _deficit_fn, split_map
 from bufchem.simulate import _buffered_rhs
 from conftest import draw_buffered_config
 
@@ -129,6 +129,25 @@ def test_split_root_equivalence(reference_model):
              if e.branch == BRANCH_POSITIVE]
     for s in roots:
         assert equilibrium_split(cfg, s) == pytest.approx(cfg.r, abs=1e-8)
+
+
+def test_public_maps_equal_their_closures():
+    # the public forms add domain checks only: same numbers, bit for bit
+    rng = random.Random(23)
+    for _ in range(40):
+        cfg = draw_buffered_config(rng, monod_share=0.3)
+        gamma = split_map(cfg.model, cfg.S_in, cfg.D, cfg.alpha)
+        deficit = _deficit_fn(cfg)[2]
+        for k in range(1, 200):
+            s = cfg.S_in * k / 200
+            assert growth_deficit(cfg, s) == deficit(s)
+            try:
+                want = gamma(s)
+            except SingularSplitPoint:
+                with pytest.raises(SingularSplitPoint):
+                    equilibrium_split(cfg, s)
+                continue
+            assert equilibrium_split(cfg, s) == want
 
 
 def test_three_root_window():

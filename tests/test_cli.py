@@ -1,11 +1,14 @@
 """End-to-end command-line runs: artifacts, schemas, determinism."""
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
 
 import jsonschema
 import pytest
+
+import bufchem
 
 REFERENCE_INI = """\
 [growth]
@@ -29,9 +32,6 @@ state = 1.4 0.1 1.4 0.01
 alpha_min = 0.1
 alpha_max = 0.55
 points = 12
-
-[run]
-seed = 7
 """
 
 MONOD_BUFFERED = """\
@@ -68,9 +68,12 @@ flow_fractions = 0.6 0.4
 
 
 def run_cli(*args: str):
+    # the child imports the same bufchem as this test, installed or not
+    src = os.path.dirname(os.path.dirname(bufchem.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "bufchem", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def schema(name: str) -> dict:
@@ -99,7 +102,6 @@ def test_kinetics_artifact(reference_ini, tmp_path):
     summary = json.loads(result.stdout)
     assert summary["command"] == "kinetics"
     payload = validate(tmp_path / "kinetics.json", "kinetics")
-    assert payload["seed"] == 7
     assert payload["break_even"]["lower"] == pytest.approx(
         0.10295400907294566)
     assert payload["break_even"]["upper"] == pytest.approx(
@@ -236,6 +238,18 @@ def test_error_object_on_bad_config(tmp_path):
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["error"]["type"] == "ConfigError"
+
+
+def test_nan_feed_rejected_at_parse(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(REFERENCE_INI.replace("S_in = 1.4", "S_in = nan"))
+    result = run_cli("equilibria", "--config", str(ini),
+                     "--out", str(tmp_path))
+    assert result.returncode == 1
+    error = json.loads(result.stdout)["error"]
+    assert error["type"] == "ConfigError"
+    assert "[operating] S_in" in error["message"]
+    assert not (tmp_path / "equilibria.json").exists()
 
 
 def test_format_rejected_outside_simulate(reference_ini, tmp_path):

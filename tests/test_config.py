@@ -33,7 +33,6 @@ def test_base_config_parses(tmp_path):
     assert cfg.model.K_I == 0.08
     assert cfg.S_in == 1.4
     assert cfg.D == 1.0
-    assert cfg.seed == 0
     assert not cfg.has_buffered
 
 
@@ -237,11 +236,10 @@ volume_fractions = 0.5 0.5
 """))
 
 
-def test_seed_parsing(tmp_path):
-    cfg = parse_config(write(tmp_path, BASE_INI + "\n[run]\nseed = 42\n"))
-    assert cfg.seed == 42
-    with pytest.raises(ConfigError):
-        parse_config(write(tmp_path, BASE_INI + "\n[run]\nseed = 1.5\n"))
+def test_run_section_rejected(tmp_path):
+    # nothing in a run is random, so there is no [run] seed to set
+    with pytest.raises(ConfigError, match=r"unknown section \[run\]"):
+        parse_config(write(tmp_path, BASE_INI + "\n[run]\nseed = 42\n"))
 
 
 def test_missing_file():

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bufchem import (BufferedConfig, CustomUnimodal, Haldane,
+                     IntegratorSettings, Monod)
 from bufchem._numerics import (
+    COARSE_GRID,
+    GridScan,
     bisect_root,
     golden_max,
     golden_min,
@@ -15,6 +19,9 @@ from bufchem._numerics import (
     newton_polish,
     real_cubic_roots,
 )
+from bufchem.single import SingleParams
+
+NAN, INF = math.nan, math.inf
 
 
 def test_bisect_root_simple():
@@ -42,6 +49,16 @@ def test_golden_max_matches_min_of_negation():
     assert abs(v - 1.0) < 1e-12
 
 
+def test_grid_scan_sign_change_at_grid_zero():
+    # grid 0.5, 1.5, ..., 7.5: f vanishes exactly on the grid point 3.5
+    for f, bracket in ((lambda x: x - 3.5, (3.5, 4.5)),
+                       (lambda x: 3.5 - x, (2.5, 3.5))):
+        scan = GridScan(f, 0.0, 8.0, 8)
+        assert scan.vs[3] == 0.0
+        assert scan.brackets() == [bracket]
+        assert bisect_root(f, *bracket, 0.0) == 3.5
+
+
 def test_grid_extrema_finds_sine_extrema():
     mins, maxs = grid_extrema(math.sin, 0.0, 4.0 * math.pi)
     min_xs = sorted(x for x, _ in mins)
@@ -52,6 +69,14 @@ def test_grid_extrema_finds_sine_extrema():
     assert abs(max_xs[0] - 0.5 * math.pi) < 1e-7
     assert abs(max_xs[1] - 2.5 * math.pi) < 1e-7
 
+    # unit steps on the grid i + 0.5: the two grid values next to the
+    # minimum at 1000 are both exactly 0.25, a flat run of two
+    f = lambda x: (x - 1000.0) ** 2
+    assert GridScan(f, 0.0, 2048.0, COARSE_GRID).extrema() == ([999, 1000], [])
+    mins, maxs = grid_extrema(f, 0.0, 2048.0)
+    assert len(mins) == 1 and not maxs
+    assert abs(mins[0][0] - 1000.0) < 1e-6
+
 
 def test_grid_min_global():
     f = lambda x: math.cos(3.0 * x) + 0.1 * x
@@ -59,6 +84,15 @@ def test_grid_min_global():
     xs = [i * 5.0 / 100000 for i in range(100001)]
     brute = min(f(t) for t in xs)
     assert v <= brute + 1e-9
+
+    # equal minima at 1 and 3, tied exactly on the dyadic grid: the
+    # first smallest grid value picks the bracket, so the left one wins
+    g = lambda x: abs(abs(x - 2.0) - 1.0)
+    scan = GridScan(g, 0.0, 4.0, COARSE_GRID)
+    i = scan.argmin()
+    assert scan.vs[i] == scan.vs[-1 - i] and scan.xs[i] < 2.0
+    x, v = grid_min(g, 0.0, 4.0)
+    assert abs(x - 1.0) < 1e-8 and v < 1e-8
 
 
 def test_cubic_roots_against_numpy():
@@ -95,3 +129,38 @@ def test_newton_polish_improves_root():
 def test_golden_min_random_quadratics(center, scale):
     x, _ = golden_min(lambda t: scale * (t - center) ** 2, -3.0, 3.0)
     assert abs(x - center) < 1e-8
+
+
+REF = Haldane(12.0, 1.0, 0.08)
+
+
+@pytest.mark.parametrize("build, inf_allowed", [
+    (lambda v: BufferedConfig(REF, v, 1.0, 0.35, 0.48), False),
+    (lambda v: BufferedConfig(REF, 1.4, v, 0.35, 0.48), False),
+    (lambda v: BufferedConfig(REF, 1.4, 1.0, v, 0.48), False),
+    (lambda v: BufferedConfig(REF, 1.4, 1.0, 0.35, 0.48,
+                              physical=(0.5, v, 0.5, 0.5)), False),
+    (lambda v: BufferedConfig.from_physical(v, 0.5, 0.5, 0.5, 1.4, REF), False),
+    (lambda v: BufferedConfig.from_physical(0.5, v, 0.5, 0.5, 1.4, REF), False),
+    (lambda v: BufferedConfig.from_physical(0.5, 0.5, v, 0.5, 1.4, REF), False),
+    (lambda v: BufferedConfig.from_physical(0.5, 0.5, 0.5, v, 1.4, REF), False),
+    (lambda v: SingleParams(REF, v, 1.0), False),
+    (lambda v: SingleParams(REF, 1.4, v), False),
+    (lambda v: Haldane(v, 1.0, 0.08), False),
+    (lambda v: Haldane(12.0, v, 0.08), False),
+    (lambda v: Haldane(12.0, 1.0, v), False),
+    (lambda v: Monod(v, 1.0), False),
+    (lambda v: Monod(2.0, v), False),
+    (lambda v: CustomUnimodal(REF.rate, REF.rate_prime, 0.28,
+                              sample_scale=v), False),
+    (lambda v: IntegratorSettings(t_end=v), False),
+    # inf means "no interior peak" and "no step cap"
+    (lambda v: CustomUnimodal(REF.rate, REF.rate_prime, v), True),
+    (lambda v: IntegratorSettings(max_step=v), True),
+])
+def test_constructors_reject_non_finite(build, inf_allowed):
+    for bad in (NAN, -INF) if inf_allowed else (NAN, INF, -INF):
+        with pytest.raises(ValueError):
+            build(bad)
+    if inf_allowed:
+        build(INF)
