@@ -24,7 +24,7 @@ multiplicity analysis builds on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ._numerics import (FINE_GRID, GridScan, bisect_root, finite_positive,
@@ -91,16 +91,13 @@ class BufferedConfig:
 
     alpha > 0 and 0 < r < 1 with alpha * (1 - r) <= 1; the last bound is
     the feed split constraint (the main vessel's direct feed share is
-    1 - alpha (1 - r) and cannot go negative).  physical optionally
-    carries the raw (Q1, Q2, V1, V2) this configuration came from and is
-    cross-checked against (alpha, r, D) on construction.
+    1 - alpha (1 - r) and cannot go negative).
     """
     model: GrowthModel
     S_in: float
     D: float
     alpha: float
     r: float
-    physical: Optional[tuple[float, float, float, float]] = field(default=None)
 
     def __post_init__(self) -> None:
         if not finite_positive(self.S_in):
@@ -115,21 +112,6 @@ class BufferedConfig:
             raise ValueError(
                 "alpha * (1 - r) exceeds 1: the main vessel's feed share "
                 "would be negative")
-        if self.physical is not None:
-            q1, q2, v1, v2 = self.physical
-            if not (finite_positive(v1) and finite_positive(v2)):
-                raise ValueError("physical volumes must be positive")
-            if not (finite_positive(q2) and (q1 == 0.0 or finite_positive(q1))):
-                raise ValueError("physical flows need Q2 > 0 and Q1 >= 0")
-            d = (q1 + q2) / (v1 + v2)
-            r = v1 / (v1 + v2)
-            alpha = q2 / ((1.0 - r) * (q1 + q2))
-            for name, want, have in (("D", d, self.D), ("r", r, self.r),
-                                     ("alpha", alpha, self.alpha)):
-                if abs(want - have) > 1e-12 * max(1.0, abs(want)):
-                    raise ValueError(
-                        f"physical quantities imply {name} = {want}, "
-                        f"config says {have}")
 
     @classmethod
     def from_physical(cls, Q1: float, Q2: float, V1: float, V2: float,
@@ -152,8 +134,7 @@ class BufferedConfig:
         v = V1 + V2
         r = V1 / v
         return cls(model=model, S_in=S_in, D=q / v,
-                   alpha=Q2 / ((1.0 - r) * q), r=r,
-                   physical=(Q1, Q2, V1, V2))
+                   alpha=Q2 / ((1.0 - r) * q), r=r)
 
 
 @dataclass(frozen=True)

@@ -97,22 +97,20 @@ def _cmd_equilibria(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     return [path]
 
 
-def _default_alpha_grid(cfg: RunConfig) -> list[float]:
-    # sweep the whole feasibility range (0, mu(S_in)/D) on a log scale,
-    # stopping just short of both ends where the buffer turns infeasible
-    bound = cfg.model.rate(cfg.S_in) / cfg.D
-    lo, hi, n = bound / 1000.0, 0.999 * bound, _DEFAULT_SWEEP_POINTS
+def _log_grid(lo: float, hi: float, n: int) -> list[float]:
     step = (math.log(hi) - math.log(lo)) / (n - 1)
     return [math.exp(math.log(lo) + k * step) for k in range(n)]
 
 
 def _cmd_domain(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     if cfg.sweep is not None:
-        lo, hi, n = cfg.sweep
-        step = (math.log(hi) - math.log(lo)) / (n - 1)
-        grid = [math.exp(math.log(lo) + k * step) for k in range(n)]
+        grid = _log_grid(*cfg.sweep)
     else:
-        grid = _default_alpha_grid(cfg)
+        # sweep the whole feasibility range (0, mu(S_in)/D), stopping just
+        # short of both ends where the buffer turns infeasible
+        bound = cfg.model.rate(cfg.S_in) / cfg.D
+        grid = _log_grid(bound / 1000.0, 0.999 * bound,
+                         _DEFAULT_SWEEP_POINTS)
     curve = multiplicity.stable_domain_curve(cfg.model, cfg.S_in, cfg.D,
                                              grid)
     csv_path = os.path.join(out, "domain.csv")

@@ -61,7 +61,6 @@ class RunConfig:
     model: GrowthModel
     S_in: float
     D: float
-    yield_factor: float = 1.0
     alpha: Optional[float] = None
     r: Optional[float] = None
     physical: Optional[tuple[float, float, float, float]] = None
@@ -295,10 +294,9 @@ def parse_config(path: str) -> RunConfig:
     topology = _parse_audit(sections["audit"]) if "audit" in sections else None
 
     try:
-        cfg = RunConfig(model=model, S_in=s_in, D=d, yield_factor=y,
-                        alpha=alpha, r=r, physical=physical,
-                        integrator=integrator, initial=initial, sweep=sweep,
-                        audit_topology=topology)
+        cfg = RunConfig(model=model, S_in=s_in, D=d, alpha=alpha, r=r,
+                        physical=physical, integrator=integrator,
+                        initial=initial, sweep=sweep, audit_topology=topology)
         # validate the buffered block eagerly so errors name this file
         if cfg.has_buffered:
             cfg.buffered_config()

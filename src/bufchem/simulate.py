@@ -8,9 +8,16 @@ allocation churn at this size.
 Non-negativity is enforced by step rejection, never by clipping: the
 mass-balance quantities S_i + X_i - S_in decay linearly and tests rely
 on that structure surviving integration exactly.
+
+One settling rule decides where a run went: it has settled on a
+candidate state when its last state is within eps (sup-norm) of it and
+every state of the last 10% of the run, by time, stayed within 2*eps.
+detect_convergence applies it to a stored trajectory; basin_probe checks
+it after each accepted step and stops the run once it holds.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -252,29 +259,49 @@ def _candidate_state(candidate) -> State:
     return candidate.state if hasattr(candidate, "state") else tuple(candidate)
 
 
+def _settling(candidates: Sequence, eps: float, t0: float, n: int
+              ) -> Callable[[float, State], Optional[int]]:
+    """The settling rule, fed the states (t, y) of one run in time order.
+
+    It keeps the last time the run was over 2*eps from each candidate of
+    length n, and returns the first candidate within eps of y whose last
+    far time is before t_cut = t - 0.1 * (t - t0), else None.
+    """
+    refs = [(i, ref) for i, ref in enumerate(map(_candidate_state, candidates))
+            if len(ref) == n]
+    far = [-math.inf] * len(refs)
+
+    def verdict(t: float, y: State) -> Optional[int]:
+        t_cut = t - 0.1 * (t - t0)
+        label = None
+        for k, (i, ref) in enumerate(refs):
+            d = max(abs(a - b) for a, b in zip(y, ref))
+            if not d <= 2.0 * eps:
+                far[k] = t
+            elif label is None and d <= eps and far[k] < t_cut:
+                label = i
+        return label
+
+    return verdict
+
+
 def detect_convergence(traj: Trajectory, candidates: Sequence,
                        eps: float = 1e-6) -> Optional[int]:
     """Index of the candidate the trajectory settled on, or None.
 
-    Settling means the final state is within eps (sup-norm) of the
-    candidate and the last 10% of the run (by time) stayed within 2*eps.
+    The settling rule: the final state is within eps (sup-norm) of the
+    candidate and the last 10% of the run (by time) stayed within 2*eps;
+    the first candidate that passes wins.  Earlier states cannot change
+    the verdict, so only that tail is fed to the rule.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    final = traj.states[-1]
-    span = traj.times[-1] - traj.times[0]
-    t_cut = traj.times[-1] - 0.1 * span
-    tail = [st for t, st in zip(traj.times, traj.states) if t >= t_cut]
-    for idx, cand in enumerate(candidates):
-        ref = _candidate_state(cand)
-        if len(ref) != len(final):
-            continue
-        if max(abs(a - b) for a, b in zip(final, ref)) > eps:
-            continue
-        if all(max(abs(a - b) for a, b in zip(st, ref)) <= 2.0 * eps
-               for st in tail):
-            return idx
-    return None
+    if not finite_positive(eps):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    times = traj.times
+    tail = bisect.bisect_left(times, times[-1] - 0.1 * (times[-1] - times[0]))
+    verdict = _settling(candidates, eps, times[0], len(traj.final))
+    for t, y in zip(times[tail:], traj.states[tail:]):
+        label = verdict(t, y)
+    return label
 
 
 def basin_probe(system: Union[SingleParams, BufferedConfig],
@@ -284,34 +311,30 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
                 eps: float = 1e-6) -> list[Optional[int]]:
     """Label each initial state with the candidate it converges to.
 
-    None marks unresolved runs (no match by t_end, or stiffness
-    failure).  Runs execute sequentially in input order, so output
-    ordering and determinism hold regardless of environment.
+    Each run stops at the first accepted state where detect_convergence's
+    settling rule holds, so every label is detect_convergence's verdict
+    on the run made.  None marks unresolved runs (not settled by t_end,
+    or stiffness failure).  Runs execute sequentially in input order, so
+    output ordering and determinism hold regardless of environment.
     """
     if not grid or not candidates:
         raise ValueError("basin_probe needs a non-empty grid and candidates")
-    refs = [_candidate_state(c) for c in candidates]
+    if not finite_positive(eps):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     labels: list[Optional[int]] = []
     for x0 in grid:
-        enter = [None]  # time the trajectory entered the capture zone
+        # a run starts at t = 0, which is never in its last 10%
+        verdict = _settling(candidates, eps, 0.0, len(x0))
+        label = None
 
-        def stop(t: float, y: State, _enter=enter) -> bool:
-            near = any(
-                max(abs(a - b) for a, b in zip(y, ref)) <= 0.5 * eps
-                for ref in refs if len(ref) == len(y))
-            if not near:
-                _enter[0] = None
-                return False
-            if _enter[0] is None:
-                _enter[0] = t
-                return False
-            # dwell long enough that the last 10% of the run is captured
-            return t >= _enter[0] / 0.9 + 1e-12
+        def stop(t: float, y: State) -> bool:
+            nonlocal label
+            label = verdict(t, y)
+            return label is not None
 
         try:
-            traj = integrate(system, x0, settings, stop_condition=stop)
+            integrate(system, x0, settings, stop_condition=stop)
         except StiffnessError:
-            labels.append(None)
-            continue
-        labels.append(detect_convergence(traj, candidates, eps))
+            pass  # label stays None
+        labels.append(label)
     return labels

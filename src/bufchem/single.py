@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ._numerics import finite_positive
 from .kinetics import GrowthModel

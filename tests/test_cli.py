@@ -1,4 +1,5 @@
 """End-to-end command-line runs: artifacts, schemas, determinism."""
+import hashlib
 import json
 import os
 import subprocess
@@ -273,3 +274,47 @@ def test_json_artifacts_are_byte_stable(reference_ini, tmp_path):
                        "--out", str(out)).returncode == 0
     assert ((out1 / "equilibria.json").read_bytes()
             == (out2 / "equilibria.json").read_bytes())
+
+
+# sha256 of each artifact of the reference and audit runs
+RECORDED_DIGESTS = {
+    "kinetics.json":
+        "439582ea51182def0c36fce760ff16cb8fc6e33c8b292ecd1845ecc74cd406b3",
+    "classify.json":
+        "7a227d989f48190c8df9ee2c87a1117553c7b9afc29b722c2459cbb293280d85",
+    "equilibria.json":
+        "373d8d9bfb28fc2fae9aab73cfd6085daac775ad40e263d1c450bf23197ab82a",
+    "domain.csv":
+        "fdd04c34d75f73df1241534f1852be015673bbf69f41c34928776414b20dbd8f",
+    "domain.json":
+        "60a31e649619accdb331ea1e66659364de8928c1c4f77c829b707091312e491d",
+    "design.json":
+        "d8ebf02f0fe575aa10651ac46c07c386ef2dcdfea3e492beafed7a259cda2a29",
+    "design_comparison.csv":
+        "c0caef399a974b34f366895380e87196d7305d950a83fc5320227ea6c6b53920",
+    "trajectory.csv":
+        "6f616ec4264cc5825d7cd59168dc720cc3215916e3398ca2ae9e6d4f4fa85105",
+    "audit.json":
+        "6e8ba7ded1b979e74432281bbd86d1e96905aacc8c22916f96fb8215c5ef7c4b",
+}
+
+
+def test_artifacts_match_recorded_digests(reference_ini, tmp_path):
+    """Every artifact of the two runs keeps its recorded bytes.
+
+    The digests assume IEEE doubles and the libm of the host they were
+    recorded on (x86-64 Linux, glibc 2.36); exp, log and pow may round
+    differently elsewhere.  A deliberate change of output updates them,
+    with a CHANGES.md line naming the change.
+    """
+    audit_ini = tmp_path / "audit.ini"
+    audit_ini.write_text(AUDIT)
+    runs = [(cmd, reference_ini) for cmd in
+            ("kinetics", "classify", "equilibria", "domain", "design",
+             "simulate")] + [("audit", audit_ini)]
+    for cmd, ini in runs:
+        result = run_cli(cmd, "--config", str(ini), "--out", str(tmp_path))
+        assert result.returncode == 0, result.stdout + result.stderr
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in RECORDED_DIGESTS}
+    assert digests == RECORDED_DIGESTS

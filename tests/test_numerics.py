@@ -138,8 +138,6 @@ REF = Haldane(12.0, 1.0, 0.08)
     (lambda v: BufferedConfig(REF, v, 1.0, 0.35, 0.48), False),
     (lambda v: BufferedConfig(REF, 1.4, v, 0.35, 0.48), False),
     (lambda v: BufferedConfig(REF, 1.4, 1.0, v, 0.48), False),
-    (lambda v: BufferedConfig(REF, 1.4, 1.0, 0.35, 0.48,
-                              physical=(0.5, v, 0.5, 0.5)), False),
     (lambda v: BufferedConfig.from_physical(v, 0.5, 0.5, 0.5, 1.4, REF), False),
     (lambda v: BufferedConfig.from_physical(0.5, v, 0.5, 0.5, 1.4, REF), False),
     (lambda v: BufferedConfig.from_physical(0.5, 0.5, v, 0.5, 1.4, REF), False),

@@ -10,11 +10,14 @@ from bufchem import (
     IntegratorSettings,
     Monod,
     SingleParams,
+    Trajectory,
     basin_probe,
     classify_portrait,
     detect_convergence,
     find_equilibria,
     integrate,
+    simulate,
+    split_threshold,
 )
 from conftest import draw_buffered_config
 
@@ -160,20 +163,53 @@ def test_detect_convergence_none_when_far():
     assert detect_convergence(traj, [(3.0, 0.0)], eps=1e-6) is None
 
 
+BISTABLE_GRID = [(s, x) for s in (0.1, 0.4, 0.7, 1.0, 1.3)
+                 for x in (0.001, 0.01, 0.1, 0.5, 1.0)]
+
+
 def test_basin_probe_bistable_grid(reference_model):
     params = SingleParams(reference_model, 1.4, 1.0)
     portrait = classify_portrait(params)
     washout = next(e for e in portrait.equilibria if e.X == 0.0)
     positive = next(e for e in portrait.equilibria
                     if e.X > 0.0 and e.tag == "positive_attracting")
-    grid = [(s, x) for s in (0.1, 0.4, 0.7, 1.0, 1.3)
-            for x in (0.001, 0.01, 0.1, 0.5, 1.0)]
-    labels = basin_probe(params, grid, candidates=[washout, positive])
+    labels = basin_probe(params, BISTABLE_GRID,
+                         candidates=[washout, positive])
     assert set(labels) >= {0, 1}
 
 
-def test_basin_probe_includes_eps_validation(reference_model):
+def test_basin_probe_labels_are_detect_convergence_verdicts(reference_model):
+    # the single vessel's bistable grid, and random starts of the CLI
+    # reference run's buffered chemostat above its threshold
     params = SingleParams(reference_model, 1.4, 1.0)
-    with pytest.raises(ValueError):
-        basin_probe(params, [(1.0, 1.0)], candidates=[(1.4, 0.0)],
-                    eps=0.0)
+    single = [e for e in classify_portrait(params).equilibria
+              if e.tag in ("positive_attracting", "washout_attracting")]
+    r_bar = split_threshold(reference_model, 1.4, 1.0, 0.35).r_bar
+    cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 1.2 * r_bar)
+    stable = [e for e in find_equilibria(cfg) if e.tag == "stable"]
+    rng = random.Random(4)
+    starts = [tuple(rng.uniform(0.05, 2.8) for _ in range(4))
+              for _ in range(10)]
+    settings = IntegratorSettings(t_end=200.0)
+    for system, grid, candidates in ((params, BISTABLE_GRID, single),
+                                     (cfg, starts, stable)):
+        labels = basin_probe(system, grid, settings, candidates)
+        assert None not in labels
+        assert labels == [
+            detect_convergence(integrate(system, x0, settings), candidates)
+            for x0 in grid]
+
+
+def test_basin_probe_includes_eps_validation(reference_model, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before eps was checked")
+
+    monkeypatch.setattr(simulate, "integrate", never)
+    params = SingleParams(reference_model, 1.4, 1.0)
+    traj = Trajectory((0.0, 1.0), ((1.4, 0.0), (1.4, 0.0)), 1, 0)
+    for eps in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            basin_probe(params, [(1.0, 1.0)], candidates=[(1.4, 0.0)],
+                        eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            detect_convergence(traj, [(1.4, 0.0)], eps=eps)
