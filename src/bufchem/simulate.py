@@ -5,6 +5,12 @@ states here are 2- or 4-vectors and the right-hand sides are a handful
 of arithmetic ops, so tuples beat array machinery on both speed and
 allocation churn at this size.
 
+The seven stages and the error estimate are written out, one tuple per
+stage, each weighted sum taken left to right from 0.0, exactly as the
+builtin sum() of Python 3.11 adds floats.  The rounding is then the same
+on every Python version; since 3.12, sum() of floats is compensated and
+a loop of sum() calls would round differently.
+
 Non-negativity is enforced by step rejection, never by clipping: the
 mass-balance quantities S_i + X_i - S_in decay linearly and tests rely
 on that structure surviving integration exactly.
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -53,8 +60,16 @@ _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 # fifth-minus-fourth order error weights (last entry applies to the FSAL stage)
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# the same entries by name, for the written-out stages of integrate
+((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
+ (A61, A62, A63, A64, A65), (A71, A72, A73, A74, A75, A76)) = _A[1:]
+C2, C3, C4, C5, C6, C7 = _C[1:]
+E1, E2, E3, E4, E5, E6, E7 = _E
 
-_NEG_FLOOR_FACTOR = 10.0   # reject a step dipping below -10 * abs_tol
+# a step is rejected when a component dips below -10 * abs_tol, or below
+# the floor Trajectory holds every stored state to, whichever is higher
+_STATE_FLOOR = -1e-12
+_NEG_FLOOR_FACTOR = 10.0
 _MIN_STEP_FACTOR = 1e-14   # h below this fraction of t_end is a stiffness failure
 
 
@@ -101,8 +116,9 @@ class Trajectory:
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.times[:-1], self.times[1:])):
             raise ValueError("times must be strictly increasing")
-        if any(c < -1e-12 for st in self.states for c in st):
-            raise ValueError("state components must stay above -1e-12")
+        if any(c < _STATE_FLOOR for st in self.states for c in st):
+            raise ValueError(
+                f"state components must stay above {_STATE_FLOOR}")
 
     @property
     def final(self) -> State:
@@ -153,15 +169,6 @@ def _rhs_and_rate(system: Union[SingleParams, BufferedConfig],
     raise TypeError(f"unsupported system type {type(system).__name__}")
 
 
-def _err_norm(err: State, y0: State, y1: State, abs_tol: float,
-              rel_tol: float) -> float:
-    acc = 0.0
-    for e, a, b in zip(err, y0, y1):
-        sc = abs_tol + rel_tol * max(abs(a), abs(b))
-        acc += (e / sc) ** 2
-    return math.sqrt(acc / len(err))
-
-
 def _initial_step(f, t0: float, y0: State, f0: State, abs_tol: float,
                   rel_tol: float, t_end: float, max_step: float) -> float:
     def norm(v: State) -> float:
@@ -193,15 +200,18 @@ def integrate(system: Union[SingleParams, BufferedConfig],
     stop_condition, when given, is checked after each accepted step and
     truncates the run; the trajectory then ends at the triggering state.
     Raises StiffnessError on step-size underflow (carrying the last
-    valid state) and ValueError on negative initial components.
+    valid state), and ValueError on a negative or non-finite initial
+    component or on a non-finite error norm (the right-hand side left
+    the finite floats).
     """
     y = tuple(float(c) for c in x0)
-    if any(c < 0.0 for c in y):
-        raise ValueError(f"initial state must be non-negative, got {x0}")
+    if not all(0.0 <= c < math.inf for c in y):
+        raise ValueError(
+            f"initial state must be finite and non-negative, got {x0}")
     cfg = settings if settings is not None else IntegratorSettings()
     t_end = cfg.t_end if cfg.t_end is not None else 200.0 / system.D
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    neg_floor = -_NEG_FLOOR_FACTOR * abs_tol
+    neg_floor = max(-_NEG_FLOOR_FACTOR * abs_tol, _STATE_FLOOR)
 
     f = _rhs_and_rate(system, len(y))
     t = 0.0
@@ -213,38 +223,58 @@ def integrate(system: Union[SingleParams, BufferedConfig],
     accepted = 0
     rejected = 0
     n = len(y)
-    ks: list[State] = [k1] * 7
 
     while t < t_end:
         h = min(h, cfg.max_step, t_end - t)
         if h < _MIN_STEP_FACTOR * t_end:
             raise StiffnessError(t, y)
 
-        ks[0] = k1
-        for i in range(1, 7):
-            coeffs = _A[i]
-            yi = tuple(
-                y[j] + h * sum(coeffs[m] * ks[m][j] for m in range(i))
-                for j in range(n))
-            ks[i] = f(t + _C[i] * h, yi)
+        k2 = f(t + C2 * h, tuple(
+            a + h * (0.0 + A21 * b1)
+            for a, b1 in zip(y, k1)))
+        k3 = f(t + C3 * h, tuple(
+            a + h * (0.0 + A31 * b1 + A32 * b2)
+            for a, b1, b2 in zip(y, k1, k2)))
+        k4 = f(t + C4 * h, tuple(
+            a + h * (0.0 + A41 * b1 + A42 * b2 + A43 * b3)
+            for a, b1, b2, b3 in zip(y, k1, k2, k3)))
+        k5 = f(t + C5 * h, tuple(
+            a + h * (0.0 + A51 * b1 + A52 * b2 + A53 * b3 + A54 * b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)))
+        k6 = f(t + C6 * h, tuple(
+            a + h * (0.0 + A61 * b1 + A62 * b2 + A63 * b3 + A64 * b4
+                     + A65 * b5)
+            for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)))
         # stage 7 input is the fifth-order solution itself (FSAL)
-        y_new = yi
-        err = tuple(h * sum(_E[m] * ks[m][j] for m in range(7))
-                    for j in range(n))
-        err_n = _err_norm(err, y, y_new, abs_tol, rel_tol)
+        y_new = tuple(
+            a + h * (0.0 + A71 * b1 + A72 * b2 + A73 * b3 + A74 * b4
+                     + A75 * b5 + A76 * b6)
+            for a, b1, b2, b3, b4, b5, b6 in zip(y, k1, k2, k3, k4, k5, k6))
+        k7 = f(t + C7 * h, y_new)
+        acc = 0.0
+        for a, b, b1, b2, b3, b4, b5, b6, b7 in zip(
+                y, y_new, k1, k2, k3, k4, k5, k6, k7):
+            e = h * (0.0 + E1 * b1 + E2 * b2 + E3 * b3 + E4 * b4 + E5 * b5
+                     + E6 * b6 + E7 * b7)
+            acc += (e / (abs_tol + rel_tol * max(abs(a), abs(b)))) ** 2
+        err_n = math.sqrt(acc / n)
 
-        if err_n > 1.0:
+        if not err_n <= 1.0:
+            if not math.isfinite(err_n):
+                raise ValueError(
+                    f"error norm is {err_n} at t = {t}: the right-hand side "
+                    f"is not finite along this step")
             rejected += 1
             h *= min(1.0, max(0.2, 0.9 * err_n ** -0.2))
             continue
-        if any(c < neg_floor for c in y_new):
+        if min(y_new) < neg_floor:
             rejected += 1
             h *= 0.5
             continue
 
         t += h
         y = y_new
-        k1 = ks[6]
+        k1 = k7
         accepted += 1
         times.append(t)
         states.append(y)
@@ -275,7 +305,7 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int
         t_cut = t - 0.1 * (t - t0)
         label = None
         for k, (i, ref) in enumerate(refs):
-            d = max(abs(a - b) for a, b in zip(y, ref))
+            d = max(map(abs, map(operator.sub, y, ref)))
             if not d <= 2.0 * eps:
                 far[k] = t
             elif label is None and d <= eps and far[k] < t_cut:

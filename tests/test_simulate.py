@@ -1,4 +1,5 @@
 """Adaptive integrator and convergence detection."""
+import hashlib
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from bufchem import (
     BufferedConfig,
+    CustomUnimodal,
     Haldane,
     IntegratorSettings,
     Monod,
@@ -90,6 +92,41 @@ def test_rejects_negative_initial_state(reference_model):
     cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
     with pytest.raises(ValueError):
         integrate(cfg, (1.0, -0.1, 1.0, 0.1))
+
+
+def test_rejects_non_finite_initial_state(reference_model):
+    single = SingleParams(reference_model, 1.4, 1.0)
+    cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(single, (bad, 0.5), IntegratorSettings(t_end=5.0))
+        with pytest.raises(ValueError, match="finite"):
+            integrate(cfg, (1.0, 0.1, 1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            basin_probe(single, [(1.0, 0.5), (0.5, bad)],
+                        candidates=[(1.4, 0.0)])
+
+
+def test_non_finite_error_norm_raises():
+    # the rate law is NaN from s = 1.3 on, so every stage from the start is
+    law = CustomUnimodal(lambda s: 2.0 * s / (1.0 + s) if s < 1.3 else math.nan,
+                         lambda s: 2.0 / (1.0 + s) ** 2, math.inf)
+    params = SingleParams(law, 1.4, 0.5)
+    settings = IntegratorSettings(t_end=20.0)
+    with pytest.raises(ValueError, match=r"error norm is nan at t = 0\.0"):
+        integrate(params, (1.35, 0.0), settings)
+    with pytest.raises(ValueError, match="error norm"):
+        basin_probe(params, [(1.35, 0.0)], settings, candidates=[(1.4, 0.0)])
+
+
+def test_loose_tolerances_keep_states_above_the_floor():
+    # a step dipping below -1e-12 is rejected even where -10 * abs_tol is
+    # lower, so a run Trajectory would refuse is never assembled
+    params = SingleParams(Haldane(14.7, 0.18, 3.9), 0.385, 1.5)
+    settings = IntegratorSettings(rel_tol=2.4e-3, abs_tol=2.4e-3, t_end=20.0)
+    traj = integrate(params, (1.2e-4, 9.3), settings)
+    assert traj.times[-1] == 20.0
+    assert min(min(st) for st in traj.states) >= -1e-12
 
 
 def test_settings_validation():
@@ -213,3 +250,79 @@ def test_basin_probe_includes_eps_validation(reference_model, monkeypatch):
                         eps=eps)
         with pytest.raises(ValueError, match="eps"):
             detect_convergence(traj, [(1.4, 0.0)], eps=eps)
+
+
+RECORDED_INTEGRATE_DIGESTS = {
+    "buffered_reference_start":
+        "bf4d5c43378e925db1b8eefb3b48e77b63b26f0b5766aaa4f1c9571ab9f1026c",
+    "buffered_low_start":
+        "a09264a01b61c289a10c3d8ccbaacc2447a554bf4daa05c80ab7314f895b7a60",
+    "single_haldane":
+        "9d8e41120fe302394863c00ac27be0b50e30b13dbfa557ec0c54efa3c8f70765",
+    "monod_max_step":
+        "e386bb5aef05cd84c32dd8428424b4072891628c6ac2e35318b17b358896da62",
+    "monod_stopped":
+        "41513954a836f9e9b81c3494e24d2ac0ed930a35fff5b0fc6b2699cf608ef7c2",
+    "andrews_custom":
+        "a83eeb47550141747ff524c02754329e34d190e353555229ac87eaafedc710cd",
+    "haldane_loose_tolerances":
+        "fdea72352289a9cd82a46ee4f241898b4b5ce53f2df0076f9c965cb43f56d6da",
+}
+
+
+def _andrews(mu_bar, K, K_I):
+    def mu(s):
+        return mu_bar * s / (K + s) * math.exp(-s / K_I)
+
+    def mu_prime(s):
+        return mu_bar * math.exp(-s / K_I) * (
+            K / (K + s) ** 2 - s / ((K + s) * K_I))
+
+    return CustomUnimodal(mu, mu_prime,
+                          0.5 * (-K + math.sqrt(K * K + 4.0 * K * K_I)))
+
+
+def test_integrate_matches_recorded_digests(reference_model):
+    """Every run keeps its recorded times, states and step counts.
+
+    Each digest is the sha256 of repr((times, states, accepted, rejected)).
+    The runs cover both state sizes, the default horizon, max_step, a
+    stop_condition, a callable rate law, rejected steps in every run and
+    rejections by the negative-state floor (the loose-tolerance run).
+    The digests assume IEEE doubles and the libm of the host they were
+    recorded on (x86-64 Linux, glibc 2.36); exp, log and pow may round
+    differently elsewhere.  A deliberate change of output updates them,
+    with a CHANGES.md line naming the change.
+    """
+    buffered = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
+    monod = SingleParams(Monod(2.0, 1.0), 3.0, 0.5)
+    loose = IntegratorSettings(rel_tol=7.1e-3, abs_tol=7.1e-3, t_end=20.0)
+    runs = {
+        "buffered_reference_start": (
+            buffered, (1.4, 0.1, 1.4, 0.01), IntegratorSettings(t_end=200.0),
+            None),
+        "buffered_low_start": (
+            buffered, (0.05, 2.0, 0.3, 1e-6), IntegratorSettings(t_end=60.0),
+            None),
+        "single_haldane": (
+            SingleParams(reference_model, 1.4, 1.0), (1.0, 0.1), None, None),
+        "monod_max_step": (
+            monod, (3.0, 0.5), IntegratorSettings(t_end=5.0, max_step=0.25),
+            None),
+        "monod_stopped": (
+            monod, (3.0, 0.5), IntegratorSettings(t_end=100.0),
+            lambda t, y: t >= 2.0),
+        "andrews_custom": (
+            SingleParams(_andrews(6.0, 0.5, 2.0), 3.0, 0.8), (0.2, 0.05),
+            IntegratorSettings(t_end=40.0), None),
+        "haldane_loose_tolerances": (
+            SingleParams(Haldane(9.92, 0.176, 1.51), 1.6, 0.375),
+            (0.0738, 1.397), loose, None),
+    }
+    digests = {}
+    for name, (system, x0, settings, stop) in runs.items():
+        traj = integrate(system, x0, settings, stop)
+        key = (traj.times, traj.states, traj.accepted_steps,
+               traj.rejected_steps)
+        digests[name] = hashlib.sha256(repr(key).encode()).hexdigest()
+    assert digests == RECORDED_INTEGRATE_DIGESTS
