@@ -56,11 +56,9 @@ __all__ = [
 BRANCH_POSITIVE = "buffer_positive"
 BRANCH_WASHOUT = "buffer_washout"
 
-_RESIDUAL_TOL = 1e-10          # absolute, on the rest-point equations
 _TANGENCY_TOL = 1e-8           # |deficit| at a critical point counted as a double root
 _NEAR_TANGENCY = 1e-4          # triggers the refined pair-recovery pass
-_CROSSCHECK_TOL = 1e-7         # closed-form vs scan root agreement
-_EDGE_PAD = 1e-12              # matches the closed-form route's root filter
+_EDGE_PAD = 1e-12              # both routes' margin inside (0, S_in)
 _SINGULAR_TOL = 1e-14
 
 
@@ -82,7 +80,8 @@ class SingularSplitPoint(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Closed-form and scan-based root sets disagree beyond tolerance."""
+    """A closed form breaks a property its kinetics guarantees, as when
+    split_threshold finds a Haldane extra-root band not below the boundary."""
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,7 @@ class BufferedConfig:
     r: float
 
     def __post_init__(self) -> None:
-        if not finite_positive(self.S_in):
-            raise ValueError("feed concentration S_in must be positive")
-        if not finite_positive(self.D):
-            raise ValueError("dilution rate D must be positive")
-        if not finite_positive(self.alpha):
-            raise ValueError("flow share alpha must be positive")
+        _check_feed(self.S_in, self.D, self.alpha)
         if not (0.0 < self.r < 1.0):
             raise ValueError("volume split r must lie strictly inside (0, 1)")
         if self.alpha * (1.0 - self.r) > 1.0 + 1e-12:
@@ -173,6 +167,13 @@ class IntervalSet:
         return any(lo < x < hi for lo, hi in self.components)
 
 
+def _check_feed(S_in: float, D: float, alpha: float) -> None:
+    for value, name in ((S_in, "feed concentration S_in"),
+                        (D, "dilution rate D"), (alpha, "flow share alpha")):
+        if not finite_positive(value):
+            raise ValueError(f"{name} must be positive")
+
+
 # ---------------------------------------------------------------------------
 # scalar maps; explicit-argument forms feed the multiplicity module, which
 # sweeps alpha without committing to a volume split r
@@ -185,6 +186,7 @@ def buffer_substrate(model: GrowthModel, S_in: float, D: float,
     rate alpha * D.  Raises InfeasibleBufferError when the buffer cannot hold a
     positive equilibrium below the feed level.
     """
+    _check_feed(S_in, D, alpha)
     window = model.break_even(alpha * D)
     if window is None:
         raise InfeasibleBufferError(
@@ -351,13 +353,17 @@ def equilibrium_split_prime_zeros(config: BufferedConfig, lo: float,
 # rest-point enumeration
 
 def _positive_levels(config: BufferedConfig) -> list[float]:
-    """Sorted rest levels of the main vessel on (0, S_in).
+    """Sorted rest levels of the main vessel on (0, S_in): the closed-form
+    cubic for Haldane kinetics, the grid scan for every other law."""
+    if isinstance(config.model, Haldane):
+        return _haldane_levels(config)
+    return _scan_levels(config)
 
-    Generic route: midpoint sign scan plus a critical-point pass that
-    recovers double roots and sub-grid root pairs.  For Haldane kinetics
-    the equivalent cubic is solved in closed form and the two routes are
-    cross-checked; disagreement raises ConsistencyError.
-    """
+
+def _scan_levels(config: BufferedConfig) -> list[float]:
+    """Rest levels of any rate law: midpoint sign scan plus a critical-point
+    pass that recovers double roots and sub-grid root pairs.  It shares
+    nothing with the Haldane cubic but the final polish."""
     S_in = config.S_in
     _, _, f, fp = _deficit_fn(config)
     scan = GridScan(f, 0.0, S_in, FINE_GRID)
@@ -389,19 +395,7 @@ def _positive_levels(config: BufferedConfig) -> list[float]:
             if (f(left) > 0.0) != (fc > 0.0):
                 roots.append(bisect_root(f, left, c, 0.0))
                 roots.append(bisect_root(f, c, right, 0.0))
-
-    for i, s in enumerate(roots):
-        if abs(fp(s)) > 1e-9 * scale:
-            roots[i] = newton_polish(f, fp, s, 0.0, S_in)
-    roots = _dedupe(sorted(roots), 1e-8 * S_in)
-
-    if isinstance(config.model, Haldane):
-        closed = _haldane_levels(config)
-        if not _matched(roots, closed, _CROSSCHECK_TOL * max(1.0, S_in)):
-            raise ConsistencyError(
-                f"closed-form levels {closed} disagree with scanned levels "
-                f"{roots} beyond {_CROSSCHECK_TOL}")
-    return roots
+    return _polished(config, f, fp, roots)
 
 
 def _haldane_levels(config: BufferedConfig) -> list[float]:
@@ -415,24 +409,24 @@ def _haldane_levels(config: BufferedConfig) -> list[float]:
     a2 = D * (a_cap / K_I - 1.0) + r * mu_bar
     a1 = D * (a_cap - K) - r * mu_bar * S_in
     a0 = D * a_cap * K
-    tol = 1e-12 * S_in
-    return sorted(t for t in _dedupe(sorted(real_cubic_roots(a3, a2, a1, a0)),
-                                     1e-8 * S_in)
-                  if tol < t < S_in - tol)
+    tol = _EDGE_PAD * S_in
+    _, _, f, fp = _deficit_fn(config)
+    return _polished(config, f, fp,
+                     [t for t in real_cubic_roots(a3, a2, a1, a0)
+                      if tol < t < S_in - tol])
 
 
-def _dedupe(sorted_vals: list[float], tol: float) -> list[float]:
+def _polished(config: BufferedConfig, f, fp, roots: list[float]
+              ) -> list[float]:
+    """Newton-polish each root with |f'| > 1e-9 max(1, D) (a smaller slope
+    marks a double root), sort, and merge roots within 1e-8 S_in."""
+    scale = max(1.0, config.D)
     out: list[float] = []
-    for v in sorted_vals:
-        if not out or v - out[-1] > tol:
+    for v in sorted(newton_polish(f, fp, s, 0.0, config.S_in)
+                    if abs(fp(s)) > 1e-9 * scale else s for s in roots):
+        if not out or v - out[-1] > 1e-8 * config.S_in:
             out.append(v)
     return out
-
-
-def _matched(a: list[float], b: list[float], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
 def find_equilibria(config: BufferedConfig) -> list[Equilibrium]:

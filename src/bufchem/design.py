@@ -85,7 +85,6 @@ class DesignReport:
     surplus_max: float
     _model: GrowthModel
     _S_in: float
-    _D: float
 
     def d2_interval_for(self, v2: float) -> Optional[tuple[float, float]]:
         """Buffer dilution rates D2 making size v2 sufficient.
@@ -166,4 +165,4 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
         d2_star=model.rate(s_best),
         s_bar=s_bar,
         surplus_max=surplus_max,
-        _model=model, _S_in=S_in, _D=D)
+        _model=model, _S_in=S_in)

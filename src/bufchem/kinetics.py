@@ -96,7 +96,7 @@ class GrowthModel:
         The generic path brackets mu(s) = dilution on each monotone
         branch and refines by bisection to a residual of 1e-12 * dilution.
         """
-        if dilution <= 0.0:
+        if not dilution > 0.0:
             raise ValueError("dilution rate must be positive")
         return self._break_even_generic(dilution)
 
@@ -172,7 +172,7 @@ class Monod(GrowthModel):
         return Peak(math.inf, self.mu_max)
 
     def break_even(self, dilution: float) -> Optional[BreakEvenInterval]:
-        if dilution <= 0.0:
+        if not dilution > 0.0:
             raise ValueError("dilution rate must be positive")
         if dilution >= self.mu_max:
             return None
@@ -211,7 +211,7 @@ class Haldane(GrowthModel):
 
         Non-empty exactly when mu_bar / dilution > 1 + 2 sqrt(K / K_I).
         """
-        if dilution <= 0.0:
+        if not dilution > 0.0:
             raise ValueError("dilution rate must be positive")
         ratio = self.mu_bar / dilution
         if ratio <= 1.0 + 2.0 * math.sqrt(self.K / self.K_I):

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._numerics import bisect_root, golden_min, grid_extrema, grid_min
+from ._numerics import (GridScan, bisect_root, golden_min, grid_extrema,
+                        grid_min)
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
                        buffer_substrate, equilibrium_split_prime_zeros,
                        pivot_level, split_map)
@@ -285,21 +286,20 @@ def split_threshold_crosscheck(model: GrowthModel, S_in: float, D: float,
             return (a * a + b * b, 0.0)
         return ((a - u * c) ** 2 + (b + u * e) ** 2, u)
 
-    step = (hi - lo) / _FIT_STARTS
-    xs = [lo + (i + 0.5) * step for i in range(_FIT_STARTS)]
-    vs = [reduced(x)[0] for x in xs]
+    def residual(s: float) -> float:
+        return reduced(s)[0]
+
+    # both ends, and every grid value no larger than its two neighbours
+    scan = GridScan(residual, lo, hi, _FIT_STARTS)
+    vs, last = scan.vs, _FIT_STARTS - 1
     candidates: list[tuple[float, float]] = []
     for i in range(_FIT_STARTS):
-        if 0 < i < _FIT_STARTS - 1 and not (vs[i] <= vs[i - 1]
-                                            and vs[i] <= vs[i + 1]):
-            continue
-        a = xs[i - 1] if i > 0 else lo
-        b = xs[i + 1] if i < _FIT_STARTS - 1 else hi
-        s_best, f_best = golden_min(lambda s: reduced(s)[0], a, b, 1e-10)
-        candidates.append((f_best, s_best))
+        if i in (0, last) or vs[i] <= vs[i - 1] and vs[i] <= vs[i + 1]:
+            s_best, f_best = golden_min(residual, *scan.around(i), 1e-10)
+            candidates.append((f_best, s_best))
     best_r: Optional[float] = None
-    for residual, s_best in candidates:
-        if residual <= _FIT_RESIDUAL:
+    for value, s_best in candidates:
+        if value <= _FIT_RESIDUAL:
             u = reduced(s_best)[1]
             r = 1.0 / (1.0 + u)
             if best_r is None or r < best_r:

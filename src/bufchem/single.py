@@ -153,7 +153,7 @@ class Parallel:
 def _check_fractions(name: str, fractions: tuple[float, ...]) -> None:
     if not fractions:
         raise ValueError(f"{name} must be non-empty")
-    if any(f <= 0.0 for f in fractions):
+    if not all(map(finite_positive, fractions)):
         raise ValueError(f"{name} must all be positive")
     if abs(math.fsum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"{name} must sum to 1 within 1e-9")

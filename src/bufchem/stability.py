@@ -3,15 +3,18 @@
 The Jacobian is block-triangular at every rest point (the buffer never
 feels the main vessel), so all four eigenvalues come out in closed form.
 A numerically computed spectrum of the full 4x4 Jacobian is available as
-an independent route for cross-checking.
+an independent route for cross-checking; only that route imports numpy,
+on first use, so the package and the CLI load without it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .buffered import BufferedConfig, growth_deficit_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EigenReport",
@@ -98,6 +101,7 @@ def washout_eigenvalues(config: BufferedConfig, s1: float) -> EigenReport:
 def jacobian(config: BufferedConfig,
              state: tuple[float, float, float, float]) -> np.ndarray:
     """4x4 Jacobian of the vector field at an arbitrary state."""
+    import numpy as np
     model, S_in, D, alpha, r = (config.model, config.S_in, config.D,
                                 config.alpha, config.r)
     s1, x1, s2, x2 = state
@@ -121,6 +125,7 @@ def numeric_eigenvalues(config: BufferedConfig,
     Spurious imaginary parts beyond rounding noise are rejected: the
     spectrum at any rest point of this system is real.
     """
+    import numpy as np
     eig = np.linalg.eigvals(jacobian(config, state))
     scale = max(1.0, float(np.max(np.abs(eig))))
     if float(np.max(np.abs(eig.imag))) > 1e-7 * scale:

@@ -37,7 +37,7 @@ from bufchem import (
     surplus_region,
     washout_audit,
 )
-from bufchem.buffered import _haldane_levels, _positive_levels
+from bufchem.buffered import _haldane_levels, _scan_levels
 from bufchem.simulate import _buffered_rhs
 from bufchem.single import TAG_POSITIVE_ATTRACTING, TAG_WASHOUT_ATTRACTING
 from conftest import (
@@ -126,7 +126,7 @@ def test_criterion_03_equilibrium_residuals_and_root_routes():
                                  max(abs(v) for v in rhs(0.0, eq.state)))
             count += 1
         cubic = _haldane_levels(cfg)
-        scanned = _positive_levels(cfg)
+        scanned = _scan_levels(cfg)
         if len(cubic) != len(scanned):
             mismatched += 1
             continue

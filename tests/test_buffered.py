@@ -9,6 +9,7 @@ from bufchem import (
     BRANCH_POSITIVE,
     BRANCH_WASHOUT,
     BufferedConfig,
+    CustomUnimodal,
     Haldane,
     IntervalSet,
     Monod,
@@ -172,6 +173,28 @@ def test_single_root_above_window():
     positives = [e for e in find_equilibria(cfg)
                  if e.branch == BRANCH_POSITIVE]
     assert len(positives) == 1
+
+
+class _ScanCalled(Exception):
+    pass
+
+
+def test_haldane_rest_levels_take_the_cubic_route_alone(reference_model,
+                                                        monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise _ScanCalled
+
+    cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
+    want = (find_equilibria(cfg), surplus_region(cfg))
+    monkeypatch.setattr("bufchem.buffered.GridScan", no_scan)
+    assert (find_equilibria(cfg), surplus_region(cfg)) == want
+    # the same law behind callables has no closed form and is scanned
+    wrapped = CustomUnimodal(reference_model.rate, reference_model.rate_prime,
+                             reference_model.peak().abscissa)
+    generic = BufferedConfig(wrapped, 1.4, 1.0, 0.35, 0.48)
+    for analysis in (find_equilibria, surplus_region):
+        with pytest.raises(_ScanCalled):
+            analysis(generic)
 
 
 def test_monod_always_single_positive_root():

@@ -68,13 +68,25 @@ flow_fractions = 0.6 0.4
 """
 
 
-def run_cli(*args: str):
+def run_python(*args: str):
     # the child imports the same bufchem as this test, installed or not
     src = os.path.dirname(os.path.dirname(bufchem.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "bufchem", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args: str):
+    return run_python("-m", "bufchem", *args)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the numeric eigenvalue route, imported on use
+    out = run_python("-c", "import sys, bufchem.cli; "
+                     "print('numpy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def schema(name: str) -> dict:

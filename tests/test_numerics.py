@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bufchem import (BufferedConfig, CustomUnimodal, Haldane,
-                     IntegratorSettings, Monod)
+                     IntegratorSettings, Monod, Parallel, Serial,
+                     buffer_substrate, classify_case, pivot_level,
+                     split_threshold, split_threshold_crosscheck)
 from bufchem._numerics import (
     COARSE_GRID,
     GridScan,
@@ -162,3 +164,30 @@ def test_constructors_reject_non_finite(build, inf_allowed):
             build(bad)
     if inf_allowed:
         build(INF)
+
+
+GENERIC = CustomUnimodal(REF.rate, REF.rate_prime, math.sqrt(0.08))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classify_case(REF, NAN, 1.0, 0.35),
+    lambda: buffer_substrate(REF, NAN, 1.0, 0.35),
+    lambda: buffer_substrate(REF, 1.4, NAN, 0.35),
+    lambda: buffer_substrate(REF, 1.4, 1.0, NAN),
+    lambda: pivot_level(REF, NAN, 1.0, 0.35),
+    lambda: split_threshold_crosscheck(REF, NAN, 1.0, 0.35),
+    lambda: split_threshold(REF, 1.4, 1.0, NAN),
+    lambda: REF.break_even(NAN),
+    lambda: Monod(2.0, 1.0).break_even(NAN),
+    lambda: GENERIC.break_even(NAN),
+    lambda: Serial((0.5, NAN, 0.5)),
+    lambda: Parallel((0.5, 0.5), (NAN, 1.0)),
+])
+def test_raw_float_entry_points_reject_nan(call):
+    with pytest.raises(ValueError, match="positive"):
+        call()
+
+
+def test_break_even_of_infinite_dilution_is_empty():
+    for model in (REF, Monod(2.0, 1.0), GENERIC):
+        assert model.break_even(INF) is None
