@@ -14,6 +14,9 @@ import math
 from typing import Callable
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BISECT_MAX_ITER = 200
+_GOLDEN_X_TOL = 1e-10   # relative bracket width golden_min stops at
+_NEWTON_STEPS = 8
 
 # rest-level and split-critical-point scans use the fine grid; extrema
 # and the D2 feasibility scan the coarse one
@@ -27,11 +30,11 @@ def finite_positive(x: float) -> bool:
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                f_tol: float, max_iter: int = 200) -> float:
+                f_tol: float) -> float:
     """Bisection on a bracketing interval [lo, hi].
 
     Stops when |f(mid)| <= f_tol or the interval collapses to machine
-    resolution; max_iter caps the work either way.  Requires a sign
+    resolution; _BISECT_MAX_ITER caps the work either way.  Requires a sign
     change over the bracket.
     """
     f_lo = f(lo)
@@ -43,7 +46,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError("bisect_root: no sign change over bracket")
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if abs(f_mid) <= f_tol or mid == lo or mid == hi:
@@ -55,8 +58,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     return mid
 
 
-def golden_min(f: Callable[[float], float], lo: float, hi: float,
-               x_tol: float = 1e-10) -> tuple[float, float]:
+def golden_min(f: Callable[[float], float], lo: float,
+               hi: float) -> tuple[float, float]:
     """Golden-section minimum of a unimodal f on [lo, hi].
 
     Returns (abscissa, value).  The bracket is assumed valid; callers
@@ -66,7 +69,7 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float,
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > x_tol * max(1.0, abs(a) + abs(b)):
+    while (b - a) > _GOLDEN_X_TOL * max(1.0, abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -79,9 +82,9 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float,
     return x, f(x)
 
 
-def golden_max(f: Callable[[float], float], lo: float, hi: float,
-               x_tol: float = 1e-10) -> tuple[float, float]:
-    x, v = golden_min(lambda s: -f(s), lo, hi, x_tol)
+def golden_max(f: Callable[[float], float], lo: float,
+               hi: float) -> tuple[float, float]:
+    x, v = golden_min(lambda s: -f(s), lo, hi)
     return x, -v
 
 
@@ -216,10 +219,10 @@ def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:
 
 
 def newton_polish(f: Callable[[float], float], fp: Callable[[float], float],
-                  x0: float, lo: float, hi: float, steps: int = 8) -> float:
-    """A few guarded Newton steps on f, clamped to [lo, hi]."""
+                  x0: float, lo: float, hi: float) -> float:
+    """_NEWTON_STEPS guarded Newton steps on f, clamped to [lo, hi]."""
     x = x0
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         fx = f(x)
         d = fp(x)
         if d == 0.0:

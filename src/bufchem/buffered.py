@@ -43,7 +43,6 @@ __all__ = [
     "buffer_substrate",
     "pivot_level",
     "required_growth_ratio",
-    "required_growth_ratio_prime",
     "growth_deficit",
     "growth_deficit_prime",
     "equilibrium_split",
@@ -255,11 +254,6 @@ def required_growth_ratio(config: BufferedConfig, s: float) -> float:
     """
     _check_level(config, s)
     return _deficit_fn(config)[0](s)
-
-
-def required_growth_ratio_prime(config: BufferedConfig, s: float) -> float:
-    _check_level(config, s)
-    return _deficit_fn(config)[1](s)
 
 
 def growth_deficit(config: BufferedConfig, s: float) -> float:

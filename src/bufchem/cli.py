@@ -15,27 +15,21 @@ import os
 import sys
 
 from . import buffered, design, io, multiplicity, simulate, single
-from .config import ConfigError, RunConfig, parse_config
-from .kinetics import GrowthModel, Haldane, Monod
+from .config import GROWTH_LAWS, ConfigError, RunConfig, parse_config
+from .kinetics import GrowthModel
 
 __all__ = ["main"]
-
-_COMMANDS = ("kinetics", "classify", "equilibria", "domain", "design",
-             "simulate", "audit")
 
 _DEFAULT_SWEEP_POINTS = 400
 _COMPARISON_POINTS = 30
 
 
 def _model_payload(model: GrowthModel) -> dict:
-    if isinstance(model, Haldane):
-        return {"type": "haldane",
-                "parameters": {"mu_bar": model.mu_bar, "K": model.K,
-                               "K_I": model.K_I}}
-    if isinstance(model, Monod):
-        return {"type": "monod",
-                "parameters": {"mu_max": model.mu_max, "K_s": model.K_s}}
-    raise ValueError("only monod and haldane models are serializable")
+    for kind, (law, keys) in GROWTH_LAWS.items():
+        if isinstance(model, law):
+            return {"type": kind,
+                    "parameters": {key: getattr(model, key) for key in keys}}
+    raise ValueError(f"no [growth] type for {type(model).__name__}")
 
 
 def _break_even_payload(window) -> dict | None:
@@ -74,7 +68,10 @@ def _cmd_classify(cfg: RunConfig, out: str, fmt: str) -> list[str]:
 
 
 def _cmd_equilibria(cfg: RunConfig, out: str, fmt: str) -> list[str]:
-    bc = cfg.buffered_config()
+    bc = cfg.buffered
+    if bc is None:
+        raise ConfigError("buffered command needs a [buffered] section "
+                          "with alpha, r or Q1, Q2, V1, V2")
     points = buffered.find_equilibria(bc)
     payload = {
         "S_in": bc.S_in,
@@ -162,12 +159,10 @@ def _cmd_design(cfg: RunConfig, out: str, fmt: str) -> list[str]:
 def _cmd_simulate(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     if cfg.initial is None:
         raise ConfigError("simulate needs an [initial] section with state")
-    if cfg.has_buffered:
-        system = cfg.buffered_config()
-        expected = 4
+    if cfg.buffered is not None:
+        system, expected = cfg.buffered, 4
     else:
-        system = cfg.single_params()
-        expected = 2
+        system, expected = cfg.single_params(), 2
     if len(cfg.initial) != expected:
         raise ConfigError(
             f"initial state has {len(cfg.initial)} components; the "
@@ -202,6 +197,7 @@ def _cmd_audit(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     return [path]
 
 
+# every command, in the order the usage text lists them
 _DISPATCH = {
     "kinetics": _cmd_kinetics,
     "classify": _cmd_classify,
@@ -218,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="bufchem",
         description="Equilibrium, stability, and design analysis for "
                     "buffered chemostats.")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True,
                         help="path to an INI-style run configuration")
     parser.add_argument("--out", default=".",

@@ -11,7 +11,8 @@ Sections:
                  optional yield_factor (biomass is rescaled X <- Y*X on
                  load so the internal model always runs at unit yield)
     [operating]  S_in plus either D directly or the pair Q, V
-    [buffered]   either alpha, r or the physical quadruple Q1,Q2,V1,V2
+    [buffered]   either alpha, r or the physical quadruple Q1,Q2,V1,V2,
+                 whose (Q1 + Q2) / (V1 + V2) must equal the [operating] D
     [integrator] rel_tol, abs_tol, max_step, t_end (all optional)
     [initial]    state = comma-separated concentrations (2 or 4)
     [sweep]      alpha_min, alpha_max, points
@@ -25,7 +26,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .buffered import BufferedConfig
@@ -40,12 +41,15 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
-_GROWTH_KEYS = {
-    "haldane": {"mu_bar", "K", "K_I"},
-    "monod": {"mu_max", "K_s"},
+# [growth] type -> the rate law and its parameter names in constructor
+# order; the CLI writes a model back out from the same table
+GROWTH_LAWS = {
+    "haldane": (Haldane, ("mu_bar", "K", "K_I")),
+    "monod": (Monod, ("mu_max", "K_s")),
 }
 _SECTION_KEYS = {
-    "growth": {"type", "yield_factor", "mu_bar", "K", "K_I", "mu_max", "K_s"},
+    "growth": {"type", "yield_factor",
+               *(key for _, keys in GROWTH_LAWS.values() for key in keys)},
     "operating": {"S_in", "D", "Q", "V"},
     "buffered": {"alpha", "r", "Q1", "Q2", "V1", "V2"},
     "integrator": {"rel_tol", "abs_tol", "max_step", "t_end"},
@@ -61,31 +65,22 @@ class RunConfig:
     model: GrowthModel
     S_in: float
     D: float
-    alpha: Optional[float] = None
-    r: Optional[float] = None
-    physical: Optional[tuple[float, float, float, float]] = None
+    buffered: Optional[BufferedConfig] = None
     integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
     initial: Optional[tuple[float, ...]] = None
     sweep: Optional[tuple[float, float, int]] = None
     audit_topology: Optional[object] = None
 
-    @property
-    def has_buffered(self) -> bool:
-        return self.alpha is not None or self.physical is not None
-
     def single_params(self) -> SingleParams:
         return SingleParams(self.model, self.S_in, self.D)
 
-    def buffered_config(self) -> BufferedConfig:
-        if self.physical is not None:
-            q1, q2, v1, v2 = self.physical
-            return BufferedConfig.from_physical(q1, q2, v1, v2, self.S_in,
-                                                self.model)
-        if self.alpha is None or self.r is None:
-            raise ConfigError("buffered command needs a [buffered] section "
-                              "with alpha, r or Q1, Q2, V1, V2")
-        return BufferedConfig(self.model, self.S_in, self.D, self.alpha,
-                              self.r)
+
+def _build(prefix: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError raised as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -123,26 +118,17 @@ def _require(section: dict, name: str, key: str) -> str:
 def _parse_growth(sec: dict) -> tuple[GrowthModel, float]:
     _check_keys("growth", sec)
     kind = _require(sec, "growth", "type").strip().lower()
-    if kind not in _GROWTH_KEYS:
-        raise ConfigError(f"[growth] type must be haldane or monod, "
+    if kind not in GROWTH_LAWS:
+        raise ConfigError(f"[growth] type must be {' or '.join(GROWTH_LAWS)}, "
                           f"got {kind!r}")
-    wanted = _GROWTH_KEYS[kind]
+    law, keys = GROWTH_LAWS[kind]
     for key in sec:
-        if key in {"type", "yield_factor"}:
-            continue
-        if key not in wanted:
+        if key not in {"type", "yield_factor", *keys}:
             raise ConfigError(
                 f"[growth] key {key!r} does not belong to type {kind}")
-    params = {key: _float("growth", key, _require(sec, "growth", key))
-              for key in wanted}
-    try:
-        if kind == "haldane":
-            model: GrowthModel = Haldane(params["mu_bar"], params["K"],
-                                         params["K_I"])
-        else:
-            model = Monod(params["mu_max"], params["K_s"])
-    except ValueError as exc:
-        raise ConfigError(f"[growth] {exc}") from None
+    params = [_float("growth", key, _require(sec, "growth", key))
+              for key in keys]
+    model = _build("[growth] ", law, *params)
     y = _float("growth", "yield_factor", sec.get("yield_factor", "1.0"))
     if y <= 0.0:
         raise ConfigError("[growth] yield_factor must be strictly positive")
@@ -170,8 +156,8 @@ def _parse_operating(sec: dict) -> tuple[float, float]:
     return s_in, d
 
 
-def _parse_buffered(sec: dict) -> tuple[Optional[float], Optional[float],
-                                        Optional[tuple]]:
+def _parse_buffered(sec: dict, model: GrowthModel, S_in: float,
+                    D: float) -> BufferedConfig:
     _check_keys("buffered", sec)
     dimensionless = {"alpha", "r"} & set(sec)
     physical = {"Q1", "Q2", "V1", "V2"} & set(sec)
@@ -182,26 +168,28 @@ def _parse_buffered(sec: dict) -> tuple[Optional[float], Optional[float],
     if dimensionless:
         if dimensionless != {"alpha", "r"}:
             raise ConfigError("[buffered] needs both alpha and r")
-        return (_float("buffered", "alpha", sec["alpha"]),
-                _float("buffered", "r", sec["r"]), None)
-    if physical:
-        if physical != {"Q1", "Q2", "V1", "V2"}:
-            raise ConfigError("[buffered] needs all of Q1, Q2, V1, V2")
-        return (None, None, tuple(_float("buffered", k, sec[k])
-                                  for k in ("Q1", "Q2", "V1", "V2")))
-    raise ConfigError("[buffered] section present but empty")
+        alpha = _float("buffered", "alpha", sec["alpha"])
+        r = _float("buffered", "r", sec["r"])
+        return _build("", BufferedConfig, model, S_in, D, alpha, r)
+    if not physical:
+        raise ConfigError("[buffered] section present but empty")
+    if physical != {"Q1", "Q2", "V1", "V2"}:
+        raise ConfigError("[buffered] needs all of Q1, Q2, V1, V2")
+    flows = [_float("buffered", k, sec[k]) for k in ("Q1", "Q2", "V1", "V2")]
+    config = _build("", BufferedConfig.from_physical, *flows, S_in, model)
+    # the buffered system runs at the dilution rate of every other command
+    if abs(config.D - D) > 1e-9 * D:
+        raise ConfigError(f"[buffered] (Q1 + Q2) / (V1 + V2) = {config.D!r} "
+                          f"differs from [operating] D = {D!r}")
+    return replace(config, D=D)
 
 
 def _parse_integrator(sec: dict) -> IntegratorSettings:
     _check_keys("integrator", sec)
-    kwargs = {}
-    for key in ("rel_tol", "abs_tol", "max_step", "t_end"):
-        if key in sec:
-            kwargs[key] = _float("integrator", key, sec[key])
-    try:
-        return IntegratorSettings(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[integrator] {exc}") from None
+    kwargs = {key: _float("integrator", key, sec[key])
+              for key in ("rel_tol", "abs_tol", "max_step", "t_end")
+              if key in sec}
+    return _build("[integrator] ", IntegratorSettings, **kwargs)
 
 
 def _parse_audit(sec: dict):
@@ -213,11 +201,11 @@ def _parse_audit(sec: dict):
         if "flow_fractions" in sec:
             raise ConfigError("[audit] flow_fractions only applies to "
                               "parallel topologies")
-        return Serial(volumes)
+        return _build("", Serial, volumes)
     if kind == "parallel":
         flows = _float_list("audit", "flow_fractions",
                             _require(sec, "audit", "flow_fractions"))
-        return Parallel(volumes, flows)
+        return _build("", Parallel, volumes, flows)
     raise ConfigError(f"[audit] kind must be serial or parallel, got {kind!r}")
 
 
@@ -248,11 +236,9 @@ def parse_config(path: str) -> RunConfig:
 
     model, y = _parse_growth(sections["growth"])
     s_in, d = _parse_operating(sections["operating"])
-
-    alpha = r = None
-    physical = None
-    if "buffered" in sections:
-        alpha, r, physical = _parse_buffered(sections["buffered"])
+    _build("", SingleParams, model, s_in, d)  # checks S_in, D > 0
+    buffered = (_parse_buffered(sections["buffered"], model, s_in, d)
+                if "buffered" in sections else None)
 
     integrator = (_parse_integrator(sections["integrator"])
                   if "integrator" in sections else IntegratorSettings())
@@ -293,16 +279,6 @@ def parse_config(path: str) -> RunConfig:
 
     topology = _parse_audit(sections["audit"]) if "audit" in sections else None
 
-    try:
-        cfg = RunConfig(model=model, S_in=s_in, D=d, alpha=alpha, r=r,
-                        physical=physical, integrator=integrator,
-                        initial=initial, sweep=sweep, audit_topology=topology)
-        # validate the buffered block eagerly so errors name this file
-        if cfg.has_buffered:
-            cfg.buffered_config()
-        cfg.single_params()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    return RunConfig(model=model, S_in=s_in, D=d, buffered=buffered,
+                     integrator=integrator, initial=initial, sweep=sweep,
+                     audit_topology=topology)

@@ -30,7 +30,6 @@ __all__ = [
 
 # residual tolerance for bisection solves of mu(s) = D, relative to D
 _BREAK_EVEN_RTOL = 1e-12
-_BISECT_MAX_ITER = 200
 _SCAN_POINTS = 4096
 
 
@@ -119,7 +118,7 @@ class GrowthModel:
         if pk.is_interior:
             if pk.height <= dilution:
                 return None
-            lower = bisect_root(g, 0.0, pk.abscissa, f_tol, _BISECT_MAX_ITER)
+            lower = bisect_root(g, 0.0, pk.abscissa, f_tol)
             # decreasing branch: expand until the rate drops below dilution
             hi = pk.abscissa * 2.0
             for _ in range(_SCAN_POINTS):
@@ -128,7 +127,7 @@ class GrowthModel:
                 hi *= 2.0
             else:
                 return BreakEvenInterval(lower, math.inf)
-            upper = bisect_root(g, pk.abscissa, hi, f_tol, _BISECT_MAX_ITER)
+            upper = bisect_root(g, pk.abscissa, hi, f_tol)
             return BreakEvenInterval(lower, upper)
         # strictly increasing: either mu stays below dilution or crosses once
         hi = 1.0
@@ -140,7 +139,7 @@ class GrowthModel:
                 return None
         else:
             return None
-        lower = bisect_root(g, 0.0, hi, f_tol, _BISECT_MAX_ITER)
+        lower = bisect_root(g, 0.0, hi, f_tol)
         return BreakEvenInterval(lower, math.inf)
 
 

@@ -295,7 +295,7 @@ def split_threshold_crosscheck(model: GrowthModel, S_in: float, D: float,
     candidates: list[tuple[float, float]] = []
     for i in range(_FIT_STARTS):
         if i in (0, last) or vs[i] <= vs[i - 1] and vs[i] <= vs[i + 1]:
-            s_best, f_best = golden_min(residual, *scan.around(i), 1e-10)
+            s_best, f_best = golden_min(residual, *scan.around(i))
             candidates.append((f_best, s_best))
     best_r: Optional[float] = None
     for value, s_best in candidates:

@@ -44,14 +44,12 @@ class EigenReport:
     gap below 1e-12), where numeric spectra lose accuracy.
     """
     values: tuple[float, float, float, float]
-    source: str
     tag: str
     unstable: int
     ill_conditioned: bool
 
 
-def classify(values: tuple[float, ...], D: float,
-             source: str) -> EigenReport:
+def classify(values: tuple[float, ...], D: float) -> EigenReport:
     """Tag a spectrum: any eigenvalue within 1e-9 * D of zero is treated
     as a hyperbolicity failure rather than silently rounded."""
     tol = _HYPERBOLIC_REL_TOL * D
@@ -59,11 +57,11 @@ def classify(values: tuple[float, ...], D: float,
     gaps = [b - a for a, b in zip(vals[:-1], vals[1:])]
     ill = bool(gaps and min(gaps) < _GAP_TOL)
     if any(abs(v) <= tol for v in vals):
-        return EigenReport(vals, source, TAG_NON_HYPERBOLIC,
+        return EigenReport(vals, TAG_NON_HYPERBOLIC,
                            sum(v > tol for v in vals), ill)
     unstable = sum(v > 0.0 for v in vals)
     tag = TAG_STABLE if unstable == 0 else TAG_SADDLE
-    return EigenReport(vals, source, tag, unstable, ill)
+    return EigenReport(vals, tag, unstable, ill)
 
 
 def positive_eigenvalues(config: BufferedConfig, s1: float,
@@ -78,8 +76,7 @@ def positive_eigenvalues(config: BufferedConfig, s1: float,
     model, D, r = config.model, config.D, config.r
     e_main = growth_deficit_prime(config, s1) * (config.S_in - s1)
     e_buf = -model.rate_prime(s2) * (config.S_in - s2)
-    return classify((-D / r, -config.alpha * D, e_main, e_buf), D,
-                    "closed_form")
+    return classify((-D / r, -config.alpha * D, e_main, e_buf), D)
 
 
 def washout_eigenvalues(config: BufferedConfig, s1: float) -> EigenReport:
@@ -94,8 +91,7 @@ def washout_eigenvalues(config: BufferedConfig, s1: float) -> EigenReport:
     e_main = (-model.rate_prime(s1) * (config.S_in - s1)
               + model.rate(s1) - D / r)
     e_buf = model.rate(config.S_in) - config.alpha * D
-    return classify((-D / r, e_main, -config.alpha * D, e_buf), D,
-                    "closed_form")
+    return classify((-D / r, e_main, -config.alpha * D, e_buf), D)
 
 
 def jacobian(config: BufferedConfig,
@@ -131,4 +127,4 @@ def numeric_eigenvalues(config: BufferedConfig,
     if float(np.max(np.abs(eig.imag))) > 1e-7 * scale:
         raise ValueError(f"unexpected complex spectrum {eig} at {state}")
     vals = tuple(float(v) for v in sorted(eig.real))
-    return classify(vals, config.D, "numeric")
+    return classify(vals, config.D)

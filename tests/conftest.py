@@ -1,10 +1,14 @@
 """Shared fixtures: canonical models, random draws, acceptance reporting."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import bufchem
 from bufchem import BufferedConfig, Haldane, Monod
 
 # acceptance tests append (index, status, detail) here; the terminal
@@ -25,6 +29,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
         if detail:
             line += f"  [{detail}]"
         terminalreporter.write_line(line)
+
+
+def run_python(*args: str, env: dict | None = None):
+    """Run sys.executable in a child that imports the same bufchem as the
+    tests, installed or not; env adds to the inherited environment."""
+    src = os.path.dirname(os.path.dirname(bufchem.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, **(env or {}), "PYTHONPATH": path})
 
 
 @pytest.fixture

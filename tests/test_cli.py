@@ -1,15 +1,12 @@
 """End-to-end command-line runs: artifacts, schemas, determinism."""
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
-import bufchem
+from conftest import run_python
 
 REFERENCE_INI = """\
 [growth]
@@ -66,15 +63,6 @@ kind = parallel
 volume_fractions = 0.5 0.5
 flow_fractions = 0.6 0.4
 """
-
-
-def run_python(*args: str):
-    # the child imports the same bufchem as this test, installed or not
-    src = os.path.dirname(os.path.dirname(bufchem.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def run_cli(*args: str):
@@ -251,6 +239,19 @@ def test_error_object_on_bad_config(tmp_path):
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["error"]["type"] == "ConfigError"
+
+
+def test_equilibria_needs_buffered_section(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(AUDIT)
+    result = run_cli("equilibria", "--config", str(ini),
+                     "--out", str(tmp_path))
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["error"] == {
+        "type": "ConfigError",
+        "message": "buffered command needs a [buffered] section with "
+                   "alpha, r or Q1, Q2, V1, V2"}
+    assert not (tmp_path / "equilibria.json").exists()
 
 
 def test_nan_feed_rejected_at_parse(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from bufchem import ConfigError, Haldane, Monod, parse_config
 from bufchem.single import Parallel, Serial
+from conftest import run_python
 
 BASE_INI = """
 [growth]
@@ -33,7 +34,7 @@ def test_base_config_parses(tmp_path):
     assert cfg.model.K_I == 0.08
     assert cfg.S_in == 1.4
     assert cfg.D == 1.0
-    assert not cfg.has_buffered
+    assert cfg.buffered is None
 
 
 def test_buffered_section(tmp_path):
@@ -42,7 +43,7 @@ def test_buffered_section(tmp_path):
 alpha = 0.35
 r = 0.48
 """))
-    bc = cfg.buffered_config()
+    bc = cfg.buffered
     assert bc.alpha == 0.35
     assert bc.r == 0.48
 
@@ -65,7 +66,7 @@ Q2 = 0.2
 V1 = 0.9
 V2 = 0.1
 """))
-    bc = cfg.buffered_config()
+    bc = cfg.buffered
     assert bc.D == pytest.approx(1.0)
     assert bc.r == pytest.approx(0.9)
     assert bc.alpha == pytest.approx(2.0)
@@ -260,3 +261,48 @@ D = 1
 """))
     assert isinstance(cfg.model, Monod)
     assert cfg.model.K_s == 0.7
+
+
+def test_physical_quadruple_must_give_operating_dilution(tmp_path):
+    # every system of one run works at the [operating] dilution rate
+    with pytest.raises(ConfigError) as info:
+        parse_config(write(tmp_path, BASE_INI.replace("D = 1", "D = 2") + """
+[buffered]
+Q1 = 0.6
+Q2 = 0.4
+V1 = 0.6
+V2 = 0.4
+"""))
+    message = str(info.value)
+    assert "= 1.0" in message and "[operating] D = 2.0" in message
+    # within the tolerance, the [operating] D itself: (0.1 + 0.2) / 0.3
+    # rounds to 1.0000000000000002
+    cfg = parse_config(write(tmp_path, BASE_INI + """
+[buffered]
+Q1 = 0.1
+Q2 = 0.2
+V1 = 0.15
+V2 = 0.15
+"""))
+    assert cfg.buffered.D == cfg.D == 1.0
+
+
+def test_first_missing_growth_key_ignores_hash_seed(tmp_path):
+    # the parameters are read in constructor order under every hash seed
+    path = write(tmp_path, BASE_INI.replace("K = 1\nK_I = 0.08\n", ""))
+    code = ("import sys\nfrom bufchem import ConfigError, parse_config\n"
+            "try: parse_config(sys.argv[1])\n"
+            "except ConfigError as exc: print(exc)")
+    for seed in range(8):
+        out = run_python("-c", code, path, env={"PYTHONHASHSEED": str(seed)})
+        assert out.stdout.strip() == "[growth] missing required key 'K'", (
+            seed, out.stderr)
+
+
+def test_audit_fraction_sum_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="sum to 1"):
+        parse_config(write(tmp_path, BASE_INI + """
+[audit]
+kind = serial
+volume_fractions = 0.5 0.6
+"""))

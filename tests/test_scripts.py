@@ -1,0 +1,23 @@
+"""The experiment scripts run end to end on small grids."""
+import os
+
+import pytest
+
+from conftest import run_python
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts")
+
+
+@pytest.mark.parametrize("script, flags, csv_name, header", [
+    ("basin_map.py", ("--grid", "2"), "basin_map.csv", "S0,X0,basin"),
+    ("volume_comparison.py", ("--points", "2"), "volume_comparison.csv",
+     "S_in,delta_v_inf,v2_inf,ratio,d2_star"),
+])
+def test_script_writes_its_csv(tmp_path, script, flags, csv_name, header):
+    result = run_python(os.path.join(SCRIPTS, script), *flags,
+                        "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / csv_name).read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) > 1

@@ -92,17 +92,17 @@ def test_total_washout_is_saddle_under_viable_buffer(reference_model):
 
 
 def test_classify_tags():
-    report = classify((-1.0, -2.0, -3.0, -0.5), 1.0, "closed_form")
+    report = classify((-1.0, -2.0, -3.0, -0.5), 1.0)
     assert report.tag == TAG_STABLE and report.unstable == 0
-    report = classify((-1.0, 2.0, -3.0, -0.5), 1.0, "closed_form")
+    report = classify((-1.0, 2.0, -3.0, -0.5), 1.0)
     assert report.tag == TAG_SADDLE and report.unstable == 1
-    report = classify((-1.0, 1e-12, -3.0, -0.5), 1.0, "closed_form")
+    report = classify((-1.0, 1e-12, -3.0, -0.5), 1.0)
     assert report.tag == TAG_NON_HYPERBOLIC
     assert isinstance(report, EigenReport)
 
 
 def test_classify_flags_clustered_spectra():
-    report = classify((-1.0, -1.0 + 1e-13, -3.0, -0.5), 1.0, "closed_form")
+    report = classify((-1.0, -1.0 + 1e-13, -3.0, -0.5), 1.0)
     assert report.ill_conditioned
 
 
