@@ -30,7 +30,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--k-i", type=float, default=0.08, help="inhibition")
     p.add_argument("--grid", type=int, default=20, help="points per axis")
     p.add_argument("--out", default="results")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.grid < 1:
+        p.error("--grid must be at least 1")
+    return args
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--max-feed", type=float, default=3.0)
     p.add_argument("--points", type=int, default=30)
     p.add_argument("--out", default="results")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.points < 1:
+        p.error("--points must be at least 1")
+    return args
 
 
 def main(argv=None) -> int:

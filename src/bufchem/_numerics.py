@@ -9,7 +9,6 @@ on that closure's arithmetic and the grid size.
 """
 from __future__ import annotations
 
-import copy
 import math
 from typing import Callable
 
@@ -102,12 +101,6 @@ class GridScan:
         self.xs = [lo + step * (i + 0.5) for i in range(n)]
         self.vs = [f(x) for x in self.xs]
 
-    def of(self, g: Callable[[float], float]) -> "GridScan":
-        """The same grid sampled with g."""
-        scan = copy.copy(self)
-        scan.vs = [g(x) for x in self.xs]
-        return scan
-
     def brackets(self) -> list[tuple[float, float]]:
         """Neighbouring grid points (x[i-1], x[i]) across which f's sign flips.
 
@@ -132,7 +125,7 @@ class GridScan:
 
         A grid value counts when it is no worse than both neighbours and
         strictly better than one, so both ends of a flat minimum or
-        maximum count; grid_extrema merges what refines to one point.
+        maximum count.
         """
         vs = self.vs
         cells = list(zip(range(1, self.n - 1), vs, vs[1:], vs[2:]))
@@ -140,35 +133,6 @@ class GridScan:
                  if v <= a and v <= b and (v < a or v < b)],
                 [i for i, a, v, b in cells
                  if v >= a and v >= b and (v > a or v > b)])
-
-
-def grid_extrema(f: Callable[[float], float], lo: float, hi: float
-                 ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    """Interior local minima and maxima of f on the open interval (lo, hi).
-
-    Scans a COARSE_GRID midpoint grid and golden-refines every discrete
-    extremum to 1e-10.  Endpoint behaviour is the caller's business:
-    only strictly interior grid extrema are reported.
-    """
-    scan = GridScan(f, lo, hi, COARSE_GRID)
-    min_idx, max_idx = scan.extrema()
-    mins = [golden_min(f, *scan.around(i)) for i in min_idx]
-    maxs = [golden_max(f, *scan.around(i)) for i in max_idx]
-    # refined points closer than one cell are one extremum to this scan
-    return (_merge_extrema(mins, scan.step, keep_smaller=True),
-            _merge_extrema(maxs, scan.step, keep_smaller=False))
-
-
-def _merge_extrema(points: list[tuple[float, float]], spacing: float,
-                   keep_smaller: bool) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for x, v in sorted(points):
-        if out and x - out[-1][0] <= spacing:
-            if (v < out[-1][1]) == keep_smaller:
-                out[-1] = (x, v)
-        else:
-            out.append((x, v))
-    return out
 
 
 def grid_min(f: Callable[[float], float], lo: float,

@@ -56,7 +56,6 @@ BRANCH_POSITIVE = "buffer_positive"
 BRANCH_WASHOUT = "buffer_washout"
 
 _TANGENCY_TOL = 1e-8           # |deficit| at a critical point counted as a double root
-_NEAR_TANGENCY = 1e-4          # triggers the refined pair-recovery pass
 _EDGE_PAD = 1e-12              # both routes' margin inside (0, S_in)
 _SINGULAR_TOL = 1e-14
 
@@ -348,47 +347,29 @@ def equilibrium_split_prime_zeros(config: BufferedConfig, lo: float,
 
 def _positive_levels(config: BufferedConfig) -> list[float]:
     """Sorted rest levels of the main vessel on (0, S_in): the closed-form
-    cubic for Haldane kinetics, the grid scan for every other law."""
+    cubic for Haldane kinetics, the critical-point pass for every other law."""
     if isinstance(config.model, Haldane):
         return _haldane_levels(config)
     return _scan_levels(config)
 
 
 def _scan_levels(config: BufferedConfig) -> list[float]:
-    """Rest levels of any rate law: midpoint sign scan plus a critical-point
-    pass that recovers double roots and sub-grid root pairs.  It shares
-    nothing with the Haldane cubic but the final polish."""
+    """Rest levels of any rate law.  The zeros of the deficit's slope cut
+    (0, S_in) into monotone pieces; each piece whose ends differ in sign
+    holds one root, and a critical point where the deficit vanishes is a
+    double root.  It shares nothing with the Haldane cubic but the final
+    polish."""
     S_in = config.S_in
     _, _, f, fp = _deficit_fn(config)
-    scan = GridScan(f, 0.0, S_in, FINE_GRID)
-    xs, vs, step = scan.xs, scan.vs, scan.step
-    scale = max(1.0, config.D)
-
-    roots = [bisect_root(f, a, b, 0.0) for a, b in scan.brackets()]
-
-    # the midpoint scan stops half a step short of each end; a root can
-    # hide there (near the feed the deficit always ends at -inf, and the
-    # crossing moves inside the last half-cell as r -> 1)
-    lo_edge, hi_edge = _EDGE_PAD * S_in, (1.0 - _EDGE_PAD) * S_in
-    if (f(lo_edge) > 0.0) != (vs[0] > 0.0):
-        roots.append(bisect_root(f, lo_edge, xs[0], 0.0))
-    if (f(hi_edge) > 0.0) != (vs[-1] > 0.0):
-        roots.append(bisect_root(f, xs[-1], hi_edge, 0.0))
-
-    # critical points with small residual: double roots or hidden pairs
-    for a, b in scan.of(fp).brackets():
-        c = bisect_root(fp, a, b, 0.0)
-        fc = f(c)
-        if abs(fc) <= _TANGENCY_TOL * scale:
-            roots.append(c)
-        elif abs(fc) <= _NEAR_TANGENCY * scale:
-            # a root pair may hide inside one grid cell around c
-            j = min(int(c / step), FINE_GRID - 1)
-            left = xs[j - 1] if j > 0 else 0.5 * step * 0.01
-            right = xs[j + 1] if j < FINE_GRID - 1 else S_in - 1e-12
-            if (f(left) > 0.0) != (fc > 0.0):
-                roots.append(bisect_root(f, left, c, 0.0))
-                roots.append(bisect_root(f, c, right, 0.0))
+    crit = [bisect_root(fp, a, b, 0.0)
+            for a, b in GridScan(fp, 0.0, S_in, FINE_GRID).brackets()]
+    cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
+    vals = [f(c) for c in cuts]
+    tol = _TANGENCY_TOL * max(1.0, config.D)
+    roots = [c for c, v in zip(crit, vals[1:]) if abs(v) <= tol]
+    roots += [bisect_root(f, a, b, 0.0)
+              for a, b, fa, fb in zip(cuts, cuts[1:], vals, vals[1:])
+              if (fa > 0.0) != (fb > 0.0)]
     return _polished(config, f, fp, roots)
 
 

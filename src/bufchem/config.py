@@ -275,6 +275,12 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError("[sweep] needs 0 < alpha_min < alpha_max")
         if pts < 2:
             raise ConfigError("[sweep] points must be at least 2")
+        # stable_domain_curve's bound and slack: a larger alpha starves
+        # the buffer
+        bound = model.rate(s_in) / d
+        if hi > bound + 1e-12:
+            raise ConfigError(f"[sweep] alpha_max = {hi!r} exceeds the "
+                              f"feasibility bound mu(S_in)/D = {bound!r}")
         sweep = (lo, hi, pts)
 
     topology = _parse_audit(sections["audit"]) if "audit" in sections else None

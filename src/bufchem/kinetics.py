@@ -243,16 +243,14 @@ class CustomUnimodal(GrowthModel):
         self._shape_check()
 
     def _shape_check(self) -> None:
-        if abs(self.rate_fn(0.0)) > 1e-12:
+        if not abs(self.rate_fn(0.0)) <= 1e-12:
             raise ValueError("rate law must vanish at s = 0")
         span = self.peak_abscissa if math.isfinite(self.peak_abscissa) \
             else 10.0 * self.sample_scale
         pts = [span * (k + 1) / 16.0 for k in range(16)]
         prev = 0.0
         for s in pts:
-            v = self.rate_fn(s)
-            if v <= 0.0:
-                raise ValueError(f"rate law must be positive at s = {s}")
+            v = self._sampled_rate(s)
             if math.isfinite(self.peak_abscissa) and v < prev - 1e-12:
                 raise ValueError("rate law must increase up to the declared peak")
             prev = v
@@ -260,10 +258,17 @@ class CustomUnimodal(GrowthModel):
             right = [self.peak_abscissa * (1.0 + (k + 1) / 8.0) for k in range(8)]
             prev = self.rate_fn(self.peak_abscissa)
             for s in right:
-                v = self.rate_fn(s)
+                v = self._sampled_rate(s)
                 if v > prev + 1e-12:
                     raise ValueError("rate law must decrease beyond the declared peak")
                 prev = v
+
+    def _sampled_rate(self, s: float) -> float:
+        v = self.rate_fn(s)
+        if not finite_positive(v):
+            raise ValueError(
+                f"rate law must be finite and positive at s = {s}, got {v}")
+        return v
 
     def _rate_raw(self, s):
         return self.rate_fn(s)

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._numerics import (GridScan, bisect_root, golden_min, grid_extrema,
-                        grid_min)
+from ._numerics import (COARSE_GRID, GridScan, bisect_root, golden_max,
+                        golden_min, grid_min)
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
                        buffer_substrate, equilibrium_split_prime_zeros,
                        pivot_level, split_map)
@@ -173,11 +173,12 @@ def _minus_band(gamma, interval: Optional[tuple[float, float]]
     """
     if interval is None or interval[1] <= interval[0]:
         return None
-    mins, maxs = grid_extrema(gamma, interval[0], interval[1])
-    if not mins and not maxs:
+    scan = GridScan(gamma, interval[0], interval[1], COARSE_GRID)
+    min_idx, max_idx = scan.extrema()
+    if not min_idx and not max_idx:
         return None
-    min_vals = [v for _, v in mins]
-    max_vals = [v for _, v in maxs]
+    min_vals = [golden_min(gamma, *scan.around(i))[1] for i in min_idx]
+    max_vals = [golden_max(gamma, *scan.around(i))[1] for i in max_idx]
     lo = min(min_vals) if min_vals else min(max_vals)
     hi = max(max_vals) if max_vals else max(min_vals)
     return (min(lo, hi), max(lo, hi))

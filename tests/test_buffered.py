@@ -197,6 +197,21 @@ def test_haldane_rest_levels_take_the_cubic_route_alone(reference_model,
             analysis(generic)
 
 
+@pytest.mark.parametrize("r", [0.5378392632703208, 0.5378388867832131])
+def test_scan_finds_root_pair_a_hair_past_tangency(reference_model, r):
+    # just above r_bar at alpha 0.35 two rest levels sit < 1e-3 apart next
+    # to a critical point of the deficit; the callable-wrapped law must
+    # find them, as the Haldane cubic does
+    wrapped = CustomUnimodal(reference_model.rate, reference_model.rate_prime,
+                             math.sqrt(0.08))
+    levels = [[e.s1 for e in find_equilibria(
+                   BufferedConfig(model, 1.4, 1.0, 0.35, r))
+               if e.branch == BRANCH_POSITIVE]
+              for model in (reference_model, wrapped)]
+    assert len(levels[0]) == 3
+    assert levels[1] == pytest.approx(levels[0], rel=0.0, abs=1e-10)
+
+
 def test_monod_always_single_positive_root():
     rng = random.Random(33)
     for _ in range(40):

@@ -208,6 +208,19 @@ points = 9
 """))
 
 
+def test_sweep_beyond_feasibility_bound_rejected(tmp_path):
+    # mu(S_in)/D = 0.6245... for the base law: alpha_max = 100 starves
+    # the buffer over most of the sweep
+    with pytest.raises(ConfigError,
+                       match=r"\[sweep\] alpha_max .* mu\(S_in\)/D = 0\.62"):
+        parse_config(write(tmp_path, BASE_INI + """
+[sweep]
+alpha_min = 0.1
+alpha_max = 100
+points = 5
+"""))
+
+
 def test_audit_sections(tmp_path):
     cfg = parse_config(write(tmp_path, BASE_INI + """
 [audit]

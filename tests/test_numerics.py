@@ -16,7 +16,6 @@ from bufchem._numerics import (
     bisect_root,
     golden_max,
     golden_min,
-    grid_extrema,
     grid_min,
     newton_polish,
     real_cubic_roots,
@@ -61,23 +60,25 @@ def test_grid_scan_sign_change_at_grid_zero():
         assert bisect_root(f, *bracket, 0.0) == 3.5
 
 
-def test_grid_extrema_finds_sine_extrema():
-    mins, maxs = grid_extrema(math.sin, 0.0, 4.0 * math.pi)
-    min_xs = sorted(x for x, _ in mins)
-    max_xs = sorted(x for x, _ in maxs)
-    assert len(min_xs) == 2 and len(max_xs) == 2
-    assert abs(min_xs[0] - 1.5 * math.pi) < 1e-7
-    assert abs(min_xs[1] - 3.5 * math.pi) < 1e-7
-    assert abs(max_xs[0] - 0.5 * math.pi) < 1e-7
-    assert abs(max_xs[1] - 2.5 * math.pi) < 1e-7
+def test_grid_scan_extrema_finds_sine_extrema():
+    scan = GridScan(math.sin, 0.0, 4.0 * math.pi, COARSE_GRID)
+    min_idx, max_idx = scan.extrema()
+    min_xs = [golden_min(math.sin, *scan.around(i))[0] for i in min_idx]
+    max_xs = [golden_max(math.sin, *scan.around(i))[0] for i in max_idx]
+    # the grid is symmetric about each extremum, so every extremum shows
+    # as a flat run of two equal grid values and is refined twice
+    for xs, want in ((min_xs, (1.5, 3.5)), (max_xs, (0.5, 2.5))):
+        assert xs == pytest.approx([w * math.pi for w in want for _ in (0, 1)],
+                                   abs=1e-7)
 
     # unit steps on the grid i + 0.5: the two grid values next to the
-    # minimum at 1000 are both exactly 0.25, a flat run of two
+    # minimum at 1000 are both exactly 0.25, a flat run of two, and both
+    # refine to the one minimum
     f = lambda x: (x - 1000.0) ** 2
-    assert GridScan(f, 0.0, 2048.0, COARSE_GRID).extrema() == ([999, 1000], [])
-    mins, maxs = grid_extrema(f, 0.0, 2048.0)
-    assert len(mins) == 1 and not maxs
-    assert abs(mins[0][0] - 1000.0) < 1e-6
+    scan = GridScan(f, 0.0, 2048.0, COARSE_GRID)
+    assert scan.extrema() == ([999, 1000], [])
+    for i in (999, 1000):
+        assert abs(golden_min(f, *scan.around(i))[0] - 1000.0) < 1e-6
 
 
 def test_grid_min_global():
@@ -154,6 +155,9 @@ REF = Haldane(12.0, 1.0, 0.08)
     (lambda v: CustomUnimodal(REF.rate, REF.rate_prime, 0.28,
                               sample_scale=v), False),
     (lambda v: IntegratorSettings(t_end=v), False),
+    # a law that is v everywhere but at 0 must be finite and positive
+    (lambda v: CustomUnimodal(lambda s: v if s else 0.0, REF.rate_prime,
+                              0.28), False),
     # inf means "no interior peak" and "no step cap"
     (lambda v: CustomUnimodal(REF.rate, REF.rate_prime, v), True),
     (lambda v: IntegratorSettings(max_step=v), True),

@@ -21,3 +21,15 @@ def test_script_writes_its_csv(tmp_path, script, flags, csv_name, header):
     lines = (tmp_path / csv_name).read_text().splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("script, flag", [
+    ("basin_map.py", "--grid"),
+    ("volume_comparison.py", "--points"),
+])
+def test_script_refuses_empty_grid(tmp_path, script, flag):
+    result = run_python(os.path.join(SCRIPTS, script), flag, "0",
+                        "--out", str(tmp_path))
+    assert result.returncode == 2
+    assert f"{flag} must be at least 1" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -108,9 +108,11 @@ def test_rejects_non_finite_initial_state(reference_model):
 
 
 def test_non_finite_error_norm_raises():
-    # the rate law is NaN from s = 1.3 on, so every stage from the start is
+    # the rate law is NaN from s = 1.3 on, so every stage from the start is;
+    # sample_scale 0.1 keeps the constructor's shape check on (0, 1]
     law = CustomUnimodal(lambda s: 2.0 * s / (1.0 + s) if s < 1.3 else math.nan,
-                         lambda s: 2.0 / (1.0 + s) ** 2, math.inf)
+                         lambda s: 2.0 / (1.0 + s) ** 2, math.inf,
+                         sample_scale=0.1)
     params = SingleParams(law, 1.4, 0.5)
     settings = IntegratorSettings(t_end=20.0)
     with pytest.raises(ValueError, match=r"error norm is nan at t = 0\.0"):
