@@ -1,9 +1,10 @@
 """Deterministic artifact emission: CSV and JSON writers.
 
-Numbers are printed with 17 significant digits so round-tripping
-through text preserves the double exactly; line endings are '\\n'
-unconditionally.  Nothing here reads clocks or hostnames: identical
-inputs must produce byte-identical files.
+The CSV writers print numbers with 17 significant digits; write_json
+leaves them to json.dumps, which prints the shortest form that reads
+back as the same double.  Either way the text preserves the double
+exactly.  Line endings are '\\n' unconditionally.  Nothing here reads
+clocks or hostnames: identical inputs must produce byte-identical files.
 """
 from __future__ import annotations
 

@@ -5,11 +5,14 @@ states here are 2- or 4-vectors and the right-hand sides are a handful
 of arithmetic ops, so tuples beat array machinery on both speed and
 allocation churn at this size.
 
-The seven stages and the error estimate are written out, one tuple per
-stage, each weighted sum taken left to right from 0.0, exactly as the
-builtin sum() of Python 3.11 adds floats.  The rounding is then the same
-on every Python version; since 3.12, sum() of floats is compensated and
-a loop of sum() calls would round differently.
+One step is a function written out over scalars, generated on first use
+for each state size (2 or 4) from one template over the named tableau
+entries: the seven stages and the error estimate per component, with no
+loop, zip or generator.  Each weighted sum is taken left to right from
+0.0, exactly as the builtin sum() of Python 3.11 adds floats, and the
+error norm adds the components in order from 0.0.  The rounding is then
+the same on every Python version; since 3.12, sum() of floats is
+compensated and a loop of sum() calls would round differently.
 
 Non-negativity is enforced by step rejection, never by clipping: the
 mass-balance quantities S_i + X_i - S_in decay linearly and tests rely
@@ -24,6 +27,7 @@ it after each accepted step and stops the run once it holds.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -60,11 +64,55 @@ _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 # fifth-minus-fourth order error weights (last entry applies to the FSAL stage)
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-# the same entries by name, for the written-out stages of integrate
+# the same entries by name, for the written-out step of _dp5_step
 ((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
  (A61, A62, A63, A64, A65), (A71, A72, A73, A74, A75, A76)) = _A[1:]
 C2, C3, C4, C5, C6, C7 = _C[1:]
 E1, E2, E3, E4, E5, E6, E7 = _E
+
+
+@functools.cache
+def _dp5_step(n: int) -> Callable:
+    """The Dormand-Prince step over n-component states, written out.
+
+    step(f, t, h, y, k1, abs_tol, rel_tol) returns (y_new, k7, err_n):
+    the fifth-order solution at t + h, f there (the next step's k1) and
+    the RMS error norm scaled by abs_tol + rel_tol * max(|y|, |y_new|).
+    Its source works on scalar locals y_0, k1_0, ..., k7_{n-1}.
+    """
+    comps = range(n)
+
+    def names(v: str) -> str:
+        return ", ".join(f"{v}_{i}" for i in comps) + ","
+
+    def weighted(coef: str, stages: int, i: int) -> str:
+        return "0.0" + "".join(f" + {coef}{j} * k{j}_{i}"
+                               for j in range(1, stages + 1))
+
+    def stage_input(s: int) -> str:
+        return "(" + ", ".join(f"y_{i} + h * ({weighted(f'A{s}', s - 1, i)})"
+                               for i in comps) + ",)"
+
+    lines = ["def step(f, t, h, y, k1, abs_tol, rel_tol):",
+             f"    {names('y')} = y",
+             f"    {names('k1')} = k1"]
+    lines += [f"    {names(f'k{s}')} = f(t + C{s} * h, {stage_input(s)})"
+              for s in range(2, 7)]
+    # stage 7 input is the fifth-order solution itself (FSAL)
+    lines += [f"    y_new = {stage_input(7)}",
+              f"    {names('z')} = y_new",
+              "    k7 = f(t + C7 * h, y_new)",
+              f"    {names('k7')} = k7",
+              "    acc = 0.0"]
+    lines += [f"    acc += (h * ({weighted('E', 7, i)})"
+              f" / (abs_tol + rel_tol * max(abs(y_{i}), abs(z_{i})))) ** 2"
+              for i in comps]
+    lines.append(f"    return y_new, k7, math.sqrt(acc / {n})")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<dp5 step, n = {n}>", "exec"),
+         globals(), namespace)
+    return namespace["step"]
+
 
 # a step is rejected when a component dips below -10 * abs_tol, or below
 # the floor Trajectory holds every stored state to, whichever is higher
@@ -222,42 +270,18 @@ def integrate(system: Union[SingleParams, BufferedConfig],
     states = [y]
     accepted = 0
     rejected = 0
-    n = len(y)
-
+    step = _dp5_step(len(y))
     while t < t_end:
-        h = min(h, cfg.max_step, t_end - t)
+        h = min(h, cfg.max_step)
+        # the step that reaches t_end ends there exactly: t + (t_end - t)
+        # can round one ulp short and leave a step no run could take
+        last = h >= t_end - t
+        if last:
+            h = t_end - t
         if h < _MIN_STEP_FACTOR * t_end:
             raise StiffnessError(t, y)
 
-        k2 = f(t + C2 * h, tuple(
-            a + h * (0.0 + A21 * b1)
-            for a, b1 in zip(y, k1)))
-        k3 = f(t + C3 * h, tuple(
-            a + h * (0.0 + A31 * b1 + A32 * b2)
-            for a, b1, b2 in zip(y, k1, k2)))
-        k4 = f(t + C4 * h, tuple(
-            a + h * (0.0 + A41 * b1 + A42 * b2 + A43 * b3)
-            for a, b1, b2, b3 in zip(y, k1, k2, k3)))
-        k5 = f(t + C5 * h, tuple(
-            a + h * (0.0 + A51 * b1 + A52 * b2 + A53 * b3 + A54 * b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)))
-        k6 = f(t + C6 * h, tuple(
-            a + h * (0.0 + A61 * b1 + A62 * b2 + A63 * b3 + A64 * b4
-                     + A65 * b5)
-            for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)))
-        # stage 7 input is the fifth-order solution itself (FSAL)
-        y_new = tuple(
-            a + h * (0.0 + A71 * b1 + A72 * b2 + A73 * b3 + A74 * b4
-                     + A75 * b5 + A76 * b6)
-            for a, b1, b2, b3, b4, b5, b6 in zip(y, k1, k2, k3, k4, k5, k6))
-        k7 = f(t + C7 * h, y_new)
-        acc = 0.0
-        for a, b, b1, b2, b3, b4, b5, b6, b7 in zip(
-                y, y_new, k1, k2, k3, k4, k5, k6, k7):
-            e = h * (0.0 + E1 * b1 + E2 * b2 + E3 * b3 + E4 * b4 + E5 * b5
-                     + E6 * b6 + E7 * b7)
-            acc += (e / (abs_tol + rel_tol * max(abs(a), abs(b)))) ** 2
-        err_n = math.sqrt(acc / n)
+        y_new, k7, err_n = step(f, t, h, y, k1, abs_tol, rel_tol)
 
         if not err_n <= 1.0:
             if not math.isfinite(err_n):
@@ -272,7 +296,7 @@ def integrate(system: Union[SingleParams, BufferedConfig],
             h *= 0.5
             continue
 
-        t += h
+        t = t_end if last else t + h
         y = y_new
         k1 = k7
         accepted += 1

@@ -131,6 +131,17 @@ def test_loose_tolerances_keep_states_above_the_floor():
     assert min(min(st) for st in traj.states) >= -1e-12
 
 
+def test_last_step_ends_exactly_at_t_end():
+    # t + (t_end - t) rounds to one ulp below t_end here; a next pass would
+    # take a one-ulp step, below 1e-14 t_end, and report stiffness
+    params = SingleParams(Haldane(12.0, 1.0, 0.08), 1.4, 1.0)
+    settings = IntegratorSettings(t_end=1.740336795484369, rel_tol=1e-4,
+                                  abs_tol=1e-6)
+    traj = integrate(params, (1.232466567892595, 0.13980169793811922),
+                     settings)
+    assert traj.times[-1] == settings.t_end
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         IntegratorSettings(rel_tol=0.0)
@@ -252,6 +263,26 @@ def test_basin_probe_includes_eps_validation(reference_model, monkeypatch):
                         eps=eps)
         with pytest.raises(ValueError, match="eps"):
             detect_convergence(traj, [(1.4, 0.0)], eps=eps)
+
+
+def test_basin_probe_integrates_through_the_module_attribute(
+        reference_model, monkeypatch):
+    # the benchmark's traced run wraps simulate.integrate to count steps
+    params = SingleParams(reference_model, 1.4, 1.0)
+    candidates = [e for e in classify_portrait(params).equilibria
+                  if e.tag in ("positive_attracting", "washout_attracting")]
+    expected = basin_probe(params, BISTABLE_GRID, candidates=candidates)
+    calls = []
+    original = simulate.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "integrate", counting)
+    assert basin_probe(params, BISTABLE_GRID,
+                       candidates=candidates) == expected
+    assert calls == BISTABLE_GRID
 
 
 RECORDED_INTEGRATE_DIGESTS = {
