@@ -47,7 +47,6 @@ __all__ = [
     "growth_deficit_prime",
     "equilibrium_split",
     "split_map",
-    "equilibrium_split_prime_zeros",
     "find_equilibria",
     "surplus_region",
 ]
@@ -300,7 +299,11 @@ def split_map(model: GrowthModel, S_in: float, D: float, alpha: float):
     The closure's prime_numerator attribute, -(den + (pivot - s) den'),
     is the numerator of its derivative: same zeros, no poles.
     """
-    pv = pivot_level(model, S_in, D, alpha)
+    return _pivot_split_map(model, S_in, D, pivot_level(model, S_in, D, alpha))
+
+
+def _pivot_split_map(model: GrowthModel, S_in: float, D: float, pv: float):
+    """split_map at a pivot level pv the caller has already computed."""
     mu, mu_p = model._rate_raw, model._rate_prime_raw
     ext: Optional[float] = None
     if 0.0 < pv < S_in and abs(mu(pv) - D) <= 1e-6 * D:
@@ -325,21 +328,6 @@ def split_map(model: GrowthModel, S_in: float, D: float, alpha: float):
 
     gamma.prime_numerator = prime_numerator
     return gamma
-
-
-def equilibrium_split_prime_zeros(config: BufferedConfig, lo: float,
-                                  hi: float) -> list[float]:
-    """Critical points of the split map on (lo, hi), by bracketed bisection.
-
-    The derivative's zeros are located through its numerator, which is
-    continuous across the map's own poles, so no cell is skipped.
-    """
-    if lo < 0.0:
-        raise ValueError(f"levels must be >= 0, got lo = {lo}")
-    h = split_map(config.model, config.S_in, config.D,
-                  config.alpha).prime_numerator
-    return [bisect_root(h, a, b, 0.0)
-            for a, b in GridScan(h, lo, hi, FINE_GRID).brackets()]
 
 
 # ---------------------------------------------------------------------------

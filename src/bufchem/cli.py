@@ -141,18 +141,18 @@ def _cmd_design(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     io.write_json(json_path, payload)
 
     # sweep the feed over (upper break-even, max(S_in, 3)] and compare
-    # the two enlargement requirements at each level
+    # the two cures at each level
     window = cfg.model.break_even(cfg.D)
     assert window is not None and window.has_finite_upper
     lo, hi = window.upper, max(cfg.S_in, 3.0)
     rows = []
     for k in range(1, _COMPARISON_POINTS + 1):
         feed = lo + k * (hi - lo) / _COMPARISON_POINTS
-        rows.append((feed,
-                     design.min_enlargement_ratio(cfg.model, feed, cfg.D),
-                     design.buffer_design(cfg.model, feed, cfg.D).v2_inf))
+        row = design.buffer_design(cfg.model, feed, cfg.D)
+        rows.append((feed, row.delta_v_inf, row.v2_inf, row.d2_star))
     csv_path = os.path.join(out, "design_comparison.csv")
-    io.write_csv(csv_path, ["S_in", "delta_v_inf", "v2_inf"], rows)
+    io.write_csv(csv_path, ["S_in", "delta_v_inf", "v2_inf", "d2_star"],
+                 rows)
     return [json_path, csv_path]
 
 

@@ -7,9 +7,7 @@ any visible failure.  Keys are case-sensitive.
 
 Sections:
 
-    [growth]     type = haldane | monod, plus the named parameters;
-                 optional yield_factor (biomass is rescaled X <- Y*X on
-                 load so the internal model always runs at unit yield)
+    [growth]     type = haldane | monod, plus the named parameters
     [operating]  S_in plus either D directly or the pair Q, V
     [buffered]   either alpha, r or the physical quadruple Q1,Q2,V1,V2,
                  whose (Q1 + Q2) / (V1 + V2) must equal the [operating] D
@@ -48,7 +46,7 @@ GROWTH_LAWS = {
     "monod": (Monod, ("mu_max", "K_s")),
 }
 _SECTION_KEYS = {
-    "growth": {"type", "yield_factor",
+    "growth": {"type",
                *(key for _, keys in GROWTH_LAWS.values() for key in keys)},
     "operating": {"S_in", "D", "Q", "V"},
     "buffered": {"alpha", "r", "Q1", "Q2", "V1", "V2"},
@@ -115,7 +113,7 @@ def _require(section: dict, name: str, key: str) -> str:
     return section[key]
 
 
-def _parse_growth(sec: dict) -> tuple[GrowthModel, float]:
+def _parse_growth(sec: dict) -> GrowthModel:
     _check_keys("growth", sec)
     kind = _require(sec, "growth", "type").strip().lower()
     if kind not in GROWTH_LAWS:
@@ -123,16 +121,12 @@ def _parse_growth(sec: dict) -> tuple[GrowthModel, float]:
                           f"got {kind!r}")
     law, keys = GROWTH_LAWS[kind]
     for key in sec:
-        if key not in {"type", "yield_factor", *keys}:
+        if key not in {"type", *keys}:
             raise ConfigError(
                 f"[growth] key {key!r} does not belong to type {kind}")
     params = [_float("growth", key, _require(sec, "growth", key))
               for key in keys]
-    model = _build("[growth] ", law, *params)
-    y = _float("growth", "yield_factor", sec.get("yield_factor", "1.0"))
-    if y <= 0.0:
-        raise ConfigError("[growth] yield_factor must be strictly positive")
-    return model, y
+    return _build("[growth] ", law, *params)
 
 
 def _parse_operating(sec: dict) -> tuple[float, float]:
@@ -234,7 +228,7 @@ def parse_config(path: str) -> RunConfig:
     if "operating" not in sections:
         raise ConfigError("missing required section [operating]")
 
-    model, y = _parse_growth(sections["growth"])
+    model = _parse_growth(sections["growth"])
     s_in, d = _parse_operating(sections["operating"])
     _build("", SingleParams, model, s_in, d)  # checks S_in, D > 0
     buffered = (_parse_buffered(sections["buffered"], model, s_in, d)
@@ -253,11 +247,7 @@ def parse_config(path: str) -> RunConfig:
                               "(buffered) components")
         if any(c < 0.0 for c in state):
             raise ConfigError("[initial] state components must be >= 0")
-        # biomass enters in yield units; internally yield is 1
-        scaled = list(state)
-        for i in range(1, len(scaled), 2):
-            scaled[i] = y * scaled[i]
-        initial = tuple(scaled)
+        initial = state
 
     sweep: Optional[tuple[float, float, int]] = None
     if "sweep" in sections:

@@ -91,37 +91,30 @@ class DesignReport:
 
         The admissible set is where surplus_max < D2 * v2 * (S_in -
         lower break-even of D2) < S_in; empty (None) for v2 below
-        v2_inf.  Boundaries located by bisection after a grid bracket.
+        v2_inf.  Its ends are the sign changes of the slack to the
+        nearer bound, bisected from a grid bracket; a set reaching past
+        an end grid point ends there.
         """
         if not finite_positive(v2):
             raise ValueError("buffer volume fraction v2 must be positive")
-        model, S_in = self._model, self._S_in
-        mu_feed = model.rate(S_in)
+        model, S_in, surplus_max = self._model, self._S_in, self.surplus_max
 
-        def load(d2: float) -> float:
-            return d2 * v2 * (S_in - model.break_even(d2).lower)
+        def slack(d2: float) -> float:
+            load = d2 * v2 * (S_in - model.break_even(d2).lower)
+            return min(load - surplus_max, S_in - load)
 
-        scan = GridScan(lambda d: self.surplus_max < load(d) < S_in,
-                        0.0, mu_feed, COARSE_GRID)
-        xs, ok, n = scan.xs, scan.vs, scan.n
-        if not any(ok):
-            return None
-        i0 = ok.index(True)
-        i1 = n - 1 - ok[::-1].index(True)
-        if not all(ok[i0:i1 + 1]):
+        scan = GridScan(slack, 0.0, model.rate(S_in), COARSE_GRID)
+        cuts = scan.brackets()
+        starts_inside = scan.vs[0] > 0.0
+        if len(cuts) + starts_inside > 2:
             raise RuntimeError("admissible D2 set is not an interval; "
                                "grid shows disconnected feasibility")
-        lo = xs[i0]
-        if i0 > 0:
-            lo = bisect_root(lambda d: load(d) - self.surplus_max,
-                             xs[i0 - 1], xs[i0], 0.0)
-        hi = xs[i1]
-        if i1 < n - 1:
-            binds_feed = load(xs[i1 + 1]) >= S_in
-            target = self._S_in if binds_feed else self.surplus_max
-            hi = bisect_root(lambda d: load(d) - target,
-                             xs[i1], xs[i1 + 1], 0.0)
-        return (lo, hi)
+        ends = [bisect_root(slack, a, b, 0.0) for a, b in cuts]
+        if starts_inside:
+            ends.insert(0, scan.xs[0])
+        if len(ends) == 1:
+            ends.append(scan.xs[-1])
+        return (ends[0], ends[1]) if ends else None
 
 
 def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
@@ -131,10 +124,7 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
     upper break-even sits below the feed.  Errors name the failing
     clause otherwise.
     """
-    if not finite_positive(S_in):
-        raise ValueError("feed concentration S_in must be positive")
-    if not finite_positive(D):
-        raise ValueError("dilution rate D must be positive")
+    delta_v_inf = min_enlargement_ratio(model, S_in, D)  # validates S_in, D
     window = model.break_even(D)
     if window is None:
         raise ValueError("precondition failed: growth never reaches the "
@@ -160,7 +150,7 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
         lambda s: -uptake_capacity(model, S_in, s), 0.0, s_bar)
     surplus_max, capacity_max = -neg_surplus, -neg_capacity
     return DesignReport(
-        delta_v_inf=min_enlargement_ratio(model, S_in, D),
+        delta_v_inf=delta_v_inf,
         v2_inf=surplus_max / capacity_max,
         d2_star=model.rate(s_best),
         s_bar=s_bar,

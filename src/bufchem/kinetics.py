@@ -30,7 +30,9 @@ __all__ = [
 
 # residual tolerance for bisection solves of mu(s) = D, relative to D
 _BREAK_EVEN_RTOL = 1e-12
-_SCAN_POINTS = 4096
+# a bracket end doubled past this level gives up: the rate is taken
+# never to cross the dilution rate beyond it
+_EXPAND_CEILING = 1e120
 
 
 @dataclass(frozen=True)
@@ -121,24 +123,18 @@ class GrowthModel:
             lower = bisect_root(g, 0.0, pk.abscissa, f_tol)
             # decreasing branch: expand until the rate drops below dilution
             hi = pk.abscissa * 2.0
-            for _ in range(_SCAN_POINTS):
-                if self._rate_raw(hi) < dilution:
-                    break
+            while not self._rate_raw(hi) < dilution:
                 hi *= 2.0
-            else:
-                return BreakEvenInterval(lower, math.inf)
+                if hi > _EXPAND_CEILING:
+                    return BreakEvenInterval(lower, math.inf)
             upper = bisect_root(g, pk.abscissa, hi, f_tol)
             return BreakEvenInterval(lower, upper)
         # strictly increasing: either mu stays below dilution or crosses once
         hi = 1.0
-        for _ in range(_SCAN_POINTS):
-            if self._rate_raw(hi) > dilution:
-                break
+        while not self._rate_raw(hi) > dilution:
             hi *= 2.0
-            if hi > 1e120:
+            if hi > _EXPAND_CEILING:
                 return None
-        else:
-            return None
         lower = bisect_root(g, 0.0, hi, f_tol)
         return BreakEvenInterval(lower, math.inf)
 

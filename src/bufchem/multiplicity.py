@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._numerics import (COARSE_GRID, GridScan, bisect_root, golden_max,
-                        golden_min, grid_min)
+from ._numerics import (COARSE_GRID, FINE_GRID, GridScan, bisect_root,
+                        golden_max, golden_min, grid_min)
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
-                       buffer_substrate, equilibrium_split_prime_zeros,
-                       pivot_level, split_map)
+                       _pivot_split_map, buffer_substrate, pivot_level,
+                       split_map)
 from .kinetics import GrowthModel, Haldane
 
 __all__ = [
@@ -130,18 +130,25 @@ class DomainCurve:
             prev = alpha
 
 
+def _operating_point(model: GrowthModel, S_in: float, D: float,
+                     alpha: float):
+    """(pivot level, break-even window of D, case) from one break-even
+    solve at alpha * D and one at D; buffer feasibility errors first."""
+    pv = pivot_level(model, S_in, D, alpha)
+    window = model.break_even(D)
+    if (window is None or not window.has_finite_upper
+            or window.upper >= S_in):
+        return pv, window, CASE_NO_UPPER
+    gap = pv - window.upper
+    if abs(gap) <= _CASE_TOL * max(1.0, S_in):
+        return pv, window, CASE_PIVOT_AT
+    return pv, window, CASE_PIVOT_BELOW if gap < 0.0 else CASE_PIVOT_ABOVE
+
+
 def classify_case(model: GrowthModel, S_in: float, D: float,
                   alpha: float) -> str:
     """Position of the pivot level against the upper break-even at D."""
-    buffer_substrate(model, S_in, D, alpha)  # surfaces buffer feasibility errors
-    window = model.break_even(D)
-    if (window is None or window.lower >= S_in
-            or not window.has_finite_upper or window.upper >= S_in):
-        return CASE_NO_UPPER
-    gap = pivot_level(model, S_in, D, alpha) - window.upper
-    if abs(gap) <= _CASE_TOL * max(1.0, S_in):
-        return CASE_PIVOT_AT
-    return CASE_PIVOT_BELOW if gap < 0.0 else CASE_PIVOT_ABOVE
+    return _operating_point(model, S_in, D, alpha)[2]
 
 
 def tangency_abscissas(config: BufferedConfig) -> list[float]:
@@ -153,8 +160,12 @@ def tangency_abscissas(config: BufferedConfig) -> list[float]:
     inside the uniqueness set.
     """
     gamma = split_map(config.model, config.S_in, config.D, config.alpha)
+    # the critical points are the zeros of the derivative's numerator,
+    # which is continuous across the map's own poles
+    h = gamma.prime_numerator
     out: list[float] = []
-    for s in equilibrium_split_prime_zeros(config, 0.0, config.S_in):
+    for a, b in GridScan(h, 0.0, config.S_in, FINE_GRID).brackets():
+        s = bisect_root(h, a, b, 0.0)
         try:
             value = gamma(s)
         except SingularSplitPoint:
@@ -193,10 +204,8 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
     below are interior and found by a 2048-point scan refined by
     golden-section to 1e-10.
     """
-    case = classify_case(model, S_in, D, alpha)
-    pv = pivot_level(model, S_in, D, alpha)
-    gamma = split_map(model, S_in, D, alpha)
-    window = model.break_even(D)
+    pv, window, case = _operating_point(model, S_in, D, alpha)
+    gamma = _pivot_split_map(model, S_in, D, pv)
 
     r_plus_min: Optional[float] = None
     if case == CASE_NO_UPPER:

@@ -172,11 +172,12 @@ def test_design_artifacts(reference_ini, tmp_path):
     payload = validate(tmp_path / "design.json", "design")
     assert payload["delta_v_inf"] == pytest.approx(101.0 / 168.0)
     lines = (tmp_path / "design_comparison.csv").read_text().splitlines()
-    assert lines[0] == "S_in,delta_v_inf,v2_inf"
+    assert lines[0] == "S_in,delta_v_inf,v2_inf,d2_star"
     assert len(lines) == 31
     for line in lines[1:]:
-        _, dv, v2 = map(float, line.split(","))
+        _, dv, v2, d2 = map(float, line.split(","))
         assert v2 < dv
+        assert d2 > 0.0
 
 
 def test_simulate_csv_and_determinism(reference_ini, tmp_path):
@@ -304,7 +305,7 @@ RECORDED_DIGESTS = {
     "design.json":
         "d8ebf02f0fe575aa10651ac46c07c386ef2dcdfea3e492beafed7a259cda2a29",
     "design_comparison.csv":
-        "c0caef399a974b34f366895380e87196d7305d950a83fc5320227ea6c6b53920",
+        "4e8d48cd553733f455fd78dbc31a58eb3446c2090586e10a7a432e9618b16b61",
     "trajectory.csv":
         "6f616ec4264cc5825d7cd59168dc720cc3215916e3398ca2ae9e6d4f4fa85105",
     "audit.json":

@@ -166,8 +166,10 @@ V = 0.25
     assert cfg.D == pytest.approx(2.0)
 
 
-def test_yield_rescales_initial_biomass(tmp_path):
-    cfg = parse_config(write(tmp_path, """
+def test_yield_factor_rejected_as_unknown(tmp_path):
+    with pytest.raises(ConfigError,
+                       match=r"\[growth\] unknown key 'yield_factor'"):
+        parse_config(write(tmp_path, """
 [growth]
 type = monod
 mu_max = 2
@@ -181,7 +183,6 @@ D = 1
 [initial]
 state = 1.0 0.4
 """))
-    assert cfg.initial == (1.0, 0.2)
 
 
 def test_initial_state_validation(tmp_path):

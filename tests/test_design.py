@@ -1,9 +1,12 @@
 """Volume sizing: enlargement ratio versus a dedicated side tank."""
+import math
 import random
 
 import pytest
 
 from bufchem import (
+    CustomUnimodal,
+    DesignReport,
     Haldane,
     Monod,
     buffer_design,
@@ -124,6 +127,19 @@ def test_d2_interval_boundaries_are_sharp(reference_model):
     inside = load(hi * 0.99)
     assert report.surplus_max < inside < 1.4
     assert hi <= reference_model.rate(1.4) + 1e-9
+
+
+def test_d2_interval_refuses_disconnected_set():
+    # a growth step makes the buffer's uptake mu(s)(1 - s) rise, dip and
+    # rise past the feed, so the admissible D2 rates fall apart
+    model = CustomUnimodal(
+        lambda s: 0.5 * s / (0.01 + s) + 1.5 * s ** 12 / (0.35 ** 12 + s ** 12),
+        lambda s: 0.0, math.inf)
+    report = DesignReport(delta_v_inf=0.0, v2_inf=1.0, d2_star=1.0,
+                          s_bar=1.0, surplus_max=0.395, _model=model,
+                          _S_in=1.0)
+    with pytest.raises(RuntimeError, match="not an interval"):
+        report.d2_interval_for(1.0)
 
 
 def test_preconditions_named(reference_model):

@@ -88,6 +88,23 @@ def test_custom_unimodal_wraps_haldane(reference_model):
     assert abs(window.upper - 0.7770459909270544) < 1e-9
 
 
+def test_break_even_stops_doubling_before_overflow():
+    # the rate falls from its peak but settles at 0.5, above the dilution
+    # rate: the decreasing-branch search must give up at a finite level
+    levels = []
+
+    def rate(s):
+        levels.append(s)
+        return 2.0 * s / (1.0 + s * s) if s <= 1.0 else 0.5 + 0.5 / (s * s)
+
+    custom = CustomUnimodal(rate, lambda s: 0.0, 1.0)
+    levels.clear()
+    window = custom.break_even(0.3)
+    assert window.lower == 0.15353599527679762
+    assert window.upper == math.inf
+    assert all(math.isfinite(s) for s in levels)
+
+
 def test_custom_unimodal_rejects_bad_shape():
     # increasing on both sides of the claimed peak: not unimodal there
     with pytest.raises(ValueError):

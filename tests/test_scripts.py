@@ -11,8 +11,6 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
 
 @pytest.mark.parametrize("script, flags, csv_name, header", [
     ("basin_map.py", ("--grid", "2"), "basin_map.csv", "S0,X0,basin"),
-    ("volume_comparison.py", ("--points", "2"), "volume_comparison.csv",
-     "S_in,delta_v_inf,v2_inf,ratio,d2_star"),
 ])
 def test_script_writes_its_csv(tmp_path, script, flags, csv_name, header):
     result = run_python(os.path.join(SCRIPTS, script), *flags,
@@ -25,7 +23,6 @@ def test_script_writes_its_csv(tmp_path, script, flags, csv_name, header):
 
 @pytest.mark.parametrize("script, flag", [
     ("basin_map.py", "--grid"),
-    ("volume_comparison.py", "--points"),
 ])
 def test_script_refuses_empty_grid(tmp_path, script, flag):
     result = run_python(os.path.join(SCRIPTS, script), flag, "0",
