@@ -132,23 +132,36 @@ class DomainCurve:
 
 def _operating_point(model: GrowthModel, S_in: float, D: float,
                      alpha: float):
-    """(pivot level, break-even window of D, case) from one break-even
-    solve at alpha * D and one at D; buffer feasibility errors first."""
+    """(pivot level, case, plus interval, extrema interval) from one
+    break-even solve at alpha * D and one at D; buffer feasibility errors
+    first.
+
+    The plus interval is where r_plus_min is read and where a tangency
+    can certify the boundary: the sign condition (s - up)(up - pivot) >= 0
+    against the upper break-even up, within (lower break-even, feed).  It
+    is None without an upper break-even below the feed.  The extrema
+    interval holds the band of extra rest points below the boundary; None
+    or reversed when there is none.
+    """
     pv = pivot_level(model, S_in, D, alpha)
     window = model.break_even(D)
-    if (window is None or not window.has_finite_upper
-            or window.upper >= S_in):
-        return pv, window, CASE_NO_UPPER
-    gap = pv - window.upper
+    if window is None or window.lower >= S_in:
+        return pv, CASE_NO_UPPER, None, (max(pv, 0.0), S_in)
+    lam_minus, lam_plus = window.lower, window.upper
+    if lam_plus >= S_in:
+        return pv, CASE_NO_UPPER, None, (lam_minus, pv)
+    gap = pv - lam_plus
     if abs(gap) <= _CASE_TOL * max(1.0, S_in):
-        return pv, window, CASE_PIVOT_AT
-    return pv, window, CASE_PIVOT_BELOW if gap < 0.0 else CASE_PIVOT_ABOVE
+        return pv, CASE_PIVOT_AT, (lam_minus, S_in), None
+    if gap < 0.0:
+        return pv, CASE_PIVOT_BELOW, (lam_plus, S_in), (lam_minus, pv)
+    return pv, CASE_PIVOT_ABOVE, (lam_minus, lam_plus), (pv, S_in)
 
 
 def classify_case(model: GrowthModel, S_in: float, D: float,
                   alpha: float) -> str:
     """Position of the pivot level against the upper break-even at D."""
-    return _operating_point(model, S_in, D, alpha)[2]
+    return _operating_point(model, S_in, D, alpha)[1]
 
 
 def tangency_abscissas(config: BufferedConfig) -> list[float]:
@@ -200,38 +213,16 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
     """Uniqueness boundary r_bar and the sets behind it.
 
     The split map equals 1 at the break-even levels of D and at the
-    feed, and 0 at the pivot, so its extreme values over the intervals
-    below are interior and found by a 2048-point scan refined by
+    feed, and 0 at the pivot, so its extreme values over the case's
+    intervals are interior and found by a 2048-point scan refined by
     golden-section to 1e-10.
     """
-    pv, window, case = _operating_point(model, S_in, D, alpha)
+    pv, case, plus, extrema = _operating_point(model, S_in, D, alpha)
     gamma = _pivot_split_map(model, S_in, D, pv)
+    r_plus_min = None if plus is None else grid_min(gamma, *plus)[1]
+    cap = 1.0 if r_plus_min is None else r_plus_min
 
-    r_plus_min: Optional[float] = None
-    if case == CASE_NO_UPPER:
-        if window is None or window.lower >= S_in:
-            extrema_interval: Optional[tuple[float, float]] = (
-                max(pv, 0.0), S_in)
-        elif pv > window.lower:
-            extrema_interval = (window.lower, pv)
-        else:
-            extrema_interval = None
-        cap = 1.0
-    else:
-        lam_minus, lam_plus = window.lower, window.upper
-        if case == CASE_PIVOT_BELOW:
-            plus_interval = (lam_plus, S_in)
-            extrema_interval = (lam_minus, pv) if pv > lam_minus else None
-        elif case == CASE_PIVOT_AT:
-            plus_interval = (lam_minus, S_in)
-            extrema_interval = None
-        else:
-            plus_interval = (lam_minus, lam_plus)
-            extrema_interval = (pv, S_in)
-        r_plus_min = grid_min(gamma, plus_interval[0], plus_interval[1])[1]
-        cap = r_plus_min
-
-    band = _minus_band(gamma, extrema_interval)
+    band = _minus_band(gamma, extrema)
     if (isinstance(model, Haldane) and band is not None
             and r_plus_min is not None and not band[1] < r_plus_min):
         raise ConsistencyError(
@@ -245,31 +236,6 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
     return MultiplicityReport(r_plus_min, band, min(r_bar, 1.0), case)
 
 
-def _fit_domain(model: GrowthModel, S_in: float, D: float,
-                alpha: float) -> tuple[float, float]:
-    """s-interval where a tangency would certify the boundary.
-
-    Encodes the sign condition (s - up)(up - pivot) >= 0 against the
-    upper break-even level up of D, intersected with (lower break-even,
-    feed).  Raises NoTangency when empty.
-    """
-    window = model.break_even(D)
-    if window is None or window.lower >= S_in:
-        raise NoTangency("no growth window below the feed at dilution D")
-    if not window.has_finite_upper:
-        raise NoTangency("no upper break-even: tangency from above is "
-                         "impossible for monotone kinetics")
-    lam_minus, lam_plus = window.lower, window.upper
-    pv = pivot_level(model, S_in, D, alpha)
-    if abs(pv - lam_plus) <= _CASE_TOL * max(1.0, S_in):
-        return (lam_minus, S_in)
-    if pv < lam_plus:
-        if lam_plus >= S_in:
-            raise NoTangency("upper break-even at or above the feed")
-        return (lam_plus, S_in)
-    return (lam_minus, min(lam_plus, S_in))
-
-
 def split_threshold_crosscheck(model: GrowthModel, S_in: float, D: float,
                                alpha: float) -> float:
     """Boundary split via tangency fitting; independent of split_threshold.
@@ -278,11 +244,17 @@ def split_threshold_crosscheck(model: GrowthModel, S_in: float, D: float,
     both value and slope over (split, level).  The split enters the
     mismatch quadratically, so for each level the best split is closed
     form and the search reduces to one dimension: 64 coarse starts, each
-    golden-refined to 1e-10.  A residual above 1e-12 means no tangency
-    exists and the fit diagnoses that instead of returning a split.
+    golden-refined to 1e-10, over the levels where split_threshold reads
+    r_plus_min.  A residual above 1e-12, or no upper break-even below the
+    feed, means no tangency exists and the fit diagnoses that instead of
+    returning a split.
     """
+    plus = _operating_point(model, S_in, D, alpha)[2]
+    if plus is None:
+        raise NoTangency("no upper break-even below the feed at dilution D: "
+                         "no tangency from above to fit")
+    lo, hi = plus
     s2 = buffer_substrate(model, S_in, D, alpha)
-    lo, hi = _fit_domain(model, S_in, D, alpha)
     gap = alpha * (S_in - s2)  # = S_in - pivot
 
     def reduced(s: float) -> tuple[float, float]:
@@ -348,8 +320,7 @@ def stable_domain_curve(model: GrowthModel, S_in: float, D: float,
     crossing: Optional[float] = None
     jump: Optional[tuple[float, float]] = None
     window = model.break_even(D)
-    if (window is not None and window.has_finite_upper
-            and window.lower < S_in and window.upper < S_in):
+    if window is not None and window.upper < S_in:
         lam_plus = window.upper
 
         def g(a: float) -> float:

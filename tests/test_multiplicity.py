@@ -1,4 +1,5 @@
 """Volume-split threshold: case analysis, tangency, crosscheck, sweep."""
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bufchem import (
     BRANCH_POSITIVE,
     BufferedConfig,
+    CustomUnimodal,
     Haldane,
     Monod,
     NoTangency,
@@ -19,11 +21,12 @@ from bufchem.buffered import growth_deficit, growth_deficit_prime
 from bufchem.multiplicity import (
     CASE_NO_UPPER,
     CASE_PIVOT_ABOVE,
+    CASE_PIVOT_AT,
     CASE_PIVOT_BELOW,
     DomainCurve,
     tangency_abscissas,
 )
-from conftest import draw_threshold_inputs
+from conftest import draw_buffered_config, draw_threshold_inputs
 
 # threshold values on the canonical scenario, computed independently
 # with high-precision arithmetic and frozen here
@@ -37,19 +40,38 @@ REFERENCE_THRESHOLDS = {
 CROSSING_ALPHA = 0.45822841362922084
 JUMP_LEFT = 0.46990796376071403
 JUMP_RIGHT = 0.6478038079401967
+# operating points without an upper break-even below the feed at D
+NO_UPPER_INPUTS = {
+    "window_empty_at_D": (Haldane(12.0, 1.0, 0.1), 1.0, 1.65, 0.3),
+    "upper_beyond_feed": (Haldane(12.0, 1.0, 0.1), 2.0, 0.5, 0.2),
+    "monod": (Monod(2.0, 1.0), 3.0, 1.0, 0.5),
+}
+RECORDED_THRESHOLD_DIGEST = (
+    "d12cf3cdb578f6efbc6e67dfef8e35e18e54005ac32daaff0990ecd1a4110814")
 
 
 def test_case_classification(reference_model):
     assert classify_case(reference_model, 1.4, 1.0, 0.15) == CASE_PIVOT_ABOVE
     assert classify_case(reference_model, 1.4, 1.0, 0.55) == CASE_PIVOT_BELOW
-    # no reachable upper break-even: window empty at this dilution
-    assert classify_case(Haldane(12.0, 1.0, 0.1), 1.0, 1.65,
-                         0.3) == CASE_NO_UPPER
-    # upper break-even beyond the feed
-    assert classify_case(Haldane(12.0, 1.0, 0.1), 2.0, 0.5,
-                         0.2) == CASE_NO_UPPER
-    # Monod never has one
-    assert classify_case(Monod(2.0, 1.0), 3.0, 1.0, 0.5) == CASE_NO_UPPER
+    for inputs in NO_UPPER_INPUTS.values():
+        assert classify_case(*inputs) == CASE_NO_UPPER
+
+
+def test_pivot_at_upper_break_even(reference_model):
+    # at the crossing alpha the pivot meets the upper break-even of D; the
+    # whole interval past the lower break-even is searched and no extra-root
+    # band is left below the boundary
+    args = (reference_model, 1.4, 1.0)
+    assert classify_case(*args, CROSSING_ALPHA) == CASE_PIVOT_AT
+    assert classify_case(*args, CROSSING_ALPHA - 1e-8) == CASE_PIVOT_ABOVE
+    assert classify_case(*args, CROSSING_ALPHA + 1e-8) == CASE_PIVOT_BELOW
+    report = split_threshold(*args, CROSSING_ALPHA)
+    assert report.case == CASE_PIVOT_AT
+    assert report.r_minus_interval is None
+    assert report.r_bar == report.r_plus_min
+    assert report.r_bar == pytest.approx(0.46983437, abs=1e-8)
+    other = split_threshold_crosscheck(*args, CROSSING_ALPHA)
+    assert other == pytest.approx(report.r_bar, abs=1e-9)
 
 
 def test_threshold_frozen_table(reference_model):
@@ -91,14 +113,16 @@ def test_tangency_at_threshold(reference_model):
     assert hit
 
 
-def test_monod_threshold_is_one():
-    report = split_threshold(Monod(2.0, 1.0), 3.0, 1.0, 0.5)
+@pytest.mark.parametrize("inputs", NO_UPPER_INPUTS.values(),
+                         ids=NO_UPPER_INPUTS.keys())
+def test_monod_threshold_is_one(inputs):
+    report = split_threshold(*inputs)
     assert report.r_bar == 1.0
     assert report.case == CASE_NO_UPPER
     assert report.r_plus_min is None
     assert report.guarantees_unique(0.5)
     with pytest.raises(NoTangency):
-        split_threshold_crosscheck(Monod(2.0, 1.0), 3.0, 1.0, 0.5)
+        split_threshold_crosscheck(*inputs)
 
 
 def test_case_one_with_interior_multiplicity_window():
@@ -165,3 +189,43 @@ def test_report_validation(reference_model):
     assert report.r_plus_min is not None
     assert not report.guarantees_unique(0.0)
     assert not report.guarantees_unique(1.0)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def test_threshold_layer_matches_recorded_digest(reference_model):
+    """split_threshold, classify_case and the crosscheck keep their results.
+
+    The digest is the sha256 of the repr of every result in order; an
+    exception is recorded by its type name only.  The points are seeded
+    threshold draws (both pivot cases), seeded buffered draws (mostly
+    without an upper break-even below the feed), the three no-upper
+    inputs and the crossing alpha of the reference law.  Each point runs
+    as its closed-form law and as the same law behind callables (no
+    closed forms); the crosscheck runs on the closed-form law.  The
+    digest assumes IEEE doubles and the libm of the host it was recorded
+    on (x86-64 Linux, glibc 2.36).  A deliberate change of output updates
+    it, with a CHANGES.md line naming the change.
+    """
+    rng = random.Random(13)
+    points = [draw_threshold_inputs(rng) for _ in range(60)]
+    points += [(c.model, c.S_in, c.D, c.alpha)
+               for c in (draw_buffered_config(rng) for _ in range(60))]
+    points += NO_UPPER_INPUTS.values()
+    points.append((reference_model, 1.4, 1.0, CROSSING_ALPHA))
+    records = []
+    for model, S_in, D, alpha in points:
+        wrapped = CustomUnimodal(model.rate, model.rate_prime,
+                                 model.peak().abscissa)
+        for law in (model, wrapped):
+            for fn in (split_threshold, classify_case):
+                records.append(_outcome(fn, law, S_in, D, alpha))
+        records.append(
+            _outcome(split_threshold_crosscheck, model, S_in, D, alpha))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == RECORDED_THRESHOLD_DIGEST
