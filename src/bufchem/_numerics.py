@@ -6,6 +6,9 @@ the scalar bisect_root and golden_min then refine each bracket.  The
 refinement stays scalar because it sets the last digits of every
 result: it evaluates the caller's own closure, so a result depends only
 on that closure's arithmetic and the grid size.
+
+Every value the package returns is a Record: an immutable set of named
+fields, compared and hashed by value.
 """
 from __future__ import annotations
 
@@ -21,6 +24,81 @@ _NEWTON_STEPS = 8
 # and the D2 feasibility scan the coarse one
 FINE_GRID = 4096
 COARSE_GRID = 2048
+
+_object_setattr = object.__setattr__
+
+
+class Record:
+    """Immutable value record with the semantics of a frozen dataclass.
+
+    A subclass's fields are its own annotations, in order, after any
+    inherited ones; a class attribute of the same name is the field's
+    default, read once when the class is created.  Instances take the
+    fields by position or keyword, run __post_init__ once they are set,
+    and refuse assignment and deletion.  Equality and hash go by the
+    field tuple, and repr reads QualName(f=v!r, ...).  Unlike a
+    dataclass, creating the class generates no code.
+    """
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = fields = cls._fields + tuple(
+            name for name in own if name not in cls._fields)
+        cls._defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
+        cls.__match_args__ = fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__, not __dict__.update: a materialized __dict__
+        # makes every later field read slower
+        for name, value in zip(fields, args):
+            _object_setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values, in order, from any other mix of arguments."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} arguments")
+        for key in kwargs:
+            if key not in fields or key in fields[:len(args)]:
+                raise TypeError(f"{name}: unknown or repeated argument {key!r}")
+        values = {**cls._defaults, **kwargs}
+        values.update(zip(fields, args))
+        if len(values) < len(fields):
+            missing = ", ".join(f for f in fields if f not in values)
+            raise TypeError(f"{name} missing arguments: {missing}")
+        return tuple(map(values.__getitem__, fields))
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={v!r}"
+                          for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({inner})"
 
 
 def finite_positive(x: float) -> bool:

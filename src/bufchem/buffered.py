@@ -24,11 +24,10 @@ multiplicity analysis builds on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-from ._numerics import (FINE_GRID, GridScan, bisect_root, finite_positive,
-                        newton_polish, real_cubic_roots)
+from ._numerics import (FINE_GRID, GridScan, Record, bisect_root,
+                        finite_positive, newton_polish, real_cubic_roots)
 from .kinetics import GrowthModel, Haldane
 
 __all__ = [
@@ -81,8 +80,7 @@ class ConsistencyError(RuntimeError):
     split_threshold finds a Haldane extra-root band not below the boundary."""
 
 
-@dataclass(frozen=True)
-class BufferedConfig:
+class BufferedConfig(Record):
     """Operating point of the buffered chemostat.
 
     alpha > 0 and 0 < r < 1 with alpha * (1 - r) <= 1; the last bound is
@@ -128,8 +126,7 @@ class BufferedConfig:
                    alpha=Q2 / ((1.0 - r) * q), r=r)
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(Record):
     """A rest point of the four-state system with its linearization."""
     s1: float
     x1: float
@@ -145,8 +142,7 @@ class Equilibrium:
         return (self.s1, self.x1, self.s2, self.x2)
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Record):
     """Disjoint open intervals, sorted by left endpoint."""
     components: tuple[tuple[float, float], ...]
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from ._numerics import Record
 from .buffered import BufferedConfig
 from .kinetics import GrowthModel, Haldane, Monod
 from .simulate import IntegratorSettings
@@ -57,14 +57,13 @@ _SECTION_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything a CLI command needs, validated and typed."""
     model: GrowthModel
     S_in: float
     D: float
     buffered: Optional[BufferedConfig] = None
-    integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
+    integrator: IntegratorSettings = IntegratorSettings()
     initial: Optional[tuple[float, ...]] = None
     sweep: Optional[tuple[float, float, int]] = None
     audit_topology: Optional[object] = None
@@ -175,7 +174,7 @@ def _parse_buffered(sec: dict, model: GrowthModel, S_in: float,
     if abs(config.D - D) > 1e-9 * D:
         raise ConfigError(f"[buffered] (Q1 + Q2) / (V1 + V2) = {config.D!r} "
                           f"differs from [operating] D = {D!r}")
-    return replace(config, D=D)
+    return BufferedConfig(config.model, config.S_in, D, config.alpha, config.r)
 
 
 def _parse_integrator(sec: dict) -> IntegratorSettings:

@@ -17,11 +17,10 @@ buffer can reach, and it always undercuts the Scenario 1 requirement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from ._numerics import (COARSE_GRID, GridScan, bisect_root, finite_positive,
-                        grid_min)
+from ._numerics import (COARSE_GRID, GridScan, Record, bisect_root,
+                        finite_positive, grid_min)
 from .kinetics import GrowthModel
 
 __all__ = [
@@ -67,8 +66,7 @@ def uptake_capacity(model: GrowthModel, S_in: float, s: float) -> float:
     return model.rate(s) * (S_in - s)
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(Record):
     """Scenario comparison at one operating point.
 
     v2_inf is the infimal buffer volume fraction V2/V1; delta_v_inf the

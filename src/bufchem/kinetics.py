@@ -14,10 +14,9 @@ unimodal law falls back on guarded scans and bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ._numerics import bisect_root, finite_positive
+from ._numerics import Record, bisect_root, finite_positive
 
 __all__ = [
     "BreakEvenInterval",
@@ -35,8 +34,7 @@ _BREAK_EVEN_RTOL = 1e-12
 _EXPAND_CEILING = 1e120
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(Record):
     """Location and height of a rate law's maximum.
 
     abscissa is math.inf for strictly increasing laws, in which case
@@ -50,8 +48,7 @@ class Peak:
         return math.isfinite(self.abscissa)
 
 
-@dataclass(frozen=True)
-class BreakEvenInterval:
+class BreakEvenInterval(Record):
     """Open interval (lower, upper) where growth exceeds a dilution rate.
 
     upper == math.inf is meaningful (increasing laws never fall back
@@ -139,8 +136,7 @@ class GrowthModel:
         return BreakEvenInterval(lower, math.inf)
 
 
-@dataclass(frozen=True)
-class Monod(GrowthModel):
+class Monod(GrowthModel, Record):
     """Monotone saturating law mu(s) = mu_max * s / (K_s + s).
 
     Parameters
@@ -175,8 +171,7 @@ class Monod(GrowthModel):
                                  math.inf)
 
 
-@dataclass(frozen=True)
-class Haldane(GrowthModel):
+class Haldane(GrowthModel, Record):
     """Substrate-inhibited law mu(s) = mu_bar * s / (K + s + s^2/K_I).
 
     Increasing up to s = sqrt(K * K_I), decreasing beyond; the peak rate
@@ -216,8 +211,7 @@ class Haldane(GrowthModel):
         return BreakEvenInterval(0.5 * (a - root), 0.5 * (a + root))
 
 
-@dataclass(frozen=True)
-class CustomUnimodal(GrowthModel):
+class CustomUnimodal(GrowthModel, Record):
     """User-supplied rate law with a declared peak abscissa.
 
     The callables must describe a law with mu(0) = 0 that is positive on
@@ -228,7 +222,7 @@ class CustomUnimodal(GrowthModel):
     rate_fn: Callable[[float], float]
     rate_prime_fn: Callable[[float], float]
     peak_abscissa: float
-    sample_scale: float = field(default=1.0)
+    sample_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.peak_abscissa == math.inf

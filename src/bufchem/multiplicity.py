@@ -23,11 +23,10 @@ and slope simultaneously; zero mismatch is a tangency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from ._numerics import (COARSE_GRID, FINE_GRID, GridScan, bisect_root,
-                        golden_max, golden_min, grid_min)
+from ._numerics import (COARSE_GRID, FINE_GRID, GridScan, Record,
+                        bisect_root, golden_max, golden_min, grid_min)
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
                        _pivot_split_map, buffer_substrate, pivot_level,
                        split_map)
@@ -67,8 +66,7 @@ class NoTangency(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
+class MultiplicityReport(Record):
     """Uniqueness boundary in the volume split r at fixed alpha.
 
     r_plus_min is the smallest split at which the line r cuts the
@@ -107,8 +105,7 @@ class MultiplicityReport:
         return True
 
 
-@dataclass(frozen=True)
-class DomainCurve:
+class DomainCurve(Record):
     """The uniqueness boundary r_bar sampled over a grid of alphas.
 
     crossing_alpha, when present, is the alpha at which the pivot level

@@ -30,10 +30,9 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from ._numerics import finite_positive
+from ._numerics import Record, finite_positive
 from .buffered import BufferedConfig
 from .single import SingleParams
 
@@ -132,8 +131,7 @@ class StiffnessError(RuntimeError):
             f"than this explicit pair can handle")
 
 
-@dataclass(frozen=True)
-class IntegratorSettings:
+class IntegratorSettings(Record):
     """Tolerances and horizon for one integration run.
 
     t_end = None means 200 / D, resolved against the system's dilution
@@ -154,8 +152,7 @@ class IntegratorSettings:
             raise ValueError("t_end must be positive")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     times: tuple[float, ...]
     states: tuple[State, ...]
     accepted_steps: int

@@ -19,9 +19,8 @@ sits relative to the break-even interval of D:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._numerics import finite_positive
+from ._numerics import Record, finite_positive
 from .kinetics import GrowthModel
 
 __all__ = [
@@ -65,8 +64,7 @@ class DegenerateBoundary(ValueError):
             f"{endpoint} within {_BOUNDARY_TOL}; classification is degenerate")
 
 
-@dataclass(frozen=True)
-class SingleParams:
+class SingleParams(Record):
     model: GrowthModel
     S_in: float
     D: float
@@ -78,8 +76,7 @@ class SingleParams:
             raise ValueError("dilution rate D must be positive")
 
 
-@dataclass(frozen=True)
-class PortraitEquilibrium:
+class PortraitEquilibrium(Record):
     S: float
     X: float
     tag: str
@@ -89,8 +86,7 @@ class PortraitEquilibrium:
         return (self.S, self.X)
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(Record):
     case: str
     equilibria: tuple[PortraitEquilibrium, ...]
 
@@ -127,8 +123,7 @@ def classify_portrait(params: SingleParams) -> Portrait:
     return Portrait(PERSISTENT, (low, washout(TAG_WASHOUT_SADDLE)))
 
 
-@dataclass(frozen=True)
-class Serial:
+class Serial(Record):
     """Vessels in series; volume_fractions are V_i / V, summing to one."""
     volume_fractions: tuple[float, ...]
 
@@ -136,8 +131,7 @@ class Serial:
         _check_fractions("volume fractions", self.volume_fractions)
 
 
-@dataclass(frozen=True)
-class Parallel:
+class Parallel(Record):
     """Vessels in parallel; volume and flow fractions each sum to one."""
     volume_fractions: tuple[float, ...]
     flow_fractions: tuple[float, ...]

@@ -8,9 +8,9 @@ on first use, so the package and the CLI load without it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._numerics import Record
 from .buffered import BufferedConfig, growth_deficit_prime
 
 if TYPE_CHECKING:
@@ -36,8 +36,7 @@ _HYPERBOLIC_REL_TOL = 1e-9
 _GAP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(Record):
     """Spectrum at a rest point, sorted ascending.
 
     ill_conditioned marks near-coincident eigenvalues (minimum pairwise

@@ -1,4 +1,5 @@
 """End-to-end command-line runs: artifacts, schemas, determinism."""
+import ast
 import hashlib
 import json
 from importlib import resources
@@ -70,11 +71,18 @@ def run_cli(*args: str):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the numeric eigenvalue route, imported on use
-    out = run_python("-c", "import sys, bufchem.cli; "
-                     "print('numpy' in sys.modules)")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    # numpy serves only the numeric eigenvalue route, imported on use, and
+    # the value records need neither dataclasses nor what it pulls in.
+    # Only what the import itself adds counts, not what site preloads.
+    for module in ("bufchem.cli", "bufchem"):
+        out = run_python("-c", "import sys\n"
+                         "before = set(sys.modules)\n"
+                         f"import {module}\n"
+                         "print(sorted(set(sys.modules) - before))")
+        assert out.returncode == 0, out.stderr
+        added = set(ast.literal_eval(out.stdout))
+        assert module in added
+        assert not added & {"numpy", "dataclasses", "inspect"}, module
 
 
 def schema(name: str) -> dict:

@@ -1,15 +1,19 @@
 """Root finding and 1-D optimization helpers."""
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bufchem import (BufferedConfig, CustomUnimodal, Haldane,
-                     IntegratorSettings, Monod, Parallel, Serial,
-                     buffer_substrate, classify_case, pivot_level,
-                     split_threshold, split_threshold_crosscheck)
+from bufchem import (BreakEvenInterval, BufferedConfig, CustomUnimodal,
+                     DesignReport, DomainCurve, Equilibrium, Haldane,
+                     IntegratorSettings, IntervalSet, Monod,
+                     MultiplicityReport, Parallel, Peak, RunConfig, Serial,
+                     Trajectory, buffer_substrate, classify_case,
+                     pivot_level, split_threshold,
+                     split_threshold_crosscheck)
 from bufchem._numerics import (
     COARSE_GRID,
     GridScan,
@@ -20,7 +24,8 @@ from bufchem._numerics import (
     newton_polish,
     real_cubic_roots,
 )
-from bufchem.single import SingleParams
+from bufchem.single import Portrait, PortraitEquilibrium, SingleParams
+from bufchem.stability import EigenReport
 
 NAN, INF = math.nan, math.inf
 
@@ -195,3 +200,110 @@ def test_raw_float_entry_points_reject_nan(call):
 def test_break_even_of_infinite_dilution_is_empty():
     for model in (REF, Monod(2.0, 1.0), GENERIC):
         assert model.break_even(INF) is None
+
+
+_HAL = Haldane(2.0, 1.0, 0.08)
+_MON = Monod(1.0, 0.5)
+_WASHOUT = PortraitEquilibrium(1.4, 0.0, "washout_attracting")
+_STATES = ((1.0, 0.0, 1.0, 0.0), (0.5, 0.5, 0.5, 0.5))
+
+
+# (type, every field by position, the same with one field changed, repr
+# of the first as the earlier dataclass records printed it)
+@pytest.mark.parametrize("cls, args, changed, expected_repr", [
+    (Peak, (1.0, 2.0), (1.0, 2.5), "Peak(abscissa=1.0, height=2.0)"),
+    (BreakEvenInterval, (0.25, INF), (0.5, INF),
+     "BreakEvenInterval(lower=0.25, upper=inf)"),
+    (Monod, (1.0, 0.5), (1.0, 0.25), "Monod(mu_max=1.0, K_s=0.5)"),
+    (Haldane, (2.0, 1.0, 0.08), (2.0, 1.0, 0.1),
+     "Haldane(mu_bar=2.0, K=1.0, K_I=0.08)"),
+    (CustomUnimodal, (math.sin, math.cos, math.pi / 2, 1.0),
+     (math.sin, math.cos, math.pi / 2, 2.0),
+     "CustomUnimodal(rate_fn=<built-in function sin>, rate_prime_fn="
+     "<built-in function cos>, peak_abscissa=1.5707963267948966, "
+     "sample_scale=1.0)"),
+    (BufferedConfig, (_HAL, 1.4, 0.3, 2.0, 0.6), (_HAL, 1.4, 0.3, 2.0, 0.7),
+     "BufferedConfig(model=Haldane(mu_bar=2.0, K=1.0, K_I=0.08), S_in=1.4, "
+     "D=0.3, alpha=2.0, r=0.6)"),
+    (Equilibrium, (0.2, 1.2, 0.3, 1.1, "buffer_positive",
+                   (-0.5, -0.3, -0.3, -0.1), "stable", 0),
+     (0.2, 1.2, 0.3, 1.1, "buffer_positive", (-0.5, -0.3, -0.3, 0.1),
+      "stable", 0),
+     "Equilibrium(s1=0.2, x1=1.2, s2=0.3, x2=1.1, branch='buffer_positive', "
+     "eigenvalues=(-0.5, -0.3, -0.3, -0.1), tag='stable', unstable=0)"),
+    (IntervalSet, (((0.1, 0.2), (0.3, 0.5)),), (((0.1, 0.2),),),
+     "IntervalSet(components=((0.1, 0.2), (0.3, 0.5)))"),
+    (RunConfig, (_MON, 1.4, 0.3, None, IntegratorSettings(), None, None,
+                 None),
+     (_MON, 1.4, 0.3, None, IntegratorSettings(t_end=50.0), None, None,
+      None),
+     "RunConfig(model=Monod(mu_max=1.0, K_s=0.5), S_in=1.4, D=0.3, "
+     "buffered=None, integrator=IntegratorSettings(rel_tol=1e-08, "
+     "abs_tol=1e-10, max_step=inf, t_end=None), initial=None, sweep=None, "
+     "audit_topology=None)"),
+    (DesignReport, (0.5, 0.125, 0.75, 0.9, 0.0625, _HAL, 1.4),
+     (0.5, 0.125, 0.75, 0.9, 0.0625, _HAL, 1.5),
+     "DesignReport(delta_v_inf=0.5, v2_inf=0.125, d2_star=0.75, s_bar=0.9, "
+     "surplus_max=0.0625, _model=Haldane(mu_bar=2.0, K=1.0, K_I=0.08), "
+     "_S_in=1.4)"),
+    (MultiplicityReport,
+     (0.75, (0.25, 0.5), 0.75, "pivot_below_upper_break_even"),
+     (0.75, None, 0.75, "pivot_below_upper_break_even"),
+     "MultiplicityReport(r_plus_min=0.75, r_minus_interval=(0.25, 0.5), "
+     "r_bar=0.75, case='pivot_below_upper_break_even')"),
+    (DomainCurve, (((0.5, 0.75), (1.0, 0.5)), 0.75, (0.6, 0.4)),
+     (((0.5, 0.75), (1.0, 0.5)), None, (0.6, 0.4)),
+     "DomainCurve(points=((0.5, 0.75), (1.0, 0.5)), crossing_alpha=0.75, "
+     "jump=(0.6, 0.4))"),
+    (IntegratorSettings, (1e-8, 1e-10, INF, None), (1e-6, 1e-10, INF, None),
+     "IntegratorSettings(rel_tol=1e-08, abs_tol=1e-10, max_step=inf, "
+     "t_end=None)"),
+    (Trajectory, ((0.0, 1.0), _STATES, 3, 1), ((0.0, 1.0), _STATES, 3, 2),
+     "Trajectory(times=(0.0, 1.0), states=((1.0, 0.0, 1.0, 0.0), "
+     "(0.5, 0.5, 0.5, 0.5)), accepted_steps=3, rejected_steps=1)"),
+    (SingleParams, (_HAL, 1.4, 0.3), (_HAL, 1.4, 0.35),
+     "SingleParams(model=Haldane(mu_bar=2.0, K=1.0, K_I=0.08), S_in=1.4, "
+     "D=0.3)"),
+    (PortraitEquilibrium, (1.4, 0.0, "washout_attracting"),
+     (1.4, 0.0, "washout_saddle"),
+     "PortraitEquilibrium(S=1.4, X=0.0, tag='washout_attracting')"),
+    (Portrait, ("washout_only", (_WASHOUT,)), ("washout_only", ()),
+     "Portrait(case='washout_only', equilibria=(PortraitEquilibrium(S=1.4, "
+     "X=0.0, tag='washout_attracting'),))"),
+    (Serial, ((0.25, 0.75),), ((0.5, 0.5),),
+     "Serial(volume_fractions=(0.25, 0.75))"),
+    (Parallel, ((0.5, 0.5), (0.25, 0.75)), ((0.5, 0.5), (0.75, 0.25)),
+     "Parallel(volume_fractions=(0.5, 0.5), flow_fractions=(0.25, 0.75))"),
+    (EigenReport, ((-1.0, -0.5, -0.25, 0.5), "saddle", 1, False),
+     ((-1.0, -0.5, -0.25, 0.5), "saddle", 1, True),
+     "EigenReport(values=(-1.0, -0.5, -0.25, 0.5), tag='saddle', "
+     "unstable=1, ill_conditioned=False)"),
+])
+def test_value_records_keep_frozen_dataclass_semantics(cls, args, changed,
+                                                       expected_repr):
+    obj = cls(*args)
+    assert repr(obj) == expected_repr
+    names = cls.__match_args__
+    assert len(names) == len(args)
+    by_keyword = cls(**dict(zip(names, args)))
+    assert by_keyword == obj and hash(by_keyword) == hash(obj)
+    assert cls(*changed) != obj
+    assert obj.__eq__(object()) is NotImplemented
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    with pytest.raises(AttributeError):
+        setattr(obj, names[0], args[0])
+    with pytest.raises(AttributeError):
+        delattr(obj, names[0])
+    for bad in (lambda: cls(*args, None),                        # extra
+                lambda: cls(*args, unknown=None),                # unknown
+                lambda: cls(*args, **{names[0]: args[0]})):      # duplicated
+        with pytest.raises(TypeError):
+            bad()
+    if cls is not IntegratorSettings:   # the one record with no required field
+        with pytest.raises(TypeError):
+            cls()                                                # missing
+    # the shared checks, stated once against the first record type
+    if cls is Peak:
+        assert Peak(1.0, 2.0) != BreakEvenInterval(1.0, 2.0)
+        with pytest.raises(ValueError):                # __post_init__ runs
+            Haldane(-1, 1, 1)
