@@ -6,13 +6,19 @@ of arithmetic ops, so tuples beat array machinery on both speed and
 allocation churn at this size.
 
 One step is a function written out over scalars, generated on first use
-for each state size (2 or 4) from one template over the named tableau
-entries: the seven stages and the error estimate per component, with no
-loop, zip or generator.  Each weighted sum is taken left to right from
-0.0, exactly as the builtin sum() of Python 3.11 adds floats, and the
-error norm adds the components in order from 0.0.  The rounding is then
-the same on every Python version; since 3.12, sum() of floats is
-compensated and a loop of sum() calls would round differently.
+for each state size (2: one vessel, 4: buffered) and rate-law kind from
+one template over the tableau entries: the seven stages, the right-hand
+side of each stage with the rate law written in (Haldane and Monod by
+their closed forms; every other law, and any subclass, by a call of its
+_rate_raw), and the error estimate per component, with no loop, zip,
+generator or call of a right-hand side.  The same factory gives the
+right-hand side f(t, y) that sizes the first step.  Each weighted sum is
+taken left to right from 0.0, exactly as the builtin sum() of Python
+3.11 adds floats, and the error norm adds the components in order from
+0.0.  The rounding is then the same on every Python version; since 3.12,
+sum() of floats is compensated and a loop of sum() calls would round
+differently.  Every expression keeps the operand order of the law's
+_rate_raw and of the model equations, so the routes agree to the bit.
 
 Non-negativity is enforced by step rejection, never by clipping: the
 mass-balance quantities S_i + X_i - S_in decay linearly and tests rely
@@ -34,6 +40,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ._numerics import Record, finite_positive
 from .buffered import BufferedConfig
+from .kinetics import Haldane, Monod
 from .single import SingleParams
 
 __all__ = [
@@ -47,7 +54,8 @@ __all__ = [
 
 State = tuple[float, ...]
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; both systems are autonomous, so the
+# nodes c_i never enter a step
 _A = (
     (),
     (1.0 / 5.0,),
@@ -59,58 +67,98 @@ _A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
      11.0 / 84.0),
 )
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 # fifth-minus-fourth order error weights (last entry applies to the FSAL stage)
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-# the same entries by name, for the written-out step of _dp5_step
-((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
- (A61, A62, A63, A64, A65), (A71, A72, A73, A74, A75, A76)) = _A[1:]
-C2, C3, C4, C5, C6, C7 = _C[1:]
-E1, E2, E3, E4, E5, E6, E7 = _E
+
+
+# each state size's system: the constants its right-hand side closes
+# over, its state components, the substrates at which the rate law is
+# taken (m1 = mu(first), m2 = mu(second)) and the components of f
+_SYSTEMS = {
+    2: (("S_in", "D"), ("s", "x"), ("s",),
+        ("-m1 * x + D * (S_in - s)", "(m1 - D) * x")),
+    4: (("S_in", "d_r", "cross", "direct", "a_d"), ("s1", "x1", "s2", "x2"),
+        ("s1", "s2"),
+        ("-m1 * x1 + d_r * (cross * (s2 - s1) + direct * (S_in - s1))",
+         "m1 * x1 + d_r * (cross * x2 - x1)",
+         "-m2 * x2 + a_d * (S_in - s2)",
+         "(m2 - a_d) * x2")),
+}
+# each rate-law kind: the parameters the step closes over and the rate
+# at substrate {s}, with the operand order of the law's _rate_raw
+_LAWS = {
+    "haldane": (("mu_bar", "K", "K_I"),
+                "mu_bar * {s} / (K + {s} + {s} * {s} / K_I)"),
+    "monod": (("mu_max", "K_s"), "mu_max * {s} / (K_s + {s})"),
+    "callable": (("mu",), "mu({s})"),
+}
 
 
 @functools.cache
-def _dp5_step(n: int) -> Callable:
-    """The Dormand-Prince step over n-component states, written out.
+def _dp5_step(n: int, law: str) -> Callable:
+    """The factory of the written-out Dormand-Prince step of one system.
 
-    step(f, t, h, y, k1, abs_tol, rel_tol) returns (y_new, k7, err_n):
-    the fifth-order solution at t + h, f there (the next step's k1) and
-    the RMS error norm scaled by abs_tol + rel_tol * max(|y|, |y_new|).
-    Its source works on scalar locals y_0, k1_0, ..., k7_{n-1}.
+    _dp5_step(n, law)(*constants, *law_parameters) returns (rhs, step)
+    for the system over n-component states (_SYSTEMS) and the rate-law
+    kind law (_LAWS).  rhs(t, y) is the right-hand side.  step(h, y, k1,
+    abs_tol, rel_tol) returns (y_new, k7, err_n): the fifth-order
+    solution at t + h, rhs there (the next step's k1) and the RMS error
+    norm scaled by abs_tol + rel_tol * max(|y|, |y_new|).  The step's
+    source works on scalar locals: y_0, k1_0, ..., k7_{n-1}, each
+    stage's input in the state's names and the rates m1, m2.
     """
+    constants, state, substrates, components = _SYSTEMS[n]
+    parameters, rate = _LAWS[law]
     comps = range(n)
+    ind = " " * 8
 
     def names(v: str) -> str:
-        return ", ".join(f"{v}_{i}" for i in comps) + ","
+        return ", ".join(f"{v}_{i}" for i in comps)
 
-    def weighted(coef: str, stages: int, i: int) -> str:
-        return "0.0" + "".join(f" + {coef}{j} * k{j}_{i}"
-                               for j in range(1, stages + 1))
+    def weighted(coefs: Sequence[float], i: int) -> str:
+        # a float's repr reads back as the same double
+        return "0.0" + "".join(f" + {c!r} * k{j}_{i}"
+                               for j, c in enumerate(coefs, 1))
 
-    def stage_input(s: int) -> str:
-        return "(" + ", ".join(f"y_{i} + h * ({weighted(f'A{s}', s - 1, i)})"
-                               for i in comps) + ",)"
+    def stage(s: int) -> list[str]:
+        # the input of stage s in the state's names, then k{s} from it;
+        # stage 7's input is the fifth-order solution itself (FSAL)
+        lines = [f"{ind}{v} = y_{i} + h * ({weighted(_A[s - 1], i)})"
+                 for i, v in enumerate(state)]
+        return lines + rates() + [f"{ind}k{s}_{i} = {c}"
+                                  for i, c in enumerate(components)]
 
-    lines = ["def step(f, t, h, y, k1, abs_tol, rel_tol):",
-             f"    {names('y')} = y",
-             f"    {names('k1')} = k1"]
-    lines += [f"    {names(f'k{s}')} = f(t + C{s} * h, {stage_input(s)})"
-              for s in range(2, 7)]
-    # stage 7 input is the fifth-order solution itself (FSAL)
-    lines += [f"    y_new = {stage_input(7)}",
-              f"    {names('z')} = y_new",
-              "    k7 = f(t + C7 * h, y_new)",
-              f"    {names('k7')} = k7",
-              "    acc = 0.0"]
-    lines += [f"    acc += (h * ({weighted('E', 7, i)})"
-              f" / (abs_tol + rel_tol * max(abs(y_{i}), abs(z_{i})))) ** 2"
-              for i in comps]
-    lines.append(f"    return y_new, k7, math.sqrt(acc / {n})")
+    def rates() -> list[str]:
+        return [f"{ind}m{j} = {rate.format(s=v)}"
+                for j, v in enumerate(substrates, 1)]
+
+    lines = [f"def factory({', '.join(constants + parameters)}):",
+             "    def rhs(t, y):",
+             f"        {', '.join(state)}, = y"]
+    lines += rates()
+    lines += [f"        return ({', '.join(components)},)",
+              "",
+              "    def step(h, y, k1, abs_tol, rel_tol):",
+              f"        {names('y')}, = y",
+              f"        {names('k1')}, = k1"]
+    for s in range(2, 8):
+        lines += stage(s)
+    lines.append("        acc = 0.0")
+    # max(a, b) is b if b > a else a, ties and NaN included
+    for i, v in enumerate(state):
+        lines += [f"        a = abs(y_{i})",
+                  f"        b = abs({v})",
+                  f"        acc += (h * ({weighted(_E, i)}) / (abs_tol"
+                  f" + rel_tol * (b if b > a else a))) ** 2"]
+    lines += [f"        return ({', '.join(state)},), ({names('k7')},), "
+              f"math.sqrt(acc / {n})",
+              "",
+              "    return rhs, step"]
     namespace: dict = {}
-    exec(compile("\n".join(lines), f"<dp5 step, n = {n}>", "exec"),
+    exec(compile("\n".join(lines), f"<dp5 step, n = {n}, {law} law>", "exec"),
          globals(), namespace)
-    return namespace["step"]
+    return namespace["factory"]
 
 
 # a step is rejected when a component dips below -10 * abs_tol, or below
@@ -170,48 +218,37 @@ class Trajectory(Record):
         return self.states[-1]
 
 
-def _single_rhs(params: SingleParams) -> Callable[[float, State], State]:
-    mu = params.model._rate_raw
-    S_in, D = params.S_in, params.D
+def _law(model) -> tuple[str, tuple]:
+    """The rate-law kind of _LAWS for model, and its parameters.
 
-    def f(t: float, y: State) -> State:
-        s, x = y
-        m = mu(s)
-        return (-m * x + D * (S_in - s), (m - D) * x)
-
-    return f
-
-
-def _buffered_rhs(config: BufferedConfig) -> Callable[[float, State], State]:
-    mu = config.model._rate_raw
-    S_in, D, alpha, r = config.S_in, config.D, config.alpha, config.r
-    d_r = D / r
-    cross = alpha * (1.0 - r)
-    direct = 1.0 - cross
-    a_d = alpha * D
-
-    def f(t: float, y: State) -> State:
-        s1, x1, s2, x2 = y
-        m1, m2 = mu(s1), mu(s2)
-        return (-m1 * x1 + d_r * (cross * (s2 - s1) + direct * (S_in - s1)),
-                m1 * x1 + d_r * (cross * x2 - x1),
-                -m2 * x2 + a_d * (S_in - s2),
-                (m2 - a_d) * x2)
-
-    return f
+    Only the exact classes are written out: a subclass may override
+    _rate_raw, so it keeps the call, as every other law does.
+    """
+    if type(model) is Haldane:
+        return "haldane", (model.mu_bar, model.K, model.K_I)
+    if type(model) is Monod:
+        return "monod", (model.mu_max, model.K_s)
+    return "callable", (model._rate_raw,)
 
 
-def _rhs_and_rate(system: Union[SingleParams, BufferedConfig],
-                  n: int) -> Callable[[float, State], State]:
+def _rhs_and_step(system: Union[SingleParams, BufferedConfig], n: int
+                  ) -> tuple[Callable[[float, State], State], Callable]:
+    """The right-hand side f(t, y) of system and its written-out step."""
     if isinstance(system, SingleParams):
         if n != 2:
             raise ValueError("single-vessel states have 2 components")
-        return _single_rhs(system)
-    if isinstance(system, BufferedConfig):
+        constants = (system.S_in, system.D)
+    elif isinstance(system, BufferedConfig):
         if n != 4:
             raise ValueError("buffered states have 4 components")
-        return _buffered_rhs(system)
-    raise TypeError(f"unsupported system type {type(system).__name__}")
+        alpha, r = system.alpha, system.r
+        cross = alpha * (1.0 - r)
+        constants = (system.S_in, system.D / r, cross, 1.0 - cross,
+                     alpha * system.D)
+    else:
+        raise TypeError(f"unsupported system type {type(system).__name__}")
+    law, parameters = _law(system.model)
+    return _dp5_step(n, law)(*constants, *parameters)
 
 
 def _initial_step(f, t0: float, y0: State, f0: State, abs_tol: float,
@@ -255,30 +292,31 @@ def integrate(system: Union[SingleParams, BufferedConfig],
             f"initial state must be finite and non-negative, got {x0}")
     cfg = settings if settings is not None else IntegratorSettings()
     t_end = cfg.t_end if cfg.t_end is not None else 200.0 / system.D
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
     neg_floor = max(-_NEG_FLOOR_FACTOR * abs_tol, _STATE_FLOOR)
+    h_min = _MIN_STEP_FACTOR * t_end
 
-    f = _rhs_and_rate(system, len(y))
+    f, step = _rhs_and_step(system, len(y))
     t = 0.0
     k1 = f(t, y)
-    h = _initial_step(f, t, y, k1, abs_tol, rel_tol, t_end, cfg.max_step)
+    h = _initial_step(f, t, y, k1, abs_tol, rel_tol, t_end, max_step)
 
     times = [t]
     states = [y]
     accepted = 0
     rejected = 0
-    step = _dp5_step(len(y))
     while t < t_end:
-        h = min(h, cfg.max_step)
+        if max_step < h:
+            h = max_step
         # the step that reaches t_end ends there exactly: t + (t_end - t)
         # can round one ulp short and leave a step no run could take
         last = h >= t_end - t
         if last:
             h = t_end - t
-        if h < _MIN_STEP_FACTOR * t_end:
+        if h < h_min:
             raise StiffnessError(t, y)
 
-        y_new, k7, err_n = step(f, t, h, y, k1, abs_tol, rel_tol)
+        y_new, k7, err_n = step(h, y, k1, abs_tol, rel_tol)
 
         if not err_n <= 1.0:
             if not math.isfinite(err_n):
@@ -314,22 +352,27 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int
               ) -> Callable[[float, State], Optional[int]]:
     """The settling rule, fed the states (t, y) of one run in time order.
 
-    It keeps the last time the run was over 2*eps from each candidate of
-    length n, and returns the first candidate within eps of y whose last
-    far time is before t_cut = t - 0.1 * (t - t0), else None.
+    It keeps the last time the run was over 2*eps from each candidate,
+    and returns the first candidate within eps of y whose last far time
+    is before t_cut = t - 0.1 * (t - t0), else None.  A candidate whose
+    length is not the state size n is a ValueError.
     """
-    refs = [(i, ref) for i, ref in enumerate(map(_candidate_state, candidates))
-            if len(ref) == n]
+    refs = list(map(_candidate_state, candidates))
+    for i, ref in enumerate(refs):
+        if len(ref) != n:
+            raise ValueError(
+                f"candidate {i} has {len(ref)} components, the states "
+                f"have {n}")
     far = [-math.inf] * len(refs)
 
     def verdict(t: float, y: State) -> Optional[int]:
         t_cut = t - 0.1 * (t - t0)
         label = None
-        for k, (i, ref) in enumerate(refs):
+        for i, ref in enumerate(refs):
             d = max(map(abs, map(operator.sub, y, ref)))
             if not d <= 2.0 * eps:
-                far[k] = t
-            elif label is None and d <= eps and far[k] < t_cut:
+                far[i] = t
+            elif label is None and d <= eps and far[i] < t_cut:
                 label = i
         return label
 
@@ -343,7 +386,8 @@ def detect_convergence(traj: Trajectory, candidates: Sequence,
     The settling rule: the final state is within eps (sup-norm) of the
     candidate and the last 10% of the run (by time) stayed within 2*eps;
     the first candidate that passes wins.  Earlier states cannot change
-    the verdict, so only that tail is fed to the rule.
+    the verdict, so only that tail is fed to the rule.  A candidate of
+    another length than the states is a ValueError.
     """
     if not finite_positive(eps):
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -366,7 +410,9 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     settling rule holds, so every label is detect_convergence's verdict
     on the run made.  None marks unresolved runs (not settled by t_end,
     or stiffness failure).  Runs execute sequentially in input order, so
-    output ordering and determinism hold regardless of environment.
+    output ordering and determinism hold regardless of environment.  A
+    candidate of another length than a start is a ValueError, raised
+    before that start is integrated.
     """
     if not grid or not candidates:
         raise ValueError("basin_probe needs a non-empty grid and candidates")

@@ -38,7 +38,7 @@ from bufchem import (
     washout_audit,
 )
 from bufchem.buffered import _haldane_levels, _scan_levels
-from bufchem.simulate import _buffered_rhs
+from bufchem.simulate import _rhs_and_step
 from bufchem.single import TAG_POSITIVE_ATTRACTING, TAG_WASHOUT_ATTRACTING
 from conftest import (
     RESULTS,
@@ -120,7 +120,7 @@ def test_criterion_03_equilibrium_residuals_and_root_routes():
     mismatched = 0
     count = 0
     for cfg in configs:
-        rhs = _buffered_rhs(cfg)
+        rhs, _ = _rhs_and_step(cfg, 4)
         for eq in find_equilibria(cfg):
             worst_residual = max(worst_residual,
                                  max(abs(v) for v in rhs(0.0, eq.state)))

@@ -22,7 +22,7 @@ from bufchem import (
     surplus_region,
 )
 from bufchem.buffered import SingularSplitPoint, _deficit_fn, split_map
-from bufchem.simulate import _buffered_rhs
+from bufchem.simulate import _rhs_and_step
 from conftest import draw_buffered_config
 
 
@@ -225,7 +225,7 @@ def test_equilibrium_residuals_small():
     rng = random.Random(5)
     for _ in range(30):
         cfg = draw_buffered_config(rng, monod_share=0.3)
-        rhs = _buffered_rhs(cfg)
+        rhs, _ = _rhs_and_step(cfg, 4)
         for e in find_equilibria(cfg):
             residual = max(abs(v) for v in rhs(0.0, e.state))
             assert residual <= 1e-10

@@ -213,6 +213,28 @@ def test_detect_convergence_none_when_far():
     assert detect_convergence(traj, [(3.0, 0.0)], eps=1e-6) is None
 
 
+def test_detect_convergence_refuses_candidates_of_another_size(
+        reference_model):
+    params = SingleParams(reference_model, 1.4, 1.0)
+    traj = integrate(params, (1.0, 0.1), IntegratorSettings(t_end=5.0))
+    with pytest.raises(ValueError, match="candidate 1 has 4 .* have 2"):
+        detect_convergence(traj, [(1.4, 0.0), (1.0, 0.2, 1.0, 0.2)])
+
+
+def test_basin_probe_refuses_candidates_of_another_size(
+        reference_model, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before the candidates were checked")
+
+    cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
+    single = SingleParams(reference_model, 1.4, 1.0)
+    monkeypatch.setattr(simulate, "integrate", never)
+    with pytest.raises(ValueError, match="candidate 0 has 2 .* have 4"):
+        basin_probe(cfg, [(1.0, 0.2, 1.0, 0.2)], None, [(1.0, 0.2)])
+    with pytest.raises(ValueError, match="candidate 0 has 4 .* have 2"):
+        basin_probe(single, [(1.0, 0.2)], None, [(1.0, 0.2, 1.0, 0.2)])
+
+
 BISTABLE_GRID = [(s, x) for s in (0.1, 0.4, 0.7, 1.0, 1.3)
                  for x in (0.001, 0.01, 0.1, 0.5, 1.0)]
 
@@ -300,6 +322,10 @@ RECORDED_INTEGRATE_DIGESTS = {
         "a83eeb47550141747ff524c02754329e34d190e353555229ac87eaafedc710cd",
     "haldane_loose_tolerances":
         "fdea72352289a9cd82a46ee4f241898b4b5ce53f2df0076f9c965cb43f56d6da",
+    "buffered_monod":
+        "c288f2fefb9d12b5805e939a1da6992ee84a6bfa43a8a38f51adf6fa63f1f494",
+    "buffered_haldane_callables":
+        "a2888bd52c14eb67a6f427be051bc553cac96538b1c890ba5d3770eda02abd9e",
 }
 
 
@@ -315,13 +341,32 @@ def _andrews(mu_bar, K, K_I):
                           0.5 * (-K + math.sqrt(K * K + 4.0 * K * K_I)))
 
 
+def _haldane_callables(mu_bar, K, K_I):
+    """Haldane's law with Haldane._rate_raw's operand order, as callables."""
+    def mu(s):
+        return mu_bar * s / (K + s + s * s / K_I)
+
+    def mu_prime(s):
+        den = K + s + s * s / K_I
+        return mu_bar * (K - s * s / K_I) / (den * den)
+
+    return CustomUnimodal(mu, mu_prime, math.sqrt(K * K_I))
+
+
+def _monod_callables(mu_max, K_s):
+    """Monod's law with Monod._rate_raw's operand order, as callables."""
+    return CustomUnimodal(lambda s: mu_max * s / (K_s + s),
+                          lambda s: mu_max * K_s / (K_s + s) ** 2, math.inf)
+
+
 def test_integrate_matches_recorded_digests(reference_model):
     """Every run keeps its recorded times, states and step counts.
 
     Each digest is the sha256 of repr((times, states, accepted, rejected)).
     The runs cover both state sizes, the default horizon, max_step, a
-    stop_condition, a callable rate law, rejected steps in every run and
-    rejections by the negative-state floor (the loose-tolerance run).
+    stop_condition, every pairing of state size with a Haldane, Monod or
+    callable rate law, rejected steps in every run and rejections by the
+    negative-state floor (the loose-tolerance run).
     The digests assume IEEE doubles and the libm of the host they were
     recorded on (x86-64 Linux, glibc 2.36); exp, log and pow may round
     differently elsewhere.  A deliberate change of output updates them,
@@ -351,6 +396,13 @@ def test_integrate_matches_recorded_digests(reference_model):
         "haldane_loose_tolerances": (
             SingleParams(Haldane(9.92, 0.176, 1.51), 1.6, 0.375),
             (0.0738, 1.397), loose, None),
+        "buffered_monod": (
+            BufferedConfig(Monod(2.0, 1.0), 3.0, 0.8, 0.6, 0.4),
+            (0.2, 1.5, 2.5, 0.01), IntegratorSettings(t_end=80.0), None),
+        "buffered_haldane_callables": (
+            BufferedConfig(_haldane_callables(12.0, 1.0, 0.08), 1.4, 1.0,
+                           0.35, 0.6),
+            (0.6, 0.4, 0.9, 0.3), IntegratorSettings(t_end=120.0), None),
     }
     digests = {}
     for name, (system, x0, settings, stop) in runs.items():
@@ -359,3 +411,69 @@ def test_integrate_matches_recorded_digests(reference_model):
                traj.rejected_steps)
         digests[name] = hashlib.sha256(repr(key).encode()).hexdigest()
     assert digests == RECORDED_INTEGRATE_DIGESTS
+
+
+class _DoubledHaldane(Haldane):
+    """Haldane's parameters with twice its rate: _rate_raw is overridden."""
+
+    def _rate_raw(self, s):
+        return 2.0 * (self.mu_bar * s / (self.K + s + s * s / self.K_I))
+
+
+ROUTE_RUNS = [
+    (lambda law: SingleParams(law, 1.4, 1.0), (1.0, 0.1),
+     IntegratorSettings(t_end=60.0)),
+    (lambda law: BufferedConfig(law, 1.4, 1.0, 0.35, 0.6),
+     (0.6, 0.4, 0.9, 0.3), IntegratorSettings(t_end=60.0)),
+]
+
+
+@pytest.mark.parametrize("system, x0, settings", ROUTE_RUNS,
+                         ids=["single", "buffered"])
+def test_written_out_laws_match_their_callables(system, x0, settings):
+    """The closed-form routes give the callable route's trajectory, bit
+    for bit; a subclass that overrides _rate_raw runs its own law."""
+    pairs = [
+        (Haldane(12.0, 1.0, 0.08), _haldane_callables(12.0, 1.0, 0.08)),
+        (Monod(2.0, 0.3), _monod_callables(2.0, 0.3)),
+        (_DoubledHaldane(6.0, 1.0, 0.08),
+         CustomUnimodal(lambda s: 2.0 * (6.0 * s / (1.0 + s + s * s / 0.08)),
+                        lambda s: 0.0, math.sqrt(0.08))),
+    ]
+    for law, callables in pairs:
+        written = integrate(system(law), x0, settings)
+        called = integrate(system(callables), x0, settings)
+        assert repr(written) == repr(called)
+    doubled = integrate(system(pairs[2][0]), x0, settings)
+    plain = integrate(system(Haldane(6.0, 1.0, 0.08)), x0, settings)
+    assert doubled.final != plain.final
+
+
+@pytest.mark.parametrize("system, x0, settings", ROUTE_RUNS,
+                         ids=["single", "buffered"])
+def test_written_out_laws_bypass_rate_raw(system, x0, settings,
+                                          monkeypatch):
+    """Haldane and Monod run on the law written into the step; every
+    other law calls _rate_raw once per substrate at every stage."""
+    haldane, monod = Haldane(12.0, 1.0, 0.08), Monod(2.0, 0.3)
+    custom = _haldane_callables(12.0, 1.0, 0.08)
+
+    def refuse(self, s):
+        raise AssertionError("the written-out law called _rate_raw")
+
+    calls = []
+
+    def counting(self, s):
+        calls.append(s)
+        return self.rate_fn(s)
+
+    monkeypatch.setattr(Haldane, "_rate_raw", refuse)
+    monkeypatch.setattr(Monod, "_rate_raw", refuse)
+    monkeypatch.setattr(CustomUnimodal, "_rate_raw", counting)
+    for law in (haldane, monod):
+        assert integrate(system(law), x0, settings).accepted_steps > 0
+    traj = integrate(system(custom), x0, settings)
+    # two right-hand sides size the first step; each attempt has six more
+    rates = len(x0) // 2
+    steps = traj.accepted_steps + traj.rejected_steps
+    assert len(calls) == rates * (2 + 6 * steps)

@@ -11,7 +11,7 @@ from bufchem import (
     jacobian,
     numeric_eigenvalues,
 )
-from bufchem.simulate import _buffered_rhs
+from bufchem.simulate import _rhs_and_step
 from bufchem.stability import (
     EigenReport,
     TAG_NON_HYPERBOLIC,
@@ -35,7 +35,7 @@ def test_closed_form_matches_numeric_oracle():
 
 def test_jacobian_matches_finite_differences(reference_model):
     cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.5)
-    rhs = _buffered_rhs(cfg)
+    rhs, _ = _rhs_and_step(cfg, 4)
     state = (0.9, 0.5, 0.2, 1.1)
     J = jacobian(cfg, state)
     h = 1e-7
