@@ -1,11 +1,13 @@
 """Small deterministic numerical helpers shared across the package.
 
-Every scan-and-refine goes through GridScan: it samples a function once
-on a midpoint grid and reports where the samples change sign or turn;
-the scalar bisect_root and golden_min then refine each bracket.  The
-refinement stays scalar because it sets the last digits of every
-result: it evaluates the caller's own closure, so a result depends only
-on that closure's arithmetic and the grid size.
+Every extremum the analysis layer needs is a zero of a closed-form
+derivative, and critical_levels finds them all the same way: one
+GridScan of the derivative on the GRID-point midpoint grid, then scalar
+bisection of each sign change.  The refinement stays scalar because it
+sets the last digits of every result: it evaluates the caller's own
+closure, so a result depends only on that closure's arithmetic.
+golden_min serves only the tangency fit, the route to r_bar that must
+stay independent of these critical levels.
 
 Every value the package returns is a Record: an immutable set of named
 fields, compared and hashed by value.
@@ -13,17 +15,15 @@ fields, compared and hashed by value.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BISECT_MAX_ITER = 200
 _GOLDEN_X_TOL = 1e-10   # relative bracket width golden_min stops at
 _NEWTON_STEPS = 8
 
-# rest-level and split-critical-point scans use the fine grid; extrema
-# and the D2 feasibility scan the coarse one
-FINE_GRID = 4096
-COARSE_GRID = 2048
+# points of every critical-level scan and of the D2 feasibility scan
+GRID = 2048
 
 _object_setattr = object.__setattr__
 
@@ -159,24 +159,20 @@ def golden_min(f: Callable[[float], float], lo: float,
     return x, f(x)
 
 
-def golden_max(f: Callable[[float], float], lo: float,
-               hi: float) -> tuple[float, float]:
-    x, v = golden_min(lambda s: -f(s), lo, hi)
-    return x, -v
-
-
 class GridScan:
-    """f sampled on the midpoint grid lo + step * (i + 0.5), i < n.
+    """f sampled on the midpoint grid lo + step * (i + 0.5), i < n, and
+    at the cut points the caller adds that lie in [lo, hi].
 
     The grid stays half a step clear of lo and hi, so f may have a pole
-    or be undefined at either end.
+    or be undefined at either end; a cut point must be where f is defined.
     """
 
     def __init__(self, f: Callable[[float], float], lo: float, hi: float,
-                 n: int):
-        self.lo, self.hi, self.n = lo, hi, n
-        self.step = step = (hi - lo) / n
-        self.xs = [lo + step * (i + 0.5) for i in range(n)]
+                 n: int, cuts: Sequence[float] = ()):
+        step = (hi - lo) / n
+        self.xs = sorted([lo + step * (i + 0.5) for i in range(n)]
+                         + [c for c in cuts if lo <= c <= hi])
+        self.lo, self.hi, self.n = lo, hi, len(self.xs)
         self.vs = [f(x) for x in self.xs]
 
     def brackets(self) -> list[tuple[float, float]]:
@@ -194,31 +190,20 @@ class GridScan:
         return (self.xs[i - 1] if i > 0 else self.lo,
                 self.xs[i + 1] if i < self.n - 1 else self.hi)
 
-    def argmin(self) -> int:
-        """Index of the smallest value; ties go to the first index."""
-        return min(range(self.n), key=self.vs.__getitem__)
 
-    def extrema(self) -> tuple[list[int], list[int]]:
-        """Indices of the interior discrete minima and maxima.
+def critical_levels(g: Callable[[float], float], lo: float, hi: float,
+                    cuts: Sequence[float] = ()) -> list[float]:
+    """The sign changes of g on (lo, hi), ascending: a GRID-point scan
+    brackets each one and bisection refines it to machine resolution.
 
-        A grid value counts when it is no worse than both neighbours and
-        strictly better than one, so both ends of a flat minimum or
-        maximum count.
-        """
-        vs = self.vs
-        cells = list(zip(range(1, self.n - 1), vs, vs[1:], vs[2:]))
-        return ([i for i, a, v, b in cells
-                 if v <= a and v <= b and (v < a or v < b)],
-                [i for i, a, v, b in cells
-                 if v >= a and v >= b and (v > a or v > b)])
-
-
-def grid_min(f: Callable[[float], float], lo: float,
-             hi: float) -> tuple[float, float]:
-    """Global interior minimum of f on (lo, hi): COARSE_GRID scan, then
-    golden refinement to 1e-10 around the first smallest grid value."""
-    scan = GridScan(f, lo, hi, COARSE_GRID)
-    return golden_min(f, *scan.around(scan.argmin()))
+    g is a closed-form derivative, so these are the critical levels of
+    its curve; two sign changes within one grid step go unseen.  The
+    scan also samples g at the cuts, the ends of the sub-intervals a
+    caller reads, so a sub-interval narrower than a step keeps the sign
+    change between its ends.
+    """
+    return [bisect_root(g, a, b, 0.0)
+            for a, b in GridScan(g, lo, hi, GRID, cuts).brackets()]
 
 
 def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:

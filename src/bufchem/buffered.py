@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ._numerics import (FINE_GRID, GridScan, Record, bisect_root,
-                        finite_positive, newton_polish, real_cubic_roots)
+from ._numerics import (Record, bisect_root, critical_levels, finite_positive,
+                        newton_polish, real_cubic_roots)
 from .kinetics import GrowthModel, Haldane
 
 __all__ = [
@@ -317,9 +317,10 @@ def _pivot_split_map(model: GrowthModel, S_in: float, D: float, pv: float):
         return num / den
 
     def prime_numerator(s: float) -> float:
+        m = mu(s)
         num = pv - s
-        den = pv - S_in + (S_in - s) * mu(s) / D
-        den_p = (-mu(s) + (S_in - s) * mu_p(s)) / D
+        den = pv - S_in + (S_in - s) * m / D
+        den_p = (-m + (S_in - s) * mu_p(s)) / D
         return -(den + num * den_p)
 
     gamma.prime_numerator = prime_numerator
@@ -345,8 +346,7 @@ def _scan_levels(config: BufferedConfig) -> list[float]:
     polish."""
     S_in = config.S_in
     _, _, f, fp = _deficit_fn(config)
-    crit = [bisect_root(fp, a, b, 0.0)
-            for a, b in GridScan(fp, 0.0, S_in, FINE_GRID).brackets()]
+    crit = critical_levels(fp, 0.0, S_in)
     cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
     vals = [f(c) for c in cuts]
     tol = _TANGENCY_TOL * max(1.0, config.D)

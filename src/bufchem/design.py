@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._numerics import (COARSE_GRID, GridScan, Record, bisect_root,
-                        finite_positive, grid_min)
+from ._numerics import (GRID, GridScan, Record, bisect_root,
+                        critical_levels, finite_positive)
 from .kinetics import GrowthModel
 
 __all__ = [
@@ -101,7 +101,7 @@ class DesignReport(Record):
             load = d2 * v2 * (S_in - model.break_even(d2).lower)
             return min(load - surplus_max, S_in - load)
 
-        scan = GridScan(slack, 0.0, model.rate(S_in), COARSE_GRID)
+        scan = GridScan(slack, 0.0, model.rate(S_in), GRID)
         cuts = scan.brackets()
         starts_inside = scan.vs[0] > 0.0
         if len(cuts) + starts_inside > 2:
@@ -141,16 +141,23 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
                          "level is unreachable elsewhere")
     s_bar = feed_window.lower
 
-    # both maxima by grid_min on the negated curves
-    _, neg_surplus = grid_min(
-        lambda s: -washout_surplus(model, S_in, D, s), window.upper, S_in)
-    s_best, neg_capacity = grid_min(
-        lambda s: -uptake_capacity(model, S_in, s), 0.0, s_bar)
-    surplus_max, capacity_max = -neg_surplus, -neg_capacity
+    # each maximum is the largest value at the critical levels of its
+    # curve's closed-form slope.  The surplus vanishes at both ends of
+    # (upper, S_in); the capacity at the end s_bar is mu(S_in) (S_in - s_bar)
+    mu, mu_p = model._rate_raw, model._rate_prime_raw
+    surplus_max = max(
+        washout_surplus(model, S_in, D, s) for s in critical_levels(
+            lambda s: -(D - mu(s)) - (S_in - s) * mu_p(s), window.upper, S_in))
+    # (capacity, the buffer dilution rate that holds a buffer at that level)
+    candidates = [(uptake_capacity(model, S_in, s), mu(s))
+                  for s in critical_levels(
+                      lambda s: mu_p(s) * (S_in - s) - mu(s), 0.0, s_bar)]
+    capacity_max, d2_star = max(candidates
+                                + [(mu_feed * (S_in - s_bar), mu_feed)])
     return DesignReport(
         delta_v_inf=delta_v_inf,
         v2_inf=surplus_max / capacity_max,
-        d2_star=model.rate(s_best),
+        d2_star=d2_star,
         s_bar=s_bar,
         surplus_max=surplus_max,
         _model=model, _S_in=S_in)

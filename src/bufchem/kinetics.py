@@ -107,8 +107,9 @@ class GrowthModel:
 
     @staticmethod
     def _check_domain(s: float) -> None:
-        if s < 0.0:
-            raise ValueError(f"substrate concentration must be >= 0, got {s}")
+        if not 0.0 <= s < math.inf:
+            raise ValueError(
+                f"substrate concentration must be finite and >= 0, got {s}")
 
     def _break_even_generic(self, dilution: float) -> Optional[BreakEvenInterval]:
         f_tol = _BREAK_EVEN_RTOL * dilution

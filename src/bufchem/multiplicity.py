@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._numerics import (COARSE_GRID, FINE_GRID, GridScan, Record,
-                        bisect_root, golden_max, golden_min, grid_min)
+from ._numerics import (GridScan, Record, bisect_root, critical_levels,
+                        golden_min)
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
                        _pivot_split_map, buffer_substrate, pivot_level,
                        split_map)
@@ -172,10 +172,8 @@ def tangency_abscissas(config: BufferedConfig) -> list[float]:
     gamma = split_map(config.model, config.S_in, config.D, config.alpha)
     # the critical points are the zeros of the derivative's numerator,
     # which is continuous across the map's own poles
-    h = gamma.prime_numerator
     out: list[float] = []
-    for a, b in GridScan(h, 0.0, config.S_in, FINE_GRID).brackets():
-        s = bisect_root(h, a, b, 0.0)
+    for s in critical_levels(gamma.prime_numerator, 0.0, config.S_in):
         try:
             value = gamma(s)
         except SingularSplitPoint:
@@ -185,41 +183,35 @@ def tangency_abscissas(config: BufferedConfig) -> list[float]:
     return out
 
 
-def _minus_band(gamma, interval: Optional[tuple[float, float]]
-                ) -> Optional[tuple[float, float]]:
-    """Band of split values spanned by interior extrema of gamma.
-
-    (smallest local minimum value, largest local maximum value); None
-    when gamma is monotone over the interval or the interval is absent.
-    """
-    if interval is None or interval[1] <= interval[0]:
-        return None
-    scan = GridScan(gamma, interval[0], interval[1], COARSE_GRID)
-    min_idx, max_idx = scan.extrema()
-    if not min_idx and not max_idx:
-        return None
-    min_vals = [golden_min(gamma, *scan.around(i))[1] for i in min_idx]
-    max_vals = [golden_max(gamma, *scan.around(i))[1] for i in max_idx]
-    lo = min(min_vals) if min_vals else min(max_vals)
-    hi = max(max_vals) if max_vals else max(min_vals)
-    return (min(lo, hi), max(lo, hi))
-
-
 def split_threshold(model: GrowthModel, S_in: float, D: float,
                     alpha: float) -> MultiplicityReport:
     """Uniqueness boundary r_bar and the sets behind it.
 
     The split map equals 1 at the break-even levels of D and at the
     feed, and 0 at the pivot, so its extreme values over the case's
-    intervals are interior and found by a 2048-point scan refined by
-    golden-section to 1e-10.
+    intervals are interior: they are its values at the critical levels
+    of one 2048-point scan of the derivative's numerator, which also
+    samples the intervals' ends, each refined by bisection.  r_plus_min
+    is the smallest of those values inside the plus interval and the
+    value 1 at its ends, and the band spans the values inside the
+    extrema interval.
     """
     pv, case, plus, extrema = _operating_point(model, S_in, D, alpha)
     gamma = _pivot_split_map(model, S_in, D, pv)
-    r_plus_min = None if plus is None else grid_min(gamma, *plus)[1]
+    ends = [end for iv in (plus, extrema) if iv is not None for end in iv]
+    levels = critical_levels(gamma.prime_numerator, 0.0, S_in, ends)
+
+    def values_inside(interval):
+        if interval is None:
+            return []
+        lo, hi = interval
+        return [gamma(s) for s in levels if lo < s < hi]
+
+    r_plus_min = None if plus is None else min([1.0, *values_inside(plus)])
     cap = 1.0 if r_plus_min is None else r_plus_min
 
-    band = _minus_band(gamma, extrema)
+    band_values = values_inside(extrema)
+    band = (min(band_values), max(band_values)) if band_values else None
     if (isinstance(model, Haldane) and band is not None
             and r_plus_min is not None and not band[1] < r_plus_min):
         raise ConsistencyError(

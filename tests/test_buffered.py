@@ -186,7 +186,7 @@ def test_haldane_rest_levels_take_the_cubic_route_alone(reference_model,
 
     cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
     want = (find_equilibria(cfg), surplus_region(cfg))
-    monkeypatch.setattr("bufchem.buffered.GridScan", no_scan)
+    monkeypatch.setattr("bufchem.buffered.critical_levels", no_scan)
     assert (find_equilibria(cfg), surplus_region(cfg)) == want
     # the same law behind callables has no closed form and is scanned
     wrapped = CustomUnimodal(reference_model.rate, reference_model.rate_prime,

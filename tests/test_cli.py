@@ -307,13 +307,13 @@ RECORDED_DIGESTS = {
     "equilibria.json":
         "373d8d9bfb28fc2fae9aab73cfd6085daac775ad40e263d1c450bf23197ab82a",
     "domain.csv":
-        "fdd04c34d75f73df1241534f1852be015673bbf69f41c34928776414b20dbd8f",
+        "a940e86d3cc9e0ae874911559e0ed01b8b41ce24ae173ffd7b526f27a4a4d9a9",
     "domain.json":
-        "60a31e649619accdb331ea1e66659364de8928c1c4f77c829b707091312e491d",
+        "2dc194c6a961e8dec03f475c855a228318d9a025e94373fbd0473187e74ec0f9",
     "design.json":
-        "d8ebf02f0fe575aa10651ac46c07c386ef2dcdfea3e492beafed7a259cda2a29",
+        "43cbeb3e65124470f23f8e3330702fe49e300580b826f97aec81e4924c4ae23e",
     "design_comparison.csv":
-        "4e8d48cd553733f455fd78dbc31a58eb3446c2090586e10a7a432e9618b16b61",
+        "9f65973f23b7163d3637ea249f31564a935e8f2ef72b7a16a65f6e8133f4e1f9",
     "trajectory.csv":
         "6f616ec4264cc5825d7cd59168dc720cc3215916e3398ca2ae9e6d4f4fa85105",
     "audit.json":

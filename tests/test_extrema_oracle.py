@@ -1,0 +1,194 @@
+"""The analysis layer's extreme values against a dense-sampling reference.
+
+split_threshold and buffer_design read every extreme value at the
+critical levels of a closed-form derivative.  The reference here shares
+none of that: it samples the curve itself on a grid four times finer,
+takes each discrete extremum and refines it by golden section, and
+compares the values.
+"""
+import math
+import random
+
+import pytest
+
+from bufchem import (CustomUnimodal, Haldane, buffer_design, split_threshold,
+                     uptake_capacity, washout_surplus)
+from bufchem.buffered import split_map
+from bufchem.multiplicity import (CASE_PIVOT_ABOVE, CASE_PIVOT_BELOW,
+                                  _operating_point)
+
+_SAMPLES = 8192
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_best(f, lo: float, hi: float, sign: float) -> float:
+    """The largest sign * f over [lo, hi], times sign, by golden section;
+    the best value seen, so a flat stretch never loses digits."""
+    a, b = lo, hi
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = sign * f(c), sign * f(d)
+    best = max(fc, fd, sign * f(lo), sign * f(hi))
+    for _ in range(120):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = sign * f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = sign * f(d)
+        best = max(best, fc, fd)
+    return sign * best
+
+
+def _local_extrema(f, lo: float, hi: float) -> tuple[list, list]:
+    """(minimum values, maximum values) of f at the discrete interior
+    extrema of a midpoint grid on (lo, hi), each refined."""
+    step = (hi - lo) / _SAMPLES
+    xs = [lo + step * (i + 0.5) for i in range(_SAMPLES)]
+    vs = [f(x) for x in xs]
+    mins, maxs = [], []
+    for i in range(1, _SAMPLES - 1):
+        a, v, b = vs[i - 1], vs[i], vs[i + 1]
+        if v <= a and v <= b and (v < a or v < b):
+            mins.append(_golden_best(f, xs[i - 1], xs[i + 1], -1.0))
+        if v >= a and v >= b and (v > a or v > b):
+            maxs.append(_golden_best(f, xs[i - 1], xs[i + 1], 1.0))
+    return mins, maxs
+
+
+def _largest(f, lo: float, hi: float) -> float:
+    """max f on the closed [lo, hi]: both ends, and every refined
+    discrete interior maximum."""
+    return max([f(lo), f(hi), *_local_extrema(f, lo, hi)[1]])
+
+
+def reference_threshold(model, S_in: float, D: float, alpha: float):
+    """(r_plus_min, band) of split_threshold from samples of gamma itself."""
+    _, _, plus, extrema = _operating_point(model, S_in, D, alpha)
+    gamma = split_map(model, S_in, D, alpha)
+    r_plus_min = None
+    if plus is not None:
+        r_plus_min = min(_local_extrema(gamma, *plus)[0])
+    band = None
+    if extrema is not None and extrema[0] < extrema[1]:
+        mins, maxs = _local_extrema(gamma, *extrema)
+        if mins or maxs:
+            band = (min(mins + maxs), max(mins + maxs))
+    return r_plus_min, band
+
+
+def reference_v2_inf(model, S_in: float, D: float, s_bar: float) -> float:
+    upper = model.break_even(D).upper
+    surplus = _largest(lambda s: washout_surplus(model, S_in, D, s),
+                       upper, S_in)
+    capacity = _largest(lambda s: uptake_capacity(model, S_in, s),
+                        0.0, s_bar)
+    return surplus / capacity
+
+
+def _andrews(mu_bar: float, K: float, K_I: float) -> CustomUnimodal:
+    def mu(s):
+        return mu_bar * s / (K + s) * math.exp(-s / K_I)
+
+    def mu_prime(s):
+        return mu_bar * math.exp(-s / K_I) * (
+            K / (K + s) ** 2 - s / ((K + s) * K_I))
+
+    return CustomUnimodal(mu, mu_prime,
+                          0.5 * (-K + math.sqrt(K * K + 4.0 * K * K_I)))
+
+
+def _draws(kind: str, n: int, seed: int):
+    """n points with an upper break-even of D below the feed and a viable
+    buffer, for a Haldane law, an Andrews law, or Haldane as callables."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        params = (rng.uniform(2.0, 20.0), rng.uniform(0.1, 1.5),
+                  rng.uniform(0.05, 4.0))
+        S_in, D = rng.uniform(0.3, 4.0), rng.uniform(0.1, 2.0)
+        alpha = rng.uniform(0.05, 1.0)
+        if kind == "andrews":
+            model = _andrews(*params)
+        else:
+            model = Haldane(*params)
+            if kind == "wrapped":
+                model = CustomUnimodal(model.rate, model.rate_prime,
+                                       model.peak().abscissa)
+        window = model.break_even(D)
+        if (window is None or not window.has_finite_upper
+                or window.upper >= 0.95 * S_in):
+            continue
+        buffer_window = model.break_even(alpha * D)
+        if buffer_window is None or buffer_window.lower >= 0.9 * S_in:
+            continue
+        out.append((model, S_in, D, alpha))
+    return out
+
+
+@pytest.mark.parametrize("kind, seed", [("haldane", 61), ("andrews", 62),
+                                        ("wrapped", 63)])
+def test_threshold_extremes_match_dense_reference(kind, seed):
+    bands = 0
+    for model, S_in, D, alpha in _draws(kind, 30, seed):
+        report = split_threshold(model, S_in, D, alpha)
+        r_plus_min, band = reference_threshold(model, S_in, D, alpha)
+        assert report.r_plus_min == pytest.approx(r_plus_min, rel=0.0,
+                                                  abs=1e-12)
+        assert (report.r_minus_interval is None) == (band is None)
+        if band is not None:
+            bands += 1
+            assert report.r_minus_interval == pytest.approx(
+                band, rel=0.0, abs=1e-12)
+    assert bands, "no draw has a band of extra rest points"
+
+
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_threshold_extremes_on_intervals_narrower_than_a_grid_cell(wrapped):
+    # a plus interval (upper, S_in) and a window (lower, upper) each far
+    # narrower than S_in / 2048: the scan samples each case interval's ends
+    model = Haldane(12.0, 1.0, 0.08)
+    if wrapped:
+        model = CustomUnimodal(model.rate, model.rate_prime,
+                               model.peak().abscissa)
+    D = 1.0
+    near_feed = (model, model.break_even(D).upper + 1e-4, D, 0.5)
+    D = model.peak().height * (1.0 - 1e-6)
+    near_peak = (model, 3.0, D, 0.3)
+    for point, case in ((near_feed, CASE_PIVOT_BELOW),
+                        (near_peak, CASE_PIVOT_ABOVE)):
+        report = split_threshold(*point)
+        assert report.case == case
+        assert report.r_plus_min == pytest.approx(
+            reference_threshold(*point)[0], rel=0.0, abs=1e-12)
+    # no level fits between the ends of a plus interval one ulp wide;
+    # the split map is 1 at both
+    upper = model.break_even(1.0).upper
+    report = split_threshold(model, math.nextafter(upper, math.inf), 1.0, 0.5)
+    assert report.r_plus_min == 1.0
+
+
+@pytest.mark.parametrize("kind, seed", [("haldane", 71), ("andrews", 72),
+                                        ("wrapped", 73)])
+def test_buffer_size_matches_dense_reference(kind, seed):
+    for model, S_in, D, _ in _draws(kind, 15, seed):
+        report = buffer_design(model, S_in, D)
+        want = reference_v2_inf(model, S_in, D, report.s_bar)
+        assert report.v2_inf == pytest.approx(want, rel=1e-8)
+
+
+def test_capacity_peak_at_s_bar_runs_the_buffer_at_the_feed_rate(
+        reference_model):
+    # the feeds of design_comparison.csv for the README law: the capacity
+    # still rises at s_bar, so the buffer runs at exactly mu(S_in)
+    D = 1.0
+    lo, hi = reference_model.break_even(D).upper, 3.0
+    for feed in [1.4] + [lo + k * (hi - lo) / 30 for k in range(1, 31)]:
+        report = buffer_design(reference_model, feed, D)
+        capacity = lambda s: uptake_capacity(reference_model, feed, s)
+        assert not _local_extrema(capacity, 0.0, report.s_bar)[1]
+        assert report.d2_star == reference_model.rate(feed)
+        assert report.v2_inf == pytest.approx(
+            reference_v2_inf(reference_model, feed, D, report.s_bar),
+            rel=1e-8)

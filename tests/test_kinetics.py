@@ -51,10 +51,11 @@ def test_monod_peak_is_at_infinity():
 
 
 def test_rate_domain_checked(reference_model):
-    with pytest.raises(ValueError):
-        reference_model.rate(-0.1)
-    with pytest.raises(ValueError):
-        reference_model.rate_prime(-1e-9)
+    for s in (-0.1, -1e-9, math.nan, math.inf):
+        for law in (reference_model, Monod(2.0, 1.0)):
+            for fn in (law.rate, law.rate_prime):
+                with pytest.raises(ValueError, match=repr(s)):
+                    fn(s)
 
 
 def test_rate_prime_matches_finite_difference(reference_model):

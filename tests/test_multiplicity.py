@@ -47,7 +47,7 @@ NO_UPPER_INPUTS = {
     "monod": (Monod(2.0, 1.0), 3.0, 1.0, 0.5),
 }
 RECORDED_THRESHOLD_DIGEST = (
-    "d12cf3cdb578f6efbc6e67dfef8e35e18e54005ac32daaff0990ecd1a4110814")
+    "12f930d9a2154824d1c37eaf01b3e4d75ec825578afc4426c58e0d5b478f6d70")
 
 
 def test_case_classification(reference_model):

@@ -1,5 +1,7 @@
 """Root finding and 1-D optimization helpers."""
+import ast
 import math
+import pathlib
 import pickle
 import random
 
@@ -14,13 +16,13 @@ from bufchem import (BreakEvenInterval, BufferedConfig, CustomUnimodal,
                      Trajectory, buffer_substrate, classify_case,
                      pivot_level, split_threshold,
                      split_threshold_crosscheck)
+import bufchem._numerics
 from bufchem._numerics import (
-    COARSE_GRID,
+    GRID,
     GridScan,
     bisect_root,
-    golden_max,
+    critical_levels,
     golden_min,
-    grid_min,
     newton_polish,
     real_cubic_roots,
 )
@@ -48,13 +50,6 @@ def test_golden_min_quadratic():
     assert abs(v - 1.0) < 1e-14
 
 
-def test_golden_max_matches_min_of_negation():
-    f = lambda x: math.sin(x)
-    x, v = golden_max(f, 0.0, math.pi)
-    assert abs(x - math.pi / 2.0) < 1e-7
-    assert abs(v - 1.0) < 1e-12
-
-
 def test_grid_scan_sign_change_at_grid_zero():
     # grid 0.5, 1.5, ..., 7.5: f vanishes exactly on the grid point 3.5
     for f, bracket in ((lambda x: x - 3.5, (3.5, 4.5)),
@@ -65,42 +60,58 @@ def test_grid_scan_sign_change_at_grid_zero():
         assert bisect_root(f, *bracket, 0.0) == 3.5
 
 
-def test_grid_scan_extrema_finds_sine_extrema():
-    scan = GridScan(math.sin, 0.0, 4.0 * math.pi, COARSE_GRID)
-    min_idx, max_idx = scan.extrema()
-    min_xs = [golden_min(math.sin, *scan.around(i))[0] for i in min_idx]
-    max_xs = [golden_max(math.sin, *scan.around(i))[0] for i in max_idx]
-    # the grid is symmetric about each extremum, so every extremum shows
-    # as a flat run of two equal grid values and is refined twice
-    for xs, want in ((min_xs, (1.5, 3.5)), (max_xs, (0.5, 2.5))):
-        assert xs == pytest.approx([w * math.pi for w in want for _ in (0, 1)],
-                                   abs=1e-7)
-
-    # unit steps on the grid i + 0.5: the two grid values next to the
-    # minimum at 1000 are both exactly 0.25, a flat run of two, and both
-    # refine to the one minimum
-    f = lambda x: (x - 1000.0) ** 2
-    scan = GridScan(f, 0.0, 2048.0, COARSE_GRID)
-    assert scan.extrema() == ([999, 1000], [])
-    for i in (999, 1000):
-        assert abs(golden_min(f, *scan.around(i))[0] - 1000.0) < 1e-6
+def test_critical_levels_are_the_zeros_of_cos():
+    # the extrema of sin on (0, 4 pi), each bisected to machine resolution
+    levels = critical_levels(math.cos, 0.0, 4.0 * math.pi)
+    assert levels == pytest.approx([k * math.pi / 2.0 for k in (1, 3, 5, 7)],
+                                   rel=0.0, abs=1e-14)
 
 
-def test_grid_min_global():
-    f = lambda x: math.cos(3.0 * x) + 0.1 * x
-    x, v = grid_min(f, 0.0, 5.0)
-    xs = [i * 5.0 / 100000 for i in range(100001)]
-    brute = min(f(t) for t in xs)
-    assert v <= brute + 1e-9
+def test_critical_level_on_a_grid_point_is_found_once_and_exactly():
+    # grid 0.5, 1.5, ..., GRID - 0.5: both slopes vanish on the grid
+    # point 1000.5, one crossing upwards and one downwards
+    for g in (lambda x: x - 1000.5, lambda x: 1000.5 - x):
+        assert critical_levels(g, 0.0, float(GRID)) == [1000.5]
 
-    # equal minima at 1 and 3, tied exactly on the dyadic grid: the
-    # first smallest grid value picks the bracket, so the left one wins
-    g = lambda x: abs(abs(x - 2.0) - 1.0)
-    scan = GridScan(g, 0.0, 4.0, COARSE_GRID)
-    i = scan.argmin()
-    assert scan.vs[i] == scan.vs[-1 - i] and scan.xs[i] < 2.0
-    x, v = grid_min(g, 0.0, 4.0)
-    assert abs(x - 1.0) < 1e-8 and v < 1e-8
+
+def test_critical_levels_without_a_sign_change_are_empty():
+    assert critical_levels(lambda x: x * x + 1.0, -1.0, 1.0) == []
+    assert critical_levels(math.exp, 0.0, 5.0) == []
+
+
+def test_cut_points_separate_sign_changes_within_one_grid_step():
+    # both zeros lie between the grid points 0.5 and 1.5; a cut between
+    # them, or at the ends of a sub-interval holding one, shows each
+    def g(x):
+        return (x - 0.7) * (x - 0.9)
+
+    assert critical_levels(g, 0.0, float(GRID)) == []
+    assert critical_levels(g, 0.0, float(GRID), [0.8]) == pytest.approx(
+        [0.7, 0.9], rel=0.0, abs=1e-15)
+    assert critical_levels(g, 0.0, float(GRID), [0.6, 0.8]) == pytest.approx(
+        [0.7, 0.9], rel=0.0, abs=1e-15)
+    # a cut outside the scanned range is dropped, never sampled
+    assert critical_levels(g, 0.0, float(GRID), [-1.0]) == []
+
+
+def test_every_public_numerics_name_has_a_caller():
+    # a helper whose last caller went is dead code, however well tested
+    numerics = pathlib.Path(bufchem._numerics.__file__)
+    tree = ast.parse(numerics.read_text())
+    names = [node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    names += [target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)]
+    public = [name for name in names if not name.startswith("_")]
+    # names the code of the other modules reads; comments, docstrings
+    # and bare imports do not count
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in sorted(numerics.parent.glob("*.py"))
+            if path != numerics
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [name for name in public if name not in used]
+    assert public and not unused
 
 
 def test_cubic_roots_against_numpy():
