@@ -180,10 +180,25 @@ class GridScan:
 
         The sign is v > 0, so a crossing through an exact grid zero gives
         one bracket, with the zero at an end where bisect_root returns it.
+        A run of exact zeros whose nearest non-zero neighbours share a
+        sign is a touch, not a crossing, and gives none; a run that
+        reaches an end of the grid keeps its v > 0 flip.
         """
-        xs, vs = self.xs, self.vs
-        return [(xs[i - 1], xs[i]) for i in range(1, self.n)
-                if (vs[i] > 0.0) != (vs[i - 1] > 0.0)]
+        xs, vs, n = self.xs, self.vs, self.n
+        found = []
+        for i in range(1, n):
+            if (vs[i] > 0.0) == (vs[i - 1] > 0.0):
+                continue
+            lo, hi = i - 1, i
+            while lo > 0 and vs[lo] == 0.0:
+                lo -= 1
+            while hi < n - 1 and vs[hi] == 0.0:
+                hi += 1
+            if (vs[lo] != 0.0 and vs[hi] != 0.0
+                    and (vs[lo] > 0.0) == (vs[hi] > 0.0)):
+                continue  # a touch
+            found.append((xs[i - 1], xs[i]))
+        return found
 
     def around(self, i: int) -> tuple[float, float]:
         """The grid neighbours of x[i], with lo and hi past either end."""

@@ -5,13 +5,16 @@ states here are 2- or 4-vectors and the right-hand sides are a handful
 of arithmetic ops, so tuples beat array machinery on both speed and
 allocation churn at this size.
 
-One step is a function written out over scalars, generated on first use
-for each state size (2: one vessel, 4: buffered) and rate-law kind from
-one template over the tableau entries: the seven stages, the right-hand
-side of each stage with the rate law written in (Haldane and Monod by
-their closed forms; every other law, and any subclass, by a call of its
-_rate_raw), and the error estimate per component, with no loop, zip,
-generator or call of a right-hand side.  The same factory gives the
+The adaptive loop of a run is one function written out over scalars,
+generated on first use for each state size (2: one vessel, 4: buffered)
+and rate-law kind from one template over the tableau entries.  Each
+pass of it takes the seven stages, the right-hand side of each stage
+with the rate law written in (Haldane and Monod by their closed forms;
+every other law, and any subclass, by a call of its _rate_raw), the
+error estimate per component, both rejection rules, the step-size
+controller, the stiffness floor and the exact landing on t_end, with no
+loop over components, zip, generator, call of a right-hand side or of a
+step, and no tuple but the accepted state.  The same factory gives the
 right-hand side f(t, y) that sizes the first step.  Each weighted sum is
 taken left to right from 0.0, exactly as the builtin sum() of Python
 3.11 adds floats, and the error norm adds the components in order from
@@ -27,8 +30,9 @@ on that structure surviving integration exactly.
 One settling rule decides where a run went: it has settled on a
 candidate state when its last state is within eps (sup-norm) of it and
 every state of the last 10% of the run, by time, stayed within 2*eps.
-detect_convergence applies it to a stored trajectory; basin_probe checks
-it after each accepted step and stops the run once it holds.
+It is written out too, per state size and number of candidates.
+detect_convergence applies it to a stored trajectory; basin_probe hands
+it to integrate as the stop condition, checked after each accepted step.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ import bisect
 import functools
 import math
 import operator
+from itertools import chain, repeat
 from typing import Callable, Optional, Sequence, Union
 
 from ._numerics import Record, finite_positive
@@ -95,23 +100,81 @@ _LAWS = {
 }
 
 
+# integrate's adaptive loop, for _dp5_step to fill in with the written-out
+# stages, error norm and state update of one system.  The controller's
+# min(u, max(l, v)) is written (v if v < u else u) if v > l else l, and
+# max(err_n, 1e-10) is err_n if err_n > 1e-10 else 1e-10: the values min
+# and max give.
+_RUN = """
+    def run(t_end, h, y, k1, abs_tol, rel_tol, max_step, neg_floor, h_min,
+            stop):
+        {y}, = y
+        {k1}, = k1
+        sqrt = math.sqrt
+        t = 0.0
+        times = [t]
+        states = [y]
+        accepted = rejected = 0
+        while t < t_end:
+            if max_step < h:
+                h = max_step
+            # the step that reaches t_end ends there exactly: t + (t_end - t)
+            # can round one ulp short and leave a step no run could take
+            last = h >= t_end - t
+            if last:
+                h = t_end - t
+            if h < h_min:
+                raise StiffnessError(t, y)
+{stages}
+            acc = 0.0
+{norm}
+            err_n = sqrt(acc / {n})
+            if not err_n <= 1.0:
+                if not math.isfinite(err_n):
+                    raise ValueError(
+                        "error norm is %r at t = %r: the right-hand side "
+                        "is not finite along this step" % (err_n, t))
+                rejected += 1
+                fac = 0.9 * err_n ** -0.2
+                h *= (fac if fac < 1.0 else 1.0) if fac > 0.2 else 0.2
+                continue
+            # min(y_new) < neg_floor; a NaN component made err_n NaN above
+            if {below_floor}:
+                rejected += 1
+                h *= 0.5
+                continue
+            t = t_end if last else t + h
+{advance}
+            accepted += 1
+            times.append(t)
+            states.append(y)
+            if stop is not None and stop(t, y):
+                break
+            fac = 0.9 * (err_n if err_n > 1e-10 else 1e-10) ** -0.2
+            h *= (fac if fac < 5.0 else 5.0) if fac > 0.2 else 0.2
+        return times, states, accepted, rejected
+"""
+
+
 @functools.cache
 def _dp5_step(n: int, law: str) -> Callable:
-    """The factory of the written-out Dormand-Prince step of one system.
+    """The factory of the written-out Dormand-Prince loop of one system.
 
-    _dp5_step(n, law)(*constants, *law_parameters) returns (rhs, step)
+    _dp5_step(n, law)(*constants, *law_parameters) returns (rhs, run)
     for the system over n-component states (_SYSTEMS) and the rate-law
-    kind law (_LAWS).  rhs(t, y) is the right-hand side.  step(h, y, k1,
-    abs_tol, rel_tol) returns (y_new, k7, err_n): the fifth-order
-    solution at t + h, rhs there (the next step's k1) and the RMS error
-    norm scaled by abs_tol + rel_tol * max(|y|, |y_new|).  The step's
-    source works on scalar locals: y_0, k1_0, ..., k7_{n-1}, each
-    stage's input in the state's names and the rates m1, m2.
+    kind law (_LAWS).  rhs(t, y) is the right-hand side.  run(t_end, h,
+    y, k1, abs_tol, rel_tol, max_step, neg_floor, h_min, stop) is
+    integrate's adaptive loop from t = 0, state y, rhs there k1 and a
+    first step h (_RUN): it returns the lists of accepted times and
+    states with the counts of accepted and rejected steps.  Its source
+    works on scalar locals: y_0, k1_0, ..., k7_{n-1}, each stage's input
+    in the state's names and the rates m1, m2; the only tuple it builds
+    is each accepted state.
     """
     constants, state, substrates, components = _SYSTEMS[n]
     parameters, rate = _LAWS[law]
     comps = range(n)
-    ind = " " * 8
+    ind = " " * 12
 
     def names(v: str) -> str:
         return ", ".join(f"{v}_{i}" for i in comps)
@@ -126,37 +189,36 @@ def _dp5_step(n: int, law: str) -> Callable:
         # stage 7's input is the fifth-order solution itself (FSAL)
         lines = [f"{ind}{v} = y_{i} + h * ({weighted(_A[s - 1], i)})"
                  for i, v in enumerate(state)]
-        return lines + rates() + [f"{ind}k{s}_{i} = {c}"
-                                  for i, c in enumerate(components)]
+        return lines + rates(ind) + [f"{ind}k{s}_{i} = {c}"
+                                     for i, c in enumerate(components)]
 
-    def rates() -> list[str]:
-        return [f"{ind}m{j} = {rate.format(s=v)}"
+    def rates(indent: str) -> list[str]:
+        return [f"{indent}m{j} = {rate.format(s=v)}"
                 for j, v in enumerate(substrates, 1)]
 
-    lines = [f"def factory({', '.join(constants + parameters)}):",
-             "    def rhs(t, y):",
-             f"        {', '.join(state)}, = y"]
-    lines += rates()
-    lines += [f"        return ({', '.join(components)},)",
-              "",
-              "    def step(h, y, k1, abs_tol, rel_tol):",
-              f"        {names('y')}, = y",
-              f"        {names('k1')}, = k1"]
-    for s in range(2, 8):
-        lines += stage(s)
-    lines.append("        acc = 0.0")
+    stages = [line for s in range(2, 8) for line in stage(s)]
     # max(a, b) is b if b > a else a, ties and NaN included
-    for i, v in enumerate(state):
-        lines += [f"        a = abs(y_{i})",
-                  f"        b = abs({v})",
-                  f"        acc += (h * ({weighted(_E, i)}) / (abs_tol"
-                  f" + rel_tol * (b if b > a else a))) ** 2"]
-    lines += [f"        return ({', '.join(state)},), ({names('k7')},), "
-              f"math.sqrt(acc / {n})",
-              "",
-              "    return rhs, step"]
+    norm = [line for i, v in enumerate(state) for line in (
+        f"{ind}a = abs(y_{i})",
+        f"{ind}b = abs({v})",
+        f"{ind}acc += (h * ({weighted(_E, i)}) / (abs_tol"
+        f" + rel_tol * (b if b > a else a))) ** 2")]
+    advance = ([f"{ind}y_{i} = {v}" for i, v in enumerate(state)]
+               + [f"{ind}k1_{i} = k7_{i}" for i in comps]
+               + [f"{ind}y = ({', '.join(state)},)"])
+    source = "\n".join(
+        [f"def factory({', '.join(constants + parameters)}):",
+         "    def rhs(t, y):",
+         f"        {', '.join(state)}, = y"]
+        + rates(" " * 8)
+        + [f"        return ({', '.join(components)},)",
+           _RUN.format(
+               y=names("y"), k1=names("k1"), stages="\n".join(stages),
+               norm="\n".join(norm), n=n, advance="\n".join(advance),
+               below_floor=" or ".join(f"{v} < neg_floor" for v in state)),
+           "    return rhs, run"])
     namespace: dict = {}
-    exec(compile("\n".join(lines), f"<dp5 step, n = {n}, {law} law>", "exec"),
+    exec(compile(source, f"<dp5 loop, n = {n}, {law} law>", "exec"),
          globals(), namespace)
     return namespace["factory"]
 
@@ -207,11 +269,17 @@ class Trajectory(Record):
     rejected_steps: int
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.times[:-1], self.times[1:])):
+        times, states = self.times, self.states
+        if any(map(operator.ge, times[:-1], times[1:])):
             raise ValueError("times must be strictly increasing")
-        if any(c < _STATE_FLOOR for st in self.states for c in st):
+        if any(map(operator.lt, chain.from_iterable(states),
+                   repeat(_STATE_FLOOR))):
             raise ValueError(
                 f"state components must stay above {_STATE_FLOOR}")
+        # NaN passes both comparisons above
+        if not all(map(math.isfinite,
+                       chain(times, chain.from_iterable(states)))):
+            raise ValueError("times and state components must be finite")
 
     @property
     def final(self) -> State:
@@ -233,7 +301,8 @@ def _law(model) -> tuple[str, tuple]:
 
 def _rhs_and_step(system: Union[SingleParams, BufferedConfig], n: int
                   ) -> tuple[Callable[[float, State], State], Callable]:
-    """The right-hand side f(t, y) of system and its written-out step."""
+    """The right-hand side f(t, y) of system and its written-out
+    Dormand-Prince loop (_dp5_step)."""
     if isinstance(system, SingleParams):
         if n != 2:
             raise ValueError("single-vessel states have 2 components")
@@ -296,51 +365,12 @@ def integrate(system: Union[SingleParams, BufferedConfig],
     neg_floor = max(-_NEG_FLOOR_FACTOR * abs_tol, _STATE_FLOOR)
     h_min = _MIN_STEP_FACTOR * t_end
 
-    f, step = _rhs_and_step(system, len(y))
-    t = 0.0
-    k1 = f(t, y)
-    h = _initial_step(f, t, y, k1, abs_tol, rel_tol, t_end, max_step)
-
-    times = [t]
-    states = [y]
-    accepted = 0
-    rejected = 0
-    while t < t_end:
-        if max_step < h:
-            h = max_step
-        # the step that reaches t_end ends there exactly: t + (t_end - t)
-        # can round one ulp short and leave a step no run could take
-        last = h >= t_end - t
-        if last:
-            h = t_end - t
-        if h < h_min:
-            raise StiffnessError(t, y)
-
-        y_new, k7, err_n = step(h, y, k1, abs_tol, rel_tol)
-
-        if not err_n <= 1.0:
-            if not math.isfinite(err_n):
-                raise ValueError(
-                    f"error norm is {err_n} at t = {t}: the right-hand side "
-                    f"is not finite along this step")
-            rejected += 1
-            h *= min(1.0, max(0.2, 0.9 * err_n ** -0.2))
-            continue
-        if min(y_new) < neg_floor:
-            rejected += 1
-            h *= 0.5
-            continue
-
-        t = t_end if last else t + h
-        y = y_new
-        k1 = k7
-        accepted += 1
-        times.append(t)
-        states.append(y)
-        if stop_condition is not None and stop_condition(t, y):
-            break
-        h *= min(5.0, max(0.2, 0.9 * max(err_n, 1e-10) ** -0.2))
-
+    rhs, run = _rhs_and_step(system, len(y))
+    k1 = rhs(0.0, y)
+    h = _initial_step(rhs, 0.0, y, k1, abs_tol, rel_tol, t_end, max_step)
+    times, states, accepted, rejected = run(
+        t_end, h, y, k1, abs_tol, rel_tol, max_step, neg_floor, h_min,
+        stop_condition)
     return Trajectory(tuple(times), tuple(states), accepted, rejected)
 
 
@@ -348,35 +378,80 @@ def _candidate_state(candidate) -> State:
     return candidate.state if hasattr(candidate, "state") else tuple(candidate)
 
 
-def _settling(candidates: Sequence, eps: float, t0: float, n: int
-              ) -> Callable[[float, State], Optional[int]]:
-    """The settling rule, fed the states (t, y) of one run in time order.
+@functools.cache
+def _settling_rule(n: int, m: int) -> Callable:
+    """The factory of the written-out settling rule of m candidates over
+    n-component states.
 
-    It keeps the last time the run was over 2*eps from each candidate,
-    and returns the first candidate within eps of y whose last far time
-    is before t_cut = t - 0.1 * (t - t0), else None.  A candidate whose
-    length is not the state size n is a ValueError.
+    _settling_rule(n, m)(*coordinates, eps, eps2, t0), given the
+    candidates' coordinates in order and eps2 = 2 * eps, returns
+    (settled, label) as _settling describes.  settled works on the
+    state's components y_0, ... as locals and closes over the
+    coordinates r{j}_{i}; the far times far_{j} and the label are cells.
     """
+    coordinates = [f"r{j}_{i}" for j in range(m) for i in range(n)]
+    fars = [f"far_{j}" for j in range(m)]
+    lines = [f"def factory({', '.join(coordinates + ['eps', 'eps2', 't0'])}):"]
+    if m:
+        lines.append(f"    {' = '.join(fars)} = -math.inf")
+    lines += ["    found = None",
+              "",
+              "    def settled(t, y):",
+              f"        nonlocal {', '.join(fars + ['found'])}",
+              f"        [{', '.join(f'y_{i}' for i in range(n))}] = y",
+              "        t_cut = t - 0.1 * (t - t0)",
+              "        hit = None"]
+    for j in range(m):
+        # the sup-norm distance as max() takes it: a later component
+        # replaces d only if it is greater
+        lines.append(f"        d = abs(y_0 - r{j}_0)")
+        for i in range(1, n):
+            lines += [f"        e = abs(y_{i} - r{j}_{i})",
+                      "        d = e if e > d else d"]
+        lines += ["        if not d <= eps2:",
+                  f"            far_{j} = t",
+                  "        elif hit is None and d <= eps and"
+                  f" far_{j} < t_cut:",
+                  f"            hit = {j}"]
+    lines += ["        found = hit",
+              "        return hit is not None",
+              "",
+              "    def label():",
+              "        return found",
+              "",
+              "    return settled, label"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<settling rule, n = {n}, m = {m}>",
+                 "exec"), globals(), namespace)
+    return namespace["factory"]
+
+
+def _settling(candidates: Sequence, eps: float, t0: float, n: int
+              ) -> tuple[Callable[[float, State], bool],
+                         Callable[[], Optional[int]]]:
+    """The settling rule of one run: (settled, label).
+
+    settled(t, y) is fed the states of the run in time order.  It keeps
+    the last time the run was over 2*eps from each candidate, records as
+    the label the first candidate within eps of y whose last far time is
+    before t_cut = t - 0.1 * (t - t0), else None, and returns whether it
+    found one; label() is the label recorded last.  A candidate whose
+    length is not the state size n, or with a non-finite coordinate, is
+    a ValueError.
+    """
+    if n < 1:
+        raise ValueError("the states have no components")
     refs = list(map(_candidate_state, candidates))
     for i, ref in enumerate(refs):
         if len(ref) != n:
             raise ValueError(
                 f"candidate {i} has {len(ref)} components, the states "
                 f"have {n}")
-    far = [-math.inf] * len(refs)
-
-    def verdict(t: float, y: State) -> Optional[int]:
-        t_cut = t - 0.1 * (t - t0)
-        label = None
-        for i, ref in enumerate(refs):
-            d = max(map(abs, map(operator.sub, y, ref)))
-            if not d <= 2.0 * eps:
-                far[i] = t
-            elif label is None and d <= eps and far[i] < t_cut:
-                label = i
-        return label
-
-    return verdict
+        if not all(map(math.isfinite, ref)):
+            raise ValueError(
+                f"candidate {i} has a non-finite coordinate: {ref}")
+    return _settling_rule(n, len(refs))(*chain.from_iterable(refs), eps,
+                                        2.0 * eps, t0)
 
 
 def detect_convergence(traj: Trajectory, candidates: Sequence,
@@ -387,16 +462,17 @@ def detect_convergence(traj: Trajectory, candidates: Sequence,
     candidate and the last 10% of the run (by time) stayed within 2*eps;
     the first candidate that passes wins.  Earlier states cannot change
     the verdict, so only that tail is fed to the rule.  A candidate of
-    another length than the states is a ValueError.
+    another length than the states, or with a non-finite coordinate, is
+    a ValueError.
     """
     if not finite_positive(eps):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     times = traj.times
     tail = bisect.bisect_left(times, times[-1] - 0.1 * (times[-1] - times[0]))
-    verdict = _settling(candidates, eps, times[0], len(traj.final))
+    settled, label = _settling(candidates, eps, times[0], len(traj.final))
     for t, y in zip(times[tail:], traj.states[tail:]):
-        label = verdict(t, y)
-    return label
+        settled(t, y)
+    return label()
 
 
 def basin_probe(system: Union[SingleParams, BufferedConfig],
@@ -412,7 +488,8 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     or stiffness failure).  Runs execute sequentially in input order, so
     output ordering and determinism hold regardless of environment.  A
     candidate of another length than a start is a ValueError, raised
-    before that start is integrated.
+    before that start is integrated; one with a non-finite coordinate is
+    a ValueError raised before the first start is.
     """
     if not grid or not candidates:
         raise ValueError("basin_probe needs a non-empty grid and candidates")
@@ -421,17 +498,10 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     labels: list[Optional[int]] = []
     for x0 in grid:
         # a run starts at t = 0, which is never in its last 10%
-        verdict = _settling(candidates, eps, 0.0, len(x0))
-        label = None
-
-        def stop(t: float, y: State) -> bool:
-            nonlocal label
-            label = verdict(t, y)
-            return label is not None
-
+        settled, label = _settling(candidates, eps, 0.0, len(x0))
         try:
-            integrate(system, x0, settings, stop_condition=stop)
+            integrate(system, x0, settings, stop_condition=settled)
         except StiffnessError:
-            pass  # label stays None
-        labels.append(label)
+            pass  # no state settled, so the label is None
+        labels.append(label())
     return labels

@@ -74,6 +74,22 @@ def test_critical_level_on_a_grid_point_is_found_once_and_exactly():
         assert critical_levels(g, 0.0, float(GRID)) == [1000.5]
 
 
+def test_critical_level_touching_zero_on_a_grid_point_is_no_sign_change():
+    # on the grid point 1000.5 (x - 1000.5)^2 touches zero from above and
+    # its negation from below: neither is a sign change, while the slope
+    # crossing there is still found once; the same holds for a run of
+    # grid zeros, 998.5 to 1002.5
+    def flat(x):
+        return max(abs(x - 1000.5) - 2.0, 0.0)
+
+    for g in (lambda x: (x - 1000.5) ** 2, lambda x: -(x - 1000.5) ** 2,
+              flat):
+        assert critical_levels(g, 0.0, float(GRID)) == []
+    assert critical_levels(lambda x: x - 1000.5, 0.0, float(GRID)) == [1000.5]
+    assert critical_levels(lambda x: math.copysign(flat(x), x - 1000.5),
+                           0.0, float(GRID)) == [1002.5]
+
+
 def test_critical_levels_without_a_sign_change_are_empty():
     assert critical_levels(lambda x: x * x + 1.0, -1.0, 1.0) == []
     assert critical_levels(math.exp, 0.0, 5.0) == []

@@ -1,9 +1,11 @@
 """Adaptive integrator and convergence detection."""
 import hashlib
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bufchem import (
     BufferedConfig,
@@ -21,6 +23,7 @@ from bufchem import (
     simulate,
     split_threshold,
 )
+from bufchem.simulate import StiffnessError
 from conftest import draw_buffered_config
 
 
@@ -233,6 +236,142 @@ def test_basin_probe_refuses_candidates_of_another_size(
         basin_probe(cfg, [(1.0, 0.2, 1.0, 0.2)], None, [(1.0, 0.2)])
     with pytest.raises(ValueError, match="candidate 0 has 4 .* have 2"):
         basin_probe(single, [(1.0, 0.2)], None, [(1.0, 0.2, 1.0, 0.2)])
+
+
+def test_trajectory_refuses_non_finite_times_and_states():
+    # NaN passes every ordering comparison, so it gets its own check;
+    # -inf stays a floor violation, as it was before the finite check
+    states = ((1.0, 0.0), (1.0, 0.0))
+    for times, states_ in (((0.0, math.nan), states),
+                           ((math.nan, 1.0), states),
+                           ((0.0, math.inf), states),
+                           ((0.0, 1.0), ((1.0, 0.0), (math.nan, 0.0))),
+                           ((0.0, 1.0), ((1.0, math.inf), (1.0, 0.0)))):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(times, states_, 1, 0)
+    with pytest.raises(ValueError, match="above"):
+        Trajectory((0.0, 1.0), ((1.0, -math.inf), (1.0, 0.0)), 1, 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory((1.0, 1.0, math.nan), states + states[:1], 2, 0)
+
+
+def test_non_finite_candidates_are_refused_before_any_start(
+        reference_model, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before the candidates were checked")
+
+    single = SingleParams(reference_model, 1.4, 1.0)
+    traj = integrate(single, (1.0, 0.1), IntegratorSettings(t_end=5.0))
+    monkeypatch.setattr(simulate, "integrate", never)
+    for bad in (math.nan, math.inf, -math.inf):
+        candidates = [(1.4, 0.0), (bad, 0.2)]
+        with pytest.raises(ValueError, match="candidate 1 .*finite"):
+            detect_convergence(traj, candidates)
+        with pytest.raises(ValueError, match="candidate 1 .*finite"):
+            basin_probe(single, [(1.0, 0.2), (0.5, 0.5)], None, candidates)
+
+
+# mu grows so fast that, once the tiny inoculum has grown, no step above
+# the h_min floor passes the error test; the run accepts a few steps first
+STIFF = SingleParams(CustomUnimodal(lambda s: 1e16 * s / (1.0 + s),
+                                    lambda s: 1e16 / (1.0 + s) ** 2,
+                                    math.inf), 1.4, 1.0)
+STIFF_START = (1.0, 1e-300)
+
+
+def test_step_size_underflow_raises_with_the_last_accepted_step():
+    accepted = [(0.0, STIFF_START)]
+
+    def record(t, y):
+        accepted.append((t, y))
+        return False
+
+    with pytest.raises(StiffnessError, match="step size underflow") as err:
+        integrate(STIFF, STIFF_START, None, record)
+    assert len(accepted) > 1
+    assert (err.value.time, err.value.last_state) == accepted[-1]
+
+
+def test_basin_probe_labels_a_stiff_start_none_and_goes_on():
+    # without biomass the stiff law never acts: that start washes out
+    grid = [STIFF_START, (1.0, 0.0), STIFF_START, (0.2, 0.0)]
+    assert basin_probe(STIFF, grid, None, [(1.4, 0.0)]) == [None, 0, None, 0]
+
+
+def _reference_settling(times, states, candidates, eps, t0):
+    """The settling rule as a plain loop: the label after each state."""
+    far = [-math.inf] * len(candidates)
+    labels = []
+    for t, y in zip(times, states):
+        t_cut = t - 0.1 * (t - t0)
+        label = None
+        for i, ref in enumerate(candidates):
+            d = max(abs(a - b) for a, b in zip(y, ref))
+            if d > 2.0 * eps:
+                far[i] = t
+            elif label is None and d <= eps and far[i] < t_cut:
+                label = i
+        labels.append(label)
+    return labels
+
+
+# dyadic eps, coordinates and times, so that a state drawn at an offset of
+# eps or 2 eps from a candidate is exactly that far from it
+EPS = 2.0 ** -20
+OFFSETS = [k * EPS / 2.0 for k in range(-6, 7)]
+
+
+@st.composite
+def settling_runs(draw):
+    """(candidates, t0, times, states): states near the candidates."""
+    n = draw(st.sampled_from([1, 2, 4]))
+    # few coordinates, so that candidates coincide or lie within eps
+    coordinate = st.sampled_from([0.5, 0.5 + EPS, 0.75])
+    candidates = draw(st.lists(
+        st.tuples(*[coordinate] * n), min_size=1, max_size=3))
+    t0 = draw(st.sampled_from([0.0, 3.0, -2.0, 1024.0]))
+    steps = draw(st.lists(st.sampled_from([0.125, 0.5, 1.0, 4.0]),
+                          min_size=1, max_size=40))
+    times = list(itertools.accumulate(steps, initial=t0))
+    states = [tuple(c + draw(st.sampled_from(OFFSETS))
+                    for c in draw(st.sampled_from(candidates)))
+              for _ in times]
+    return candidates, t0, times, states
+
+
+def _dwell(candidate, far_at, times):
+    """On candidate, except 3 eps off at the times far_at."""
+    return [tuple(c + (3.0 * EPS if t in far_at else 0.0) for c in candidate)
+            for t in times]
+
+
+TEN = [float(t) for t in range(11)]
+LATE = TEN[:10] + [9.5, 10.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(settling_runs())
+# the last state exactly eps, the one before exactly 2 eps away
+@example(([(0.5, 0.5)], 0.0, TEN,
+          [(0.5, 0.5)] * 9 + [(0.5 + 2.0 * EPS, 0.5), (0.5, 0.5 + EPS)]))
+# a tie: the state is within eps of both candidates, and the first wins
+@example(([(0.5, 0.5), (0.5 + EPS, 0.5)], 0.0, TEN,
+          [(0.5 + EPS / 2.0, 0.5)] * 11))
+# an excursion inside the last 10% of the run, and one just before it
+@example(([(0.75,)], 0.0, LATE, _dwell((0.75,), {9.5}, LATE)))
+@example(([(0.75,)], 0.0, TEN, _dwell((0.75,), {8.0}, TEN)))
+# t0 != 0: the last 10% starts at 1033, after the excursion at 1030
+@example(([(0.5, 0.75)], 1024.0, [1024.0 + t for t in TEN],
+          _dwell((0.5, 0.75), {1030.0}, [1024.0 + t for t in TEN])))
+def test_settling_rule_matches_the_plain_loop(run):
+    candidates, t0, times, states = run
+    expected = _reference_settling(times, states, candidates, EPS, t0)
+    settled, label = simulate._settling(candidates, EPS, t0, len(states[0]))
+    for t, y, want in zip(times, states, expected):
+        assert settled(t, y) is (want is not None)
+        assert label() == want
+    traj = Trajectory(tuple(times), tuple(states), len(times) - 1, 0)
+    assert detect_convergence(traj, candidates, EPS) == expected[-1]
 
 
 BISTABLE_GRID = [(s, x) for s in (0.1, 0.4, 0.7, 1.0, 1.3)
