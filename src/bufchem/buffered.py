@@ -342,18 +342,22 @@ def _scan_levels(config: BufferedConfig) -> list[float]:
     """Rest levels of any rate law.  The zeros of the deficit's slope cut
     (0, S_in) into monotone pieces; each piece whose ends differ in sign
     holds one root, and a critical point where the deficit vanishes is a
-    double root.  It shares nothing with the Haldane cubic but the final
-    polish."""
+    double root.  The pieces beside a double root are not bisected: a
+    deficit within the tolerance of zero may still change sign there,
+    and would split the one root into three.  It shares nothing with the
+    Haldane cubic but the final polish."""
     S_in = config.S_in
     _, _, f, fp = _deficit_fn(config)
     crit = critical_levels(fp, 0.0, S_in)
     cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
     vals = [f(c) for c in cuts]
     tol = _TANGENCY_TOL * max(1.0, config.D)
-    roots = [c for c, v in zip(crit, vals[1:]) if abs(v) <= tol]
+    double = [False, *(abs(v) <= tol for v in vals[1:-1]), False]
+    roots = [c for c, d in zip(cuts, double) if d]
     roots += [bisect_root(f, a, b, 0.0)
-              for a, b, fa, fb in zip(cuts, cuts[1:], vals, vals[1:])
-              if (fa > 0.0) != (fb > 0.0)]
+              for a, b, fa, fb, da, db in zip(cuts, cuts[1:], vals, vals[1:],
+                                              double, double[1:])
+              if not (da or db) and (fa > 0.0) != (fb > 0.0)]
     return _polished(config, f, fp, roots)
 
 

@@ -14,7 +14,8 @@ import math
 import os
 import sys
 
-from . import buffered, design, io, multiplicity, simulate, single
+from . import (buffered, design, io, multiplicity, simulate, single,
+               stability)
 from .config import GROWTH_LAWS, ConfigError, RunConfig, parse_config
 from .kinetics import GrowthModel
 
@@ -22,6 +23,10 @@ __all__ = ["main"]
 
 _DEFAULT_SWEEP_POINTS = 400
 _COMPARISON_POINTS = 30
+_BASIN_GRID = 20
+# the single vessel's attractors by portrait tag, in label order
+_SINGLE_ATTRACTORS = ((single.TAG_POSITIVE_ATTRACTING, "survival"),
+                      (single.TAG_WASHOUT_ATTRACTING, "washout"))
 
 
 def _model_payload(model: GrowthModel) -> dict:
@@ -177,6 +182,48 @@ def _cmd_simulate(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     return [path]
 
 
+def _cmd_basin(cfg: RunConfig, out: str, fmt: str) -> list[str]:
+    # label the midpoint grid over (0, S_in)^2: the single vessel's
+    # starts, or the main vessel's with the buffer at its own rest state,
+    # the slice every buffered run ends on (the buffer's equations leave
+    # out the main vessel)
+    n, S_in, bc = _BASIN_GRID, cfg.S_in, cfg.buffered
+    plane = [(S_in * (i + 0.5) / n, S_in * (j + 0.5) / n)
+             for i in range(n) for j in range(n)]
+    if bc is None:
+        system, buffer = cfg.single_params(), ()
+        portrait = single.classify_portrait(system)
+        attractors = {name: e.state for tag, name in _SINGLE_ATTRACTORS
+                      for e in portrait.equilibria if e.tag == tag}
+    else:
+        s2 = buffered.buffer_substrate(bc.model, S_in, bc.D, bc.alpha)
+        system, buffer = bc, (s2, S_in - s2)
+        stable = [e.state for e in buffered.find_equilibria(bc)
+                  if e.branch == buffered.BRANCH_POSITIVE
+                  and e.tag == stability.TAG_STABLE]
+        attractors = {f"positive_{k}": state
+                      for k, state in enumerate(stable)}
+    labels = simulate.basin_probe(system, [p + buffer for p in plane],
+                                  cfg.integrator, list(attractors.values()))
+    names = list(attractors)
+    basin = ["unresolved" if k is None else names[k] for k in labels]
+    csv_path = os.path.join(out, "basin.csv")
+    io.write_csv(csv_path, ["S0", "X0", "basin"],
+                 [(s, x, b) for (s, x), b in zip(plane, basin)])
+    payload = {
+        "S_in": S_in,
+        "D": cfg.D,
+        "grid": n,
+        "attractors": [{"name": name, "state": list(state)}
+                       for name, state in attractors.items()],
+        "counts": {name: basin.count(name)
+                   for name in names + ["unresolved"]},
+    }
+    json_path = os.path.join(out, "basin.json")
+    io.write_json(json_path, payload)
+    return [csv_path, json_path]
+
+
 def _cmd_audit(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     topology = cfg.audit_topology
     if topology is None:
@@ -205,6 +252,7 @@ _DISPATCH = {
     "domain": _cmd_domain,
     "design": _cmd_design,
     "simulate": _cmd_simulate,
+    "basin": _cmd_basin,
     "audit": _cmd_audit,
 }
 

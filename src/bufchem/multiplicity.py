@@ -23,6 +23,7 @@ and slope simultaneously; zero mismatch is a tangency.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ._numerics import (GridScan, Record, bisect_root, critical_levels,
@@ -118,13 +119,21 @@ class DomainCurve(Record):
     jump: Optional[tuple[float, float]]
 
     def __post_init__(self) -> None:
-        prev = 0.0
-        for alpha, r_bar in self.points:
-            if alpha <= prev:
-                raise ValueError("alphas must be strictly increasing")
+        _check_alpha_grid([alpha for alpha, _ in self.points])
+        for _, r_bar in self.points:
             if not (0.0 < r_bar <= 1.0):
                 raise ValueError(f"r_bar out of (0, 1]: {r_bar}")
-            prev = alpha
+
+
+def _check_alpha_grid(alphas) -> None:
+    """ValueError unless the alphas are finite and strictly increasing
+    from above 0; the test is written so that NaN fails it."""
+    prev = 0.0
+    for a in alphas:
+        if not prev < a < math.inf:
+            raise ValueError("alpha grid must be finite and strictly "
+                             f"increasing from above 0, got {a} after {prev}")
+        prev = a
 
 
 def _operating_point(model: GrowthModel, S_in: float, D: float,
@@ -292,16 +301,12 @@ def stable_domain_curve(model: GrowthModel, S_in: float, D: float,
     """
     if not alpha_grid:
         raise ValueError("alpha_grid must not be empty")
+    _check_alpha_grid(alpha_grid)
     bound = model.rate(S_in) / D
-    prev = 0.0
-    for a in alpha_grid:
-        if a <= prev:
-            raise ValueError("alpha_grid must be strictly increasing")
-        if a > bound + 1e-12:
-            raise ValueError(
-                f"alpha = {a} exceeds the feasibility bound mu(S_in)/D = "
-                f"{bound}")
-        prev = a
+    if alpha_grid[-1] > bound + 1e-12:
+        raise ValueError(
+            f"alpha = {alpha_grid[-1]} exceeds the feasibility bound "
+            f"mu(S_in)/D = {bound}")
 
     points = tuple((a, split_threshold(model, S_in, D, a).r_bar)
                    for a in alpha_grid)

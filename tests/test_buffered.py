@@ -19,6 +19,7 @@ from bufchem import (
     growth_deficit,
     pivot_level,
     required_growth_ratio,
+    split_threshold,
     surplus_region,
 )
 from bufchem.buffered import SingularSplitPoint, _deficit_fn, split_map
@@ -210,6 +211,29 @@ def test_scan_finds_root_pair_a_hair_past_tangency(reference_model, r):
               for model in (reference_model, wrapped)]
     assert len(levels[0]) == 3
     assert levels[1] == pytest.approx(levels[0], rel=0.0, abs=1e-10)
+
+
+def test_scan_keeps_a_double_root_whole_on_every_tangency(reference_model):
+    # at r on a tangency (r_plus_min, or an end of the extra-root band) the
+    # deficit touches zero at a critical point; the scan must count that
+    # double root once, as the Haldane cubic does, even where the deficit
+    # there changes sign within the tolerance
+    wrapped = CustomUnimodal(reference_model.rate, reference_model.rate_prime,
+                             math.sqrt(0.08))
+    tangencies = 0
+    for k in range(60):
+        alpha = 0.05 + k * 0.55 / 60
+        report = split_threshold(reference_model, 1.4, 1.0, alpha)
+        for r in (report.r_plus_min, *(report.r_minus_interval or ())):
+            if r is None or not 0.0 < r < 1.0:
+                continue
+            tangencies += 1
+            levels = [[e.s1 for e in find_equilibria(
+                           BufferedConfig(model, 1.4, 1.0, alpha, r))
+                       if e.branch == BRANCH_POSITIVE]
+                      for model in (reference_model, wrapped)]
+            assert len(levels[1]) == len(levels[0]), (alpha, r)
+    assert tangencies == 76
 
 
 def test_monod_always_single_positive_root():

@@ -2,11 +2,14 @@
 import ast
 import hashlib
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from bufchem import cli
 from conftest import run_python
 
 REFERENCE_INI = """\
@@ -217,6 +220,48 @@ def test_simulate_json_format(reference_ini, tmp_path):
     assert len(payload["times"]) == len(payload["states"])
 
 
+def basin_rows(out) -> list[list[str]]:
+    lines = (out / "basin.csv").read_text().splitlines()
+    assert lines[0] == "S0,X0,basin"
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_basin_single_vessel_map(tmp_path):
+    # no [buffered]: the bistable single vessel's two attractors split the
+    # 20x20 grid over (0, S_in)^2
+    ini = tmp_path / "run.ini"
+    ini.write_text(AUDIT)
+    result = run_cli("basin", "--config", str(ini), "--out", str(tmp_path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    payload = validate(tmp_path / "basin.json", "basin")
+    assert [a["name"] for a in payload["attractors"]] == ["survival",
+                                                          "washout"]
+    assert payload["counts"] == {"survival": 228, "washout": 172,
+                                 "unresolved": 0}
+    rows = basin_rows(tmp_path)
+    assert len(rows) == 400
+    assert {float(s) for s, _, _ in rows} == {
+        1.4 * (i + 0.5) / 20 for i in range(20)}
+
+
+@pytest.mark.parametrize("r, names", [
+    ("0.48", {"positive_0"}),
+    ("0.65", {"positive_0", "positive_1"}),
+])
+def test_basin_buffered_map(tmp_path, r, names):
+    # below r_bar (0.5378 at alpha 0.35) one attractor takes every start:
+    # the global stability the buffer buys; above it two share the grid
+    ini = tmp_path / "run.ini"
+    ini.write_text(REFERENCE_INI.replace("r = 0.48", f"r = {r}"))
+    result = run_cli("basin", "--config", str(ini), "--out", str(tmp_path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    payload = validate(tmp_path / "basin.json", "basin")
+    assert [a["name"] for a in payload["attractors"]] == sorted(names)
+    assert all(len(a["state"]) == 4 for a in payload["attractors"])
+    assert payload["counts"]["unresolved"] == 0
+    assert {b for _, _, b in basin_rows(tmp_path)} == names
+
+
 def test_audit_artifact(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(AUDIT)
@@ -318,6 +363,12 @@ RECORDED_DIGESTS = {
         "6f616ec4264cc5825d7cd59168dc720cc3215916e3398ca2ae9e6d4f4fa85105",
     "audit.json":
         "6e8ba7ded1b979e74432281bbd86d1e96905aacc8c22916f96fb8215c5ef7c4b",
+    # the single-vessel map's CSV keeps the bytes of the basin-map script
+    # it replaces
+    "basin.csv":
+        "28bfd2b293c76b7b6373b40e9631d55ac1771c74d706e78918797979f0c0e8f0",
+    "basin.json":
+        "914eafc760497a482e93898743338d90f2adafb83e30c57f446d98b21322d7ff",
 }
 
 
@@ -333,10 +384,24 @@ def test_artifacts_match_recorded_digests(reference_ini, tmp_path):
     audit_ini.write_text(AUDIT)
     runs = [(cmd, reference_ini) for cmd in
             ("kinetics", "classify", "equilibria", "domain", "design",
-             "simulate")] + [("audit", audit_ini)]
+             "simulate")] + [("audit", audit_ini), ("basin", audit_ini)]
     for cmd, ini in runs:
         result = run_cli(cmd, "--config", str(ini), "--out", str(tmp_path))
         assert result.returncode == 0, result.stdout + result.stderr
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in RECORDED_DIGESTS}
     assert digests == RECORDED_DIGESTS
+
+
+def test_docs_and_schemas_cover_every_command():
+    # the README's CLI table lists exactly the commands, in usage order,
+    # and every JSON artifact a command writes ships a schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `(\w+)`", readme, re.MULTILINE)
+    assert table == list(cli._DISPATCH)
+    written = set(re.findall(r'"(\w+)\.json"',
+                             Path(cli.__file__).read_text()))
+    assert written >= {"kinetics", "trajectory", "basin"}
+    shipped = {path.name for path in
+               (resources.files("bufchem") / "schemas").iterdir()}
+    assert {f"{name}.schema.json" for name in written} <= shipped

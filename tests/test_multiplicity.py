@@ -1,5 +1,6 @@
 """Volume-split threshold: case analysis, tangency, crosscheck, sweep."""
 import hashlib
+import math
 import random
 
 import pytest
@@ -175,6 +176,16 @@ def test_domain_curve_validation():
         DomainCurve(((0.3, 0.5), (0.2, 0.5)), None, None)
     with pytest.raises(ValueError):
         DomainCurve(((0.3, 1.5),), None, None)
+
+
+@pytest.mark.parametrize("alphas", [(math.nan, 0.2), (0.1, math.nan),
+                                    (0.1, math.inf)])
+def test_domain_curve_refuses_non_finite_alpha(reference_model, alphas):
+    # NaN fails every comparison, so it passed the increasing-order guard
+    with pytest.raises(ValueError, match="alpha grid must be finite"):
+        DomainCurve(tuple((a, 0.5) for a in alphas), None, None)
+    with pytest.raises(ValueError, match="alpha grid must be finite"):
+        stable_domain_curve(reference_model, 1.4, 1.0, list(alphas))
 
 
 def test_domain_curve_rejects_infeasible_alpha(reference_model):
