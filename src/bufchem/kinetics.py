@@ -208,8 +208,9 @@ class Haldane(GrowthModel, Record):
         if ratio <= 1.0 + 2.0 * math.sqrt(self.K / self.K_I):
             return None
         a = self.K_I * (ratio - 1.0)
-        root = math.sqrt(a * a - 4.0 * self.K * self.K_I)
-        return BreakEvenInterval(0.5 * (a - root), 0.5 * (a + root))
+        c = 2.0 * math.sqrt(self.K * self.K_I)
+        upper = 0.5 * (a + math.sqrt(a - c) * math.sqrt(a + c))
+        return BreakEvenInterval(self.K * self.K_I / upper, upper)
 
 
 class CustomUnimodal(GrowthModel, Record):

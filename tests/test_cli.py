@@ -346,19 +346,19 @@ def test_json_artifacts_are_byte_stable(reference_ini, tmp_path):
 # sha256 of each artifact of the reference and audit runs
 RECORDED_DIGESTS = {
     "kinetics.json":
-        "439582ea51182def0c36fce760ff16cb8fc6e33c8b292ecd1845ecc74cd406b3",
+        "5b9f8b59ab1ba7e4364e442550a0104ff73a96cced5ad24a955ea22d1925a155",
     "classify.json":
-        "7a227d989f48190c8df9ee2c87a1117553c7b9afc29b722c2459cbb293280d85",
+        "e4c7d000fbb2e1394d8a46748d12a40e2e387e7c9f971773342eec50d3cd554e",
     "equilibria.json":
-        "373d8d9bfb28fc2fae9aab73cfd6085daac775ad40e263d1c450bf23197ab82a",
+        "bcc5318967e7588342529f5e1ab2ad96f6e77469a2da9b0af96631b275199f71",
     "domain.csv":
-        "a940e86d3cc9e0ae874911559e0ed01b8b41ce24ae173ffd7b526f27a4a4d9a9",
+        "72de12af14057aebd741fc5f79cb87716ff6add9a6f90b0549cf1a661c1513f1",
     "domain.json":
-        "2dc194c6a961e8dec03f475c855a228318d9a025e94373fbd0473187e74ec0f9",
+        "d5eb4e594ced8cfa37f6d11462292095f21b41257d86dcb08e6109d55f38af3b",
     "design.json":
-        "43cbeb3e65124470f23f8e3330702fe49e300580b826f97aec81e4924c4ae23e",
+        "7fee5178c0c1b829b392dd7537d0b91e6b4a49879cc4e601284ef98d9b11eb9d",
     "design_comparison.csv":
-        "9f65973f23b7163d3637ea249f31564a935e8f2ef72b7a16a65f6e8133f4e1f9",
+        "aa2eeb15fd7f3885107fb278cdaf1b90d4ebccccd225f7b0ee366bef107309d8",
     "trajectory.csv":
         "6f616ec4264cc5825d7cd59168dc720cc3215916e3398ca2ae9e6d4f4fa85105",
     "audit.json":
@@ -368,7 +368,7 @@ RECORDED_DIGESTS = {
     "basin.csv":
         "28bfd2b293c76b7b6373b40e9631d55ac1771c74d706e78918797979f0c0e8f0",
     "basin.json":
-        "914eafc760497a482e93898743338d90f2adafb83e30c57f446d98b21322d7ff",
+        "9d8a84cfba7518deeefa9db9d22630d972c7574c3ed8bf2910f8a56fe64591d1",
 }
 
 

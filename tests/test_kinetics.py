@@ -1,5 +1,6 @@
 """Growth laws, their peaks, and break-even concentrations."""
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,21 @@ def test_haldane_break_even_weaker_inhibition():
     window = model.break_even(1.0)
     assert abs(window.lower - 0.09186815429239648) < 1e-12
     assert abs(window.upper - 8.708131845707605) < 1e-11
+
+
+def test_haldane_break_even_roots_match_a_decimal_reference(reference_model):
+    # 6.2e-4 is alpha * D at the smallest default alpha of `bufchem
+    # domain`; at 1e-300 the square of K_I (mu_bar / d - 1) overflows
+    mu_bar, K, K_I = (Decimal(v) for v in (12.0, 1.0, 0.08))
+    for d in (1.0, 0.35, 6.2e-4, 1e-6, 1e-9, 1e-300):
+        window = reference_model.break_even(d)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a = K_I * (mu_bar / Decimal(d) - 1)
+            upper = (a + (a * a - 4 * K * K_I).sqrt()) / 2
+            for got, want in ((window.lower, K * K_I / upper),
+                              (window.upper, upper)):
+                assert abs(Decimal(got) / want - 1) <= Decimal("1e-15"), d
 
 
 def test_haldane_peak(reference_model):

@@ -48,7 +48,7 @@ NO_UPPER_INPUTS = {
     "monod": (Monod(2.0, 1.0), 3.0, 1.0, 0.5),
 }
 RECORDED_THRESHOLD_DIGEST = (
-    "12f930d9a2154824d1c37eaf01b3e4d75ec825578afc4426c58e0d5b478f6d70")
+    "272844b30d3441cdf0f16b4f0e66779aa0b424a177664d39911fd90b681b7432")
 
 
 def test_case_classification(reference_model):
