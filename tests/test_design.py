@@ -142,6 +142,29 @@ def test_d2_interval_refuses_disconnected_set():
         report.d2_interval_for(1.0)
 
 
+# d2_interval_for on the README law at multiples of v2_inf, bit for bit:
+# too small, the last grid midpoint as the upper end, interior ends, the
+# first grid midpoint as the lower end, and an admissible set that lies
+# wholly below the first grid midpoint, which the scan does not see
+RECORDED_D2_INTERVALS = {
+    0.5: None,
+    1.001: (0.6238794999174126, 0.6243828415427509),
+    10.0: (0.06012070855415689, 0.6243828415427509),
+    100.0: (0.005992579420651442, 0.11818434084114415),
+    1e4: (0.00015247444237918216, 0.0011735182718162476),
+    1e5: None,
+}
+
+
+def test_d2_interval_matches_recorded_values(reference_model):
+    report = buffer_design(reference_model, 1.4, 1.0)
+    step = reference_model.rate(1.4) / 2048
+    assert RECORDED_D2_INTERVALS[10.0][1] == step * 2047.5
+    assert RECORDED_D2_INTERVALS[1e4][0] == step * 0.5
+    for factor, interval in RECORDED_D2_INTERVALS.items():
+        assert report.d2_interval_for(factor * report.v2_inf) == interval
+
+
 def test_preconditions_named(reference_model):
     with pytest.raises(ValueError, match="window"):
         buffer_design(reference_model, 1.4, 1.6)
