@@ -1,13 +1,14 @@
 """Small deterministic numerical helpers shared across the package.
 
-Every extremum the analysis layer needs is a zero of a closed-form
-derivative, and critical_levels finds them all the same way: one
-GridScan of the derivative on the GRID-point midpoint grid, then scalar
-bisection of each sign change.  The refinement stays scalar because it
-sets the last digits of every result: it evaluates the caller's own
-closure, so a result depends only on that closure's arithmetic.
-golden_min serves only the tangency fit, the route to r_bar that must
-stay independent of these critical levels.
+critical_levels is the one sign-change scan: it samples a function on
+the GRID-point midpoint grid and bisects each sign change.  The function
+need not be a derivative.  Every extremum the analysis layer needs is a
+zero of a closed-form derivative found this way, and so are the ends of
+the admissible buffer dilution range.  The refinement stays scalar
+because it sets the last digits of every result: it evaluates the
+caller's own closure, so a result depends only on that closure's
+arithmetic.  golden_min serves only the tangency fit, the route to
+r_bar that must stay independent of these critical levels.
 
 Every value the package returns is a Record: an immutable set of named
 fields, compared and hashed by value.
@@ -22,7 +23,7 @@ _BISECT_MAX_ITER = 200
 _GOLDEN_X_TOL = 1e-10   # relative bracket width golden_min stops at
 _NEWTON_STEPS = 8
 
-# points of every critical-level scan and of the D2 feasibility scan
+# points of every critical_levels scan
 GRID = 2048
 
 _object_setattr = object.__setattr__
@@ -159,66 +160,43 @@ def golden_min(f: Callable[[float], float], lo: float,
     return x, f(x)
 
 
-class GridScan:
-    """f sampled on the midpoint grid lo + step * (i + 0.5), i < n, and
-    at the cut points the caller adds that lie in [lo, hi].
-
-    The grid stays half a step clear of lo and hi, so f may have a pole
-    or be undefined at either end; a cut point must be where f is defined.
-    """
-
-    def __init__(self, f: Callable[[float], float], lo: float, hi: float,
-                 n: int, cuts: Sequence[float] = ()):
-        step = (hi - lo) / n
-        self.xs = sorted([lo + step * (i + 0.5) for i in range(n)]
-                         + [c for c in cuts if lo <= c <= hi])
-        self.lo, self.hi, self.n = lo, hi, len(self.xs)
-        self.vs = [f(x) for x in self.xs]
-
-    def brackets(self) -> list[tuple[float, float]]:
-        """Neighbouring grid points (x[i-1], x[i]) across which f's sign flips.
-
-        The sign is v > 0, so a crossing through an exact grid zero gives
-        one bracket, with the zero at an end where bisect_root returns it.
-        A run of exact zeros whose nearest non-zero neighbours share a
-        sign is a touch, not a crossing, and gives none; a run that
-        reaches an end of the grid keeps its v > 0 flip.
-        """
-        xs, vs, n = self.xs, self.vs, self.n
-        found = []
-        for i in range(1, n):
-            if (vs[i] > 0.0) == (vs[i - 1] > 0.0):
-                continue
-            lo, hi = i - 1, i
-            while lo > 0 and vs[lo] == 0.0:
-                lo -= 1
-            while hi < n - 1 and vs[hi] == 0.0:
-                hi += 1
-            if (vs[lo] != 0.0 and vs[hi] != 0.0
-                    and (vs[lo] > 0.0) == (vs[hi] > 0.0)):
-                continue  # a touch
-            found.append((xs[i - 1], xs[i]))
-        return found
-
-    def around(self, i: int) -> tuple[float, float]:
-        """The grid neighbours of x[i], with lo and hi past either end."""
-        return (self.xs[i - 1] if i > 0 else self.lo,
-                self.xs[i + 1] if i < self.n - 1 else self.hi)
-
-
 def critical_levels(g: Callable[[float], float], lo: float, hi: float,
                     cuts: Sequence[float] = ()) -> list[float]:
     """The sign changes of g on (lo, hi), ascending: a GRID-point scan
     brackets each one and bisection refines it to machine resolution.
+    g need not be a derivative.
 
-    g is a closed-form derivative, so these are the critical levels of
-    its curve; two sign changes within one grid step go unseen.  The
-    scan also samples g at the cuts, the ends of the sub-intervals a
-    caller reads, so a sub-interval narrower than a step keeps the sign
-    change between its ends.
+    The grid lo + step * (i + 0.5) stays half a step clear of lo and hi,
+    so g may have a pole or be undefined at either end; two sign changes
+    within one step go unseen.  g is also sampled at the cuts in [lo, hi],
+    the ends of the sub-intervals a caller reads, so a sub-interval
+    narrower than a step keeps the sign change between its ends.
+
+    The sign is v > 0, so a crossing through an exact grid zero gives one
+    bracket, with the zero at an end where bisect_root returns it.  A run
+    of exact zeros whose nearest non-zero neighbours share a sign is a
+    touch and gives none; a run that reaches an end of the grid keeps
+    its v > 0 flip.
     """
-    return [bisect_root(g, a, b, 0.0)
-            for a, b in GridScan(g, lo, hi, GRID, cuts).brackets()]
+    step = (hi - lo) / GRID
+    xs = sorted([lo + step * (i + 0.5) for i in range(GRID)]
+                + [c for c in cuts if lo <= c <= hi])
+    vs = [g(x) for x in xs]
+    last = len(xs) - 1
+    levels = []
+    for i in range(1, last + 1):
+        if (vs[i] > 0.0) == (vs[i - 1] > 0.0):
+            continue
+        a, b = i - 1, i
+        while a > 0 and vs[a] == 0.0:
+            a -= 1
+        while b < last and vs[b] == 0.0:
+            b += 1
+        if (vs[a] != 0.0 and vs[b] != 0.0
+                and (vs[a] > 0.0) == (vs[b] > 0.0)):
+            continue  # a touch
+        levels.append(bisect_root(g, xs[i - 1], xs[i], 0.0))
+    return levels
 
 
 def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._numerics import (GRID, GridScan, Record, bisect_root,
-                        critical_levels, finite_positive)
+from ._numerics import GRID, Record, critical_levels, finite_positive
 from .kinetics import GrowthModel
 
 __all__ = [
@@ -89,9 +88,8 @@ class DesignReport(Record):
 
         The admissible set is where surplus_max < D2 * v2 * (S_in -
         lower break-even of D2) < S_in; empty (None) for v2 below
-        v2_inf.  Its ends are the sign changes of the slack to the
-        nearer bound, bisected from a grid bracket; a set reaching past
-        an end grid point ends there.
+        v2_inf.  Its ends are the critical_levels of the slack to the
+        nearer bound; a set reaching past an end grid point ends there.
         """
         if not finite_positive(v2):
             raise ValueError("buffer volume fraction v2 must be positive")
@@ -101,17 +99,16 @@ class DesignReport(Record):
             load = d2 * v2 * (S_in - model.break_even(d2).lower)
             return min(load - surplus_max, S_in - load)
 
-        scan = GridScan(slack, 0.0, model.rate(S_in), GRID)
-        cuts = scan.brackets()
-        starts_inside = scan.vs[0] > 0.0
-        if len(cuts) + starts_inside > 2:
+        mu_feed = model.rate(S_in)
+        step = mu_feed / GRID
+        ends = critical_levels(slack, 0.0, mu_feed)
+        if slack(step * 0.5) > 0.0:
+            ends.insert(0, step * 0.5)
+        if len(ends) > 2:
             raise RuntimeError("admissible D2 set is not an interval; "
                                "grid shows disconnected feasibility")
-        ends = [bisect_root(slack, a, b, 0.0) for a, b in cuts]
-        if starts_inside:
-            ends.insert(0, scan.xs[0])
         if len(ends) == 1:
-            ends.append(scan.xs[-1])
+            ends.append(step * (GRID - 0.5))
         return (ends[0], ends[1]) if ends else None
 
 

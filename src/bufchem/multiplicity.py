@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ._numerics import (GridScan, Record, bisect_root, critical_levels,
-                        golden_min)
+from ._numerics import Record, bisect_root, critical_levels, golden_min
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
                        _pivot_split_map, buffer_substrate, pivot_level,
                        split_map)
@@ -269,13 +268,16 @@ def split_threshold_crosscheck(model: GrowthModel, S_in: float, D: float,
     def residual(s: float) -> float:
         return reduced(s)[0]
 
-    # both ends, and every grid value no larger than its two neighbours
-    scan = GridScan(residual, lo, hi, _FIT_STARTS)
-    vs, last = scan.vs, _FIT_STARTS - 1
+    # both end starts, and every start no larger than its two neighbours;
+    # xs pads the midpoint starts with lo and hi, so start i is xs[i + 1]
+    step = (hi - lo) / _FIT_STARTS
+    xs = [lo, *(lo + step * (i + 0.5) for i in range(_FIT_STARTS)), hi]
+    vs = [residual(x) for x in xs[1:-1]]
+    last = _FIT_STARTS - 1
     candidates: list[tuple[float, float]] = []
     for i in range(_FIT_STARTS):
         if i in (0, last) or vs[i] <= vs[i - 1] and vs[i] <= vs[i + 1]:
-            s_best, f_best = golden_min(residual, *scan.around(i))
+            s_best, f_best = golden_min(residual, xs[i], xs[i + 2])
             candidates.append((f_best, s_best))
     best_r: Optional[float] = None
     for value, s_best in candidates:

@@ -19,7 +19,6 @@ from bufchem import (BreakEvenInterval, BufferedConfig, CustomUnimodal,
 import bufchem._numerics
 from bufchem._numerics import (
     GRID,
-    GridScan,
     bisect_root,
     critical_levels,
     golden_min,
@@ -48,16 +47,6 @@ def test_golden_min_quadratic():
     x, v = golden_min(lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 2.0)
     assert abs(x - 0.3) < 1e-7
     assert abs(v - 1.0) < 1e-14
-
-
-def test_grid_scan_sign_change_at_grid_zero():
-    # grid 0.5, 1.5, ..., 7.5: f vanishes exactly on the grid point 3.5
-    for f, bracket in ((lambda x: x - 3.5, (3.5, 4.5)),
-                       (lambda x: 3.5 - x, (2.5, 3.5))):
-        scan = GridScan(f, 0.0, 8.0, 8)
-        assert scan.vs[3] == 0.0
-        assert scan.brackets() == [bracket]
-        assert bisect_root(f, *bracket, 0.0) == 3.5
 
 
 def test_critical_levels_are_the_zeros_of_cos():
