@@ -28,8 +28,8 @@ from typing import Optional
 
 from ._numerics import Record, bisect_root, critical_levels, golden_min
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
-                       _pivot_split_map, buffer_substrate, pivot_level,
-                       split_map)
+                       _check_feed, _pivot_split_map, buffer_substrate,
+                       pivot_level, split_map)
 from .kinetics import GrowthModel, Haldane
 
 __all__ = [
@@ -304,6 +304,7 @@ def stable_domain_curve(model: GrowthModel, S_in: float, D: float,
     if not alpha_grid:
         raise ValueError("alpha_grid must not be empty")
     _check_alpha_grid(alpha_grid)
+    _check_feed(S_in, D, alpha_grid[0])  # before the bound divides by D
     bound = model.rate(S_in) / D
     if alpha_grid[-1] > bound + 1e-12:
         raise ValueError(

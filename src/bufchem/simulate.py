@@ -280,6 +280,14 @@ class Trajectory(Record):
         if not all(map(math.isfinite,
                        chain(times, chain.from_iterable(states)))):
             raise ValueError("times and state components must be finite")
+        if len(times) != len(states):
+            raise ValueError(f"{len(times)} times but {len(states)} states")
+        if not times:
+            raise ValueError("a trajectory needs at least one state")
+        if len(set(map(len, states))) != 1:
+            raise ValueError("states must all have the same size")
+        if not (self.accepted_steps >= 0 and self.rejected_steps >= 0):
+            raise ValueError("step counts must be >= 0")
 
     @property
     def final(self) -> State:

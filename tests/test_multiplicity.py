@@ -194,6 +194,18 @@ def test_domain_curve_rejects_infeasible_alpha(reference_model):
         stable_domain_curve(reference_model, 1.4, 1.0, [0.1, bound * 1.5])
 
 
+def test_domain_curve_checks_the_feed_before_the_bound(reference_model):
+    # S_in and D are refused with split_threshold's messages before the
+    # feasibility bound mu(S_in) / D is formed
+    for S_in, D, message in ((1.4, 0.0, "dilution rate D"),
+                             (1.4, -1.0, "dilution rate D"),
+                             (math.nan, 1.0, "feed concentration S_in")):
+        for fn, alphas in ((split_threshold, 0.35),
+                           (stable_domain_curve, [0.1, 0.35])):
+            with pytest.raises(ValueError, match=f"^{message} must be positive$"):
+                fn(reference_model, S_in, D, alphas)
+
+
 def test_report_validation(reference_model):
     report = split_threshold(reference_model, 1.4, 1.0, 0.35)
     assert 0.0 < report.r_bar <= 1.0

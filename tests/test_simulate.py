@@ -255,6 +255,23 @@ def test_trajectory_refuses_non_finite_times_and_states():
         Trajectory((1.0, 1.0, math.nan), states + states[:1], 2, 0)
 
 
+def test_trajectory_refuses_malformed_runs():
+    # detect_convergence reads times and states in step and needs a last
+    # state, so a run of mismatched lengths, sizes or none is refused
+    one, two = (1.0, 0.0), (1.0, 0.0, 1.0, 0.0)
+    for args, message in (
+            (((0.0, 1.0), (one,), 1, 0), "2 times but 1 states"),
+            (((0.0,), (one, one), 1, 0), "1 times but 2 states"),
+            (((), (), 0, 0), "at least one state"),
+            (((0.0, 1.0), (one, two), 1, 0), "same size"),
+            (((0.0, 1.0), (one, one), -1, 0), "step counts"),
+            (((0.0, 1.0), (one, one), 1, -2), "step counts")):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(*args)
+    # the step counts stay free of the number of recorded states
+    assert Trajectory((0.0, 1.0), (one, one), 3, 1).accepted_steps == 3
+
+
 def test_non_finite_candidates_are_refused_before_any_start(
         reference_model, monkeypatch):
     def never(*args, **kwargs):
