@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._numerics import GRID, Record, critical_levels, finite_positive
+from ._numerics import (GRID, Record, bisect_root, critical_levels,
+                        finite_positive)
 from .kinetics import GrowthModel
 
 __all__ = [
@@ -89,7 +90,13 @@ class DesignReport(Record):
         The admissible set is where surplus_max < D2 * v2 * (S_in -
         lower break-even of D2) < S_in; empty (None) for v2 below
         v2_inf.  Its ends are the critical_levels of the slack to the
-        nearer bound; a set reaching past an end grid point ends there.
+        nearer bound on (0, mu(S_in)); a set reaching past the last grid
+        point ends there.  A set reaching below the first grid point has
+        its lower end bisected above the floor surplus_max / (v2 S_in),
+        below which the load cannot exceed surplus_max.  When the scan
+        finds no end and the slack is negative at the first grid point,
+        the same scan runs again on (0, that point), until a set shows or
+        the first grid point falls to the floor.
         """
         if not finite_positive(v2):
             raise ValueError("buffer volume fraction v2 must be positive")
@@ -99,11 +106,18 @@ class DesignReport(Record):
             load = d2 * v2 * (S_in - model.break_even(d2).lower)
             return min(load - surplus_max, S_in - load)
 
-        mu_feed = model.rate(S_in)
-        step = mu_feed / GRID
-        ends = critical_levels(slack, 0.0, mu_feed)
-        if slack(step * 0.5) > 0.0:
-            ends.insert(0, step * 0.5)
+        floor = surplus_max / (v2 * S_in)
+        hi = model.rate(S_in)
+        while True:
+            step = hi / GRID
+            ends = critical_levels(slack, 0.0, hi)
+            first = slack(step * 0.5) > 0.0
+            if ends or first or not step * 0.5 > floor:
+                break
+            hi = step * 0.5
+        if first:
+            # half the floor keeps the bracket's low end clear of rounding
+            ends.insert(0, bisect_root(slack, 0.5 * floor, step * 0.5, 0.0))
         if len(ends) > 2:
             raise RuntimeError("admissible D2 set is not an interval; "
                                "grid shows disconnected feasibility")

@@ -208,9 +208,19 @@ class Haldane(GrowthModel, Record):
         if ratio <= 1.0 + 2.0 * math.sqrt(self.K / self.K_I):
             return None
         a = self.K_I * (ratio - 1.0)
-        c = 2.0 * math.sqrt(self.K * self.K_I)
-        upper = 0.5 * (a + math.sqrt(a - c) * math.sqrt(a + c))
-        return BreakEvenInterval(self.K * self.K_I / upper, upper)
+        product = self.K * self.K_I
+        if a < math.inf and product < math.inf:
+            c = 2.0 * math.sqrt(product)
+            upper = 0.5 * (a + math.sqrt(a - c) * math.sqrt(a + c))
+            if upper < math.inf:
+                return BreakEvenInterval(product / upper, upper)
+        # K_I (mu_bar / d - 1), K K_I or the sum behind the upper root
+        # overflows: take the roots as K / h and K_I h, with h their
+        # quotient by K_I, so only a root past the largest float is inf
+        b = ratio - 1.0
+        c = 2.0 * math.sqrt(self.K / self.K_I)
+        h = 0.5 * (b + math.sqrt(b - c) * math.sqrt(b + c))
+        return BreakEvenInterval(self.K / h, self.K_I * h)
 
 
 class CustomUnimodal(GrowthModel, Record):

@@ -27,12 +27,21 @@ Non-negativity is enforced by step rejection, never by clipping: the
 mass-balance quantities S_i + X_i - S_in decay linearly and tests rely
 on that structure surviving integration exactly.
 
-One settling rule decides where a run went: it has settled on a
-candidate state when its last state is within eps (sup-norm) of it and
-every state of the last 10% of the run, by time, stayed within 2*eps.
-It is written out too, per state size and number of candidates.
-detect_convergence applies it to a stored trajectory; basin_probe hands
-it to integrate as the stop condition, checked after each accepted step.
+One settling rule decides where a run went, and a label is the
+certified candidate or the dwell verdict.  The dwell rule: a run has
+settled on a candidate state when its last state is within eps
+(sup-norm) of it and every state of the last 10% of the run, by time,
+stayed within 2*eps.  The certificate: basin_probe gives each candidate
+that is a hyperbolic sink of an exact Haldane or Monod system a capture
+set, a sublevel set of a quadratic Lyapunov function from which the
+system provably ends within eps of it (_capture), and a run settles on
+the first state inside one.  The rule is written out too, per state size
+and number of candidates: per candidate, the sup-norm distance, the
+capture test (that distance as a pre-filter, then the quadratic form
+against the set's level) and the dwell rule; the first candidate that
+passes wins.  detect_convergence applies the dwell rule alone to a
+stored trajectory; basin_probe hands the whole rule to integrate as the
+stop condition, checked after each accepted step.
 """
 from __future__ import annotations
 
@@ -307,23 +316,30 @@ def _law(model) -> tuple[str, tuple]:
     return "callable", (model._rate_raw,)
 
 
+def _constants(system) -> Optional[tuple[int, tuple]]:
+    """The state size of system and the constants of its right-hand side
+    (_SYSTEMS), or None for a system of another type."""
+    if isinstance(system, SingleParams):
+        return 2, (system.S_in, system.D)
+    if isinstance(system, BufferedConfig):
+        alpha, r = system.alpha, system.r
+        cross = alpha * (1.0 - r)
+        return 4, (system.S_in, system.D / r, cross, 1.0 - cross,
+                   alpha * system.D)
+    return None
+
+
 def _rhs_and_step(system: Union[SingleParams, BufferedConfig], n: int
                   ) -> tuple[Callable[[float, State], State], Callable]:
     """The right-hand side f(t, y) of system and its written-out
     Dormand-Prince loop (_dp5_step)."""
-    if isinstance(system, SingleParams):
-        if n != 2:
-            raise ValueError("single-vessel states have 2 components")
-        constants = (system.S_in, system.D)
-    elif isinstance(system, BufferedConfig):
-        if n != 4:
-            raise ValueError("buffered states have 4 components")
-        alpha, r = system.alpha, system.r
-        cross = alpha * (1.0 - r)
-        constants = (system.S_in, system.D / r, cross, 1.0 - cross,
-                     alpha * system.D)
-    else:
+    sized = _constants(system)
+    if sized is None:
         raise TypeError(f"unsupported system type {type(system).__name__}")
+    size, constants = sized
+    if n != size:
+        kind = "single-vessel" if size == 2 else "buffered"
+        raise ValueError(f"{kind} states have {size} components")
     law, parameters = _law(system.model)
     return _dp5_step(n, law)(*constants, *parameters)
 
@@ -386,20 +402,273 @@ def _candidate_state(candidate) -> State:
     return candidate.state if hasattr(candidate, "state") else tuple(candidate)
 
 
+# ---------------------------------------------------------------------------
+# Certified capture.  Both systems are an affine part plus one uptake term
+# per vessel (substrate index, biomass index):
+#     f(y) = C + B y + sum over vessels of mu(s) x (e_x - e_s),
+# so J(y) - J(y*) is, per vessel, the rank-one block (-1, 1)^T (a, b)
+# with a = mu'(s) x - mu'(s*) x*, b = mu(s) - mu(s*).
+_VESSELS = {2: ((0, 1),), 4: ((0, 1), (2, 3))}
+# relative allowance for the certificate's own rounding: 256 units in the
+# last place of the size of each quantity it bounds, which is some ten
+# times the rounding of the few operations behind any of them
+_SLACK = 2.0 ** -44
+# the largest sup-ball a capture set is sought in, and the share of the
+# Lyapunov margin 1 - delta that the Jacobian's variation may take
+_CAPTURE_CAP = 0.01
+_CAPTURE_SHARE = 0.99
+
+
+class _Capture(Record):
+    """A certified capture set {e : e^T P e <= level} of a candidate y*,
+    e = y - y*.
+
+    jacobian is A = J(y*) and gram the P with A^T P + P A = -I (both
+    rows of floats); lipschitz bounds ||J(y) - A|| / ||y - y*|| over
+    the sup-ball of radius radius about y*, which holds the set.
+    """
+    jacobian: tuple
+    gram: tuple
+    lipschitz: float
+    radius: float
+    level: float
+
+
+def _linearization(n: int, constants: tuple, model, y: State
+                   ) -> tuple[list, list, list]:
+    """(f(y), J(y), the size of f's terms at y) for the system of size n
+    with constants (_constants), in pure Python."""
+    S_in = constants[0]
+    if n == 2:
+        D = constants[1]
+        C, B = (D * S_in, 0.0), ((-D, 0.0), (0.0, -D))
+    else:
+        _, d_r, cross, direct, a_d = constants
+        C = (d_r * direct * S_in, 0.0, a_d * S_in, 0.0)
+        B = ((-d_r * (cross + direct), 0.0, d_r * cross, 0.0),
+             (0.0, -d_r, 0.0, d_r * cross),
+             (0.0, 0.0, -a_d, 0.0),
+             (0.0, 0.0, 0.0, -a_d))
+    f = [c + sum(map(operator.mul, row, y)) for c, row in zip(C, B)]
+    size = [abs(c) + sum(abs(b * v) for b, v in zip(row, y))
+            for c, row in zip(C, B)]
+    J = [list(row) for row in B]
+    for s, x in _VESSELS[n]:
+        m, slope = model._rate_raw(y[s]), model._rate_prime_raw(y[s])
+        uptake = m * y[x]
+        f[s] -= uptake
+        f[x] += uptake
+        size[s] += abs(uptake)
+        size[x] += abs(uptake)
+        J[s][s] -= slope * y[x]
+        J[s][x] -= m
+        J[x][s] += slope * y[x]
+        J[x][x] += m
+    return f, J, size
+
+
+def _lyapunov(A: list) -> Optional[list]:
+    """The symmetric P with A^T P + P A = -I, by Gaussian elimination with
+    partial pivoting on its n(n+1)/2 unknowns, or None when singular."""
+    n = len(A)
+    pairs = [(i, k) for i in range(n) for k in range(i, n)]
+    index = {pair: u for u, pair in enumerate(pairs)}
+    m = len(pairs)
+
+    def unknown(i: int, k: int) -> int:
+        return index[(i, k) if i <= k else (k, i)]
+
+    rows = []
+    for i, j in pairs:
+        row = [0.0] * (m + 1)
+        for k in range(n):
+            row[unknown(k, j)] += A[k][i]
+            row[unknown(i, k)] += A[k][j]
+        row[m] = -1.0 if i == j else 0.0
+        rows.append(row)
+    for c in range(m):
+        p = max(range(c, m), key=lambda r: abs(rows[r][c]))
+        if rows[p][c] == 0.0:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(c + 1, m):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    p = [0.0] * m
+    for c in reversed(range(m)):
+        p[c] = (rows[c][m] - sum(rows[c][k] * p[k] for k in range(c + 1, m))
+                ) / rows[c][c]
+    return [[p[unknown(i, k)] for k in range(n)] for i in range(n)]
+
+
+def _has_cholesky(M: list, shift: float) -> bool:
+    """Whether the Cholesky factorisation of M - shift I runs to the end
+    with positive pivots."""
+    L: list[list[float]] = []
+    for i, row in enumerate(M):
+        out: list[float] = []
+        for j in range(i):
+            out.append((row[j] - sum(map(operator.mul, out, L[j]))) / L[j][j])
+        v = row[i] - shift - sum(map(operator.mul, out, out))
+        if not v > 0.0:
+            return False
+        out.append(math.sqrt(v))
+        L.append(out)
+    return True
+
+
+def _least_eigenvalue(M: list) -> float:
+    """A lower bound of the least eigenvalue of the symmetric matrix M.
+
+    Bisection on whether M - shift I has a Cholesky factor (Sylvester's
+    law of inertia).  A factor found in floating point is exact for M -
+    shift I plus a perturbation below n(n+1) ulps of the largest row sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3),
+    and the bound gives that away.
+    """
+    scale = max(sum(map(abs, row)) for row in M)  # >= the spectral radius
+    lo, hi = -scale, min(M[i][i] for i in range(len(M)))
+    for _ in range(32):  # to 2^-31 of the scale
+        mid = 0.5 * (lo + hi)
+        if _has_cholesky(M, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo - _SLACK * scale
+
+
+def _capture(n: int, constants: tuple, model, ref: State, eps: float
+             ) -> Optional[_Capture]:
+    """The certified capture set of the candidate ref, or None.
+
+    Only a hyperbolic sink of an exact Haldane or Monod system has one.
+    With A = J(ref), P solving A^T P + P A = -I up to a residual delta,
+    low <= lambda_min(P), top >= ||P|| and L bounding the Jacobian's
+    variation on the sup-ball of radius R, V = e^T P e has
+        dV/dt <= -||e|| ((1 - delta - L top ||e||) ||e|| - 2 top ||f(ref)||)
+    on that ball (Khalil, Nonlinear Systems, 3rd ed., Thm 4.7 and 8.2).
+    R is the largest radius up to _CAPTURE_CAP with L top R <=
+    _CAPTURE_SHARE (1 - delta), and the set is the sublevel set of level
+    low R^2, which lies in the ball.  Then every solution of the system
+    from the set stays in it and ends within reach = 2 top ||f(ref)|| /
+    (1 - delta - L top R) * sqrt(top / low) of ref; the set is certified
+    only if reach <= eps / 2 and reach < R / 2.  L comes from interval
+    bounds of mu' and mu'' on [s* - R, s* + R], which must lie in s > 0.
+    """
+    kind, parameters = _law(model)
+    if kind == "callable":
+        return None
+    mu_bar, K = parameters[:2]
+    q = 1.0 / parameters[2] if kind == "haldane" else 0.0  # Monod: K_I = inf
+    f, A, size = _linearization(n, constants, model, ref)
+    P = _lyapunov(A)
+    if P is None:
+        return None
+    rows = range(n)
+    residual = math.hypot(*(
+        sum(A[k][i] * P[k][j] + P[i][k] * A[k][j] for k in rows)
+        + (1.0 if i == j else 0.0) for i in rows for j in rows))
+    frobenius_P = math.hypot(*chain.from_iterable(P))
+    # A carries the rounding of its entries and of mu'(s*), whose terms
+    # K and q s^2 may cancel; delta allows for it and for the residual's
+    spread = math.hypot(*chain.from_iterable(A)) + sum(
+        mu_bar * (K + q * ref[s] ** 2) / (K + ref[s] + q * ref[s] ** 2) ** 2
+        * abs(ref[x]) for s, x in _VESSELS[n])
+    delta = residual + _SLACK * (1.0 + 4.0 * spread * frobenius_P)
+    low = _least_eigenvalue(P)
+    top = -_least_eigenvalue([[-v for v in row] for row in P])
+    if not (low > 0.0 and delta < 0.5):
+        return None  # not a sink, or P is not trusted
+
+    def lipschitz(rho: float) -> float:
+        # per vessel, (|a|, |b|) <= N (|s - s*|, |x - x*|) with N =
+        # [[x* M2, M1], [M1, 0]] for M1 >= |mu'| and M2 >= |mu''|; the
+        # rank-one block then has norm <= sqrt(2) ||N||
+        worst = 0.0
+        for s, x in _VESSELS[n]:
+            lo, hi = ref[s] - rho, ref[s] + rho
+            if not lo > 0.0:
+                return math.inf
+            den = K + lo + lo * lo * q  # den increases on s > 0
+            # mu' = mu_bar (K - q s^2) / den^2 and
+            # mu'' = 2 mu_bar (q^2 s^3 - 3 q K s - K) / den^3
+            m1 = mu_bar * (max(abs(K - hi * hi * q), abs(K - lo * lo * q))
+                           + _SLACK * (K + hi * hi * q)) / den ** 2
+            m2 = 2.0 * mu_bar * (
+                max(abs(q * q * lo ** 3 - 3.0 * q * K * hi - K),
+                    abs(q * q * hi ** 3 - 3.0 * q * K * lo - K))
+                + _SLACK * (q * q * hi ** 3 + 3.0 * q * K * hi + K)) / den ** 3
+            a = 0.5 * abs(ref[x]) * m2
+            worst = max(worst, a + math.sqrt(a * a + m1 * m1))
+        return math.sqrt(2.0) * worst * (1.0 + _SLACK)
+
+    def fits(rho: float) -> bool:
+        return lipschitz(rho) * top * rho <= _CAPTURE_SHARE * (1.0 - delta)
+
+    radius = _CAPTURE_CAP
+    if not fits(radius):
+        lo, hi = 0.0, radius
+        for _ in range(20):  # to 2^-20 of the cap
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        radius = lo
+    L = lipschitz(radius)
+    drift = math.hypot(*f) + _SLACK * math.hypot(*size)  # >= ||f(ref)||
+    reach = (2.0 * top * drift / (1.0 - delta - L * top * radius)
+             * math.sqrt(top / low))
+    level = low * radius * radius * (1.0 - _SLACK * frobenius_P / low)
+    if not (reach <= 0.5 * eps and reach < 0.5 * radius and level > 0.0):
+        return None
+    return _Capture(tuple(map(tuple, A)), tuple(map(tuple, P)), L, radius,
+                    level)
+
+
+def _captures(system, candidates: Sequence, eps: float
+              ) -> list[Optional[_Capture]]:
+    """The capture set of each candidate of a basin_probe call, or None."""
+    sized = _constants(system)
+    refs = list(map(_candidate_state, candidates))
+    if sized is None:
+        return [None] * len(refs)
+    n, constants = sized
+    return [_capture(n, constants, system.model, tuple(map(float, ref)), eps)
+            if len(ref) == n and all(map(math.isfinite, ref)) else None
+            for ref in refs]
+
+
+def _capture_arguments(capture: Optional[_Capture], n: int) -> tuple:
+    """The arguments of a candidate's capture test in _settling_rule: the
+    sup-norm pre-filter rho, the level and the coefficients of e^T P e
+    (i <= k, doubled off the diagonal).  Without a capture set rho is
+    -1, so the test never passes."""
+    if capture is None:
+        return (-1.0, 0.0) + (0.0,) * (n * (n + 1) // 2)
+    P = capture.gram
+    return (capture.radius, capture.level) + tuple(
+        P[i][k] * (1.0 if i == k else 2.0)
+        for i in range(n) for k in range(i, n))
+
+
 @functools.cache
 def _settling_rule(n: int, m: int) -> Callable:
     """The factory of the written-out settling rule of m candidates over
     n-component states.
 
-    _settling_rule(n, m)(*coordinates, eps, eps2, t0), given the
-    candidates' coordinates in order and eps2 = 2 * eps, returns
+    _settling_rule(n, m)(*coordinates, *captures, eps, eps2, t0), given
+    the candidates' coordinates in order, then each candidate's capture
+    test (_capture_arguments) in order and eps2 = 2 * eps, returns
     (settled, label) as _settling describes.  settled works on the
     state's components y_0, ... as locals and closes over the
-    coordinates r{j}_{i}; the far times far_{j} and the label are cells.
+    coordinates r{j}_{i} and the tests rho_{j}, c_{j}, q{j}_{i}_{k}; the
+    far times far_{j} and the label are cells.
     """
+    pairs = [(i, k) for i in range(n) for k in range(i, n)]
     coordinates = [f"r{j}_{i}" for j in range(m) for i in range(n)]
+    captures = [name for j in range(m) for name in (
+        [f"rho_{j}", f"c_{j}"] + [f"q{j}_{i}_{k}" for i, k in pairs])]
     fars = [f"far_{j}" for j in range(m)]
-    lines = [f"def factory({', '.join(coordinates + ['eps', 'eps2', 't0'])}):"]
+    lines = [f"def factory("
+             f"{', '.join(coordinates + captures + ['eps', 'eps2', 't0'])}):"]
     if m:
         lines.append(f"    {' = '.join(fars)} = -math.inf")
     lines += ["    found = None",
@@ -416,7 +685,16 @@ def _settling_rule(n: int, m: int) -> Callable:
         for i in range(1, n):
             lines += [f"        e = abs(y_{i} - r{j}_{i})",
                       "        d = e if e > d else d"]
-        lines += ["        if not d <= eps2:",
+        # the capture test: the quadratic form sum over i <= k of
+        # q_i_k e_i e_k, each row's sum taken left to right
+        form = " + ".join(
+            f"e_{i} * ({' + '.join(f'q{j}_{i}_{k} * e_{k}' for k in range(i, n))})"
+            for i in range(n))
+        lines += [f"        if d <= rho_{j} and hit is None:"]
+        lines += [f"            e_{i} = y_{i} - r{j}_{i}" for i in range(n)]
+        lines += [f"            if {form} <= c_{j}:",
+                  f"                hit = {j}",
+                  "        if not d <= eps2:",
                   f"            far_{j} = t",
                   "        elif hit is None and d <= eps and"
                   f" far_{j} < t_cut:",
@@ -434,18 +712,20 @@ def _settling_rule(n: int, m: int) -> Callable:
     return namespace["factory"]
 
 
-def _settling(candidates: Sequence, eps: float, t0: float, n: int
+def _settling(candidates: Sequence, eps: float, t0: float, n: int,
+              captures: Sequence[Optional[_Capture]] = ()
               ) -> tuple[Callable[[float, State], bool],
                          Callable[[], Optional[int]]]:
     """The settling rule of one run: (settled, label).
 
     settled(t, y) is fed the states of the run in time order.  It keeps
     the last time the run was over 2*eps from each candidate, records as
-    the label the first candidate within eps of y whose last far time is
-    before t_cut = t - 0.1 * (t - t0), else None, and returns whether it
-    found one; label() is the label recorded last.  A candidate whose
-    length is not the state size n, or with a non-finite coordinate, is
-    a ValueError.
+    the label the first candidate that y lies in the capture set of
+    (captures, parallel to candidates; a missing or None entry has none)
+    or that is within eps of y with its last far time before t_cut = t -
+    0.1 * (t - t0), else None, and returns whether it found one; label()
+    is the label recorded last.  A candidate whose length is not the
+    state size n, or with a non-finite coordinate, is a ValueError.
     """
     if n < 1:
         raise ValueError("the states have no components")
@@ -458,7 +738,10 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int
         if not all(map(math.isfinite, ref)):
             raise ValueError(
                 f"candidate {i} has a non-finite coordinate: {ref}")
-    return _settling_rule(n, len(refs))(*chain.from_iterable(refs), eps,
+    tests = [_capture_arguments(captures[j] if j < len(captures) else None,
+                                n) for j in range(len(refs))]
+    return _settling_rule(n, len(refs))(*chain.from_iterable(refs),
+                                        *chain.from_iterable(tests), eps,
                                         2.0 * eps, t0)
 
 
@@ -490,23 +773,30 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
                 eps: float = 1e-6) -> list[Optional[int]]:
     """Label each initial state with the candidate it converges to.
 
-    Each run stops at the first accepted state where detect_convergence's
-    settling rule holds, so every label is detect_convergence's verdict
-    on the run made.  None marks unresolved runs (not settled by t_end,
-    or stiffness failure).  Runs execute sequentially in input order, so
-    output ordering and determinism hold regardless of environment.  A
-    candidate of another length than a start is a ValueError, raised
-    before that start is integrated; one with a non-finite coordinate is
-    a ValueError raised before the first start is.
+    A label is the certified candidate or the dwell verdict.  Once per
+    call, each candidate that is a hyperbolic sink of an exact Haldane or
+    Monod system gets a certified capture set (a Lyapunov sublevel set
+    from which the system provably ends within eps of it; see _capture).
+    Each run stops at the first accepted state that lies in a capture set
+    or where detect_convergence's settling rule (the dwell rule) holds,
+    and the first candidate that passes either test wins.  Any other
+    candidate, law or system relies on the dwell rule alone.  None marks
+    unresolved runs (not settled by t_end, or stiffness failure).  Runs
+    execute sequentially in input order, so output ordering and
+    determinism hold regardless of environment.  A candidate of another
+    length than a start is a ValueError, raised before that start is
+    integrated; one with a non-finite coordinate is a ValueError raised
+    before the first start is.
     """
     if not grid or not candidates:
         raise ValueError("basin_probe needs a non-empty grid and candidates")
     if not finite_positive(eps):
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    captures = _captures(system, candidates, eps)
     labels: list[Optional[int]] = []
     for x0 in grid:
         # a run starts at t = 0, which is never in its last 10%
-        settled, label = _settling(candidates, eps, 0.0, len(x0))
+        settled, label = _settling(candidates, eps, 0.0, len(x0), captures)
         try:
             integrate(system, x0, settings, stop_condition=settled)
         except StiffnessError:

@@ -143,16 +143,16 @@ def test_d2_interval_refuses_disconnected_set():
 
 
 # d2_interval_for on the README law at multiples of v2_inf, bit for bit:
-# too small, the last grid midpoint as the upper end, interior ends, the
-# first grid midpoint as the lower end, and an admissible set that lies
-# wholly below the first grid midpoint, which the scan does not see
+# too small, the last grid midpoint as the upper end, interior ends, a
+# lower end below the first grid midpoint, and an admissible set that
+# lies wholly below the first grid midpoint
 RECORDED_D2_INTERVALS = {
     0.5: None,
     1.001: (0.6238794999174126, 0.6243828415427509),
     10.0: (0.06012070855415689, 0.6243828415427509),
     100.0: (0.005992579420651442, 0.11818434084114415),
-    1e4: (0.00015247444237918216, 0.0011735182718162476),
-    1e5: None,
+    1e4: (5.990462146584512e-05, 0.0011735182718162476),
+    1e5: (5.990442922016982e-06, 0.00011734444872064608),
 }
 
 
@@ -160,9 +160,30 @@ def test_d2_interval_matches_recorded_values(reference_model):
     report = buffer_design(reference_model, 1.4, 1.0)
     step = reference_model.rate(1.4) / 2048
     assert RECORDED_D2_INTERVALS[10.0][1] == step * 2047.5
-    assert RECORDED_D2_INTERVALS[1e4][0] == step * 0.5
+    assert RECORDED_D2_INTERVALS[1e4][0] < step * 0.5
+    assert RECORDED_D2_INTERVALS[1e5][1] < step * 0.5
     for factor, interval in RECORDED_D2_INTERVALS.items():
         assert report.d2_interval_for(factor * report.v2_inf) == interval
+
+
+@pytest.mark.parametrize("factor", [1e4, 1e5])
+def test_d2_interval_below_the_grid_matches_a_dense_reference(
+        reference_model, factor):
+    # the slack is positive on a dense grid exactly inside the recorded
+    # ends, and changes sign across each end
+    report = buffer_design(reference_model, 1.4, 1.0)
+    v2 = factor * report.v2_inf
+    lo, hi = RECORDED_D2_INTERVALS[factor]
+
+    def slack(d2: float) -> float:
+        load = d2 * v2 * (1.4 - reference_model.break_even(d2).lower)
+        return min(load - report.surplus_max, 1.4 - load)
+
+    grid = [2.0 * hi * (i + 0.5) / 4000 for i in range(4000)]
+    assert ([d for d in grid if slack(d) > 0.0]
+            == [d for d in grid if lo < d < hi])
+    for end in (lo, hi):
+        assert slack(end * (1.0 - 1e-9)) * slack(end * (1.0 + 1e-9)) < 0.0
 
 
 def test_preconditions_named(reference_model):

@@ -1,5 +1,6 @@
 """Growth laws, their peaks, and break-even concentrations."""
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -35,6 +36,25 @@ def test_haldane_break_even_roots_match_a_decimal_reference(reference_model):
             for got, want in ((window.lower, K * K_I / upper),
                               (window.upper, upper)):
                 assert abs(Decimal(got) / want - 1) <= Decimal("1e-15"), d
+
+
+def test_haldane_break_even_keeps_roots_finite_past_overflow():
+    # K_I (mu_bar / d - 1) overflows at K_I = 1e308, and the sum behind
+    # the upper root at 1e307; a root past the largest float is inf
+    for K_I in (1e307, 1e308):
+        window = Haldane(12.0, 1.0, K_I).break_even(1.0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a = Decimal(K_I) * 11
+            upper = (a + (a * a - 4 * Decimal(K_I)).sqrt()) / 2
+            lower = Decimal(K_I) / upper
+            assert abs(Decimal(window.lower) / lower - 1) <= Decimal("1e-15")
+            if upper > Decimal(sys.float_info.max):
+                assert window.upper == math.inf
+            else:
+                assert abs(Decimal(window.upper) / upper - 1) \
+                    <= Decimal("1e-15")
+    assert Haldane(12.0, 1.0, 1e307).break_even(1.0).upper < math.inf
 
 
 def test_haldane_peak(reference_model):
