@@ -413,9 +413,8 @@ _VESSELS = {2: ((0, 1),), 4: ((0, 1), (2, 3))}
 # last place of the size of each quantity it bounds, which is some ten
 # times the rounding of the few operations behind any of them
 _SLACK = 2.0 ** -44
-# the largest sup-ball a capture set is sought in, and the share of the
-# Lyapunov margin 1 - delta that the Jacobian's variation may take
-_CAPTURE_CAP = 0.01
+# the share of the Lyapunov margin 1 - delta that the Jacobian's
+# variation may take
 _CAPTURE_SHARE = 0.99
 
 
@@ -425,7 +424,8 @@ class _Capture(Record):
 
     jacobian is A = J(y*) and gram the P with A^T P + P A = -I (both
     rows of floats); lipschitz bounds ||J(y) - A|| / ||y - y*|| over
-    the sup-ball of radius radius about y*, which holds the set.
+    the non-negative part of the sup-ball of radius radius about y*,
+    which holds the set.
     """
     jacobian: tuple
     gram: tuple
@@ -542,18 +542,21 @@ def _capture(n: int, constants: tuple, model, ref: State, eps: float
     """The certified capture set of the candidate ref, or None.
 
     Only a hyperbolic sink of an exact Haldane or Monod system has one.
-    With A = J(ref), P solving A^T P + P A = -I up to a residual delta,
-    low <= lambda_min(P), top >= ||P|| and L bounding the Jacobian's
-    variation on the sup-ball of radius R, V = e^T P e has
-        dV/dt <= -||e|| ((1 - delta - L top ||e||) ||e|| - 2 top ||f(ref)||)
-    on that ball (Khalil, Nonlinear Systems, 3rd ed., Thm 4.7 and 8.2).
-    R is the largest radius up to _CAPTURE_CAP with L top R <=
-    _CAPTURE_SHARE (1 - delta), and the set is the sublevel set of level
-    low R^2, which lies in the ball.  Then every solution of the system
-    from the set stays in it and ends within reach = 2 top ||f(ref)|| /
-    (1 - delta - L top R) * sqrt(top / low) of ref; the set is certified
-    only if reach <= eps / 2 and reach < R / 2.  L comes from interval
-    bounds of mu' and mu'' on [s* - R, s* + R], which must lie in s > 0.
+    Let A = J(ref), P solve A^T P + P A = -I up to a residual delta, low
+    <= lambda_min(P) <= lambda_max(P) <= top, and L bound ||J(y) - A|| /
+    ||y - ref|| over the orthant's part of the sup-ball of radius R about
+    ref.  On the set e^T P e <= low R^2, which lies in that ball,
+    ||P e|| <= sqrt(top low) R, so V = e^T P e has
+        dV/dt <= -||e|| ((1 - delta - L sqrt(top low) R) ||e||
+                         - 2 top ||f(ref)||)
+    (Khalil, Nonlinear Systems, 3rd ed., Thm 4.7 and section 8.2).  R is
+    the largest radius with L sqrt(top low) R <= _CAPTURE_SHARE (1 -
+    delta).  Every solution from the set then stays in it (and in the
+    orthant, which the system keeps) and ends within reach = 2 top
+    ||f(ref)|| / (1 - delta - L sqrt(top low) R) * sqrt(top / low) of
+    ref; the set is certified only if reach <= eps / 2 and reach < R / 2.
+    L comes from interval bounds of mu' and mu'' on [max(s* - R, 0), s*
+    + R] for each vessel's substrate s.
     """
     kind, parameters = _law(model)
     if kind == "callable":
@@ -586,10 +589,9 @@ def _capture(n: int, constants: tuple, model, ref: State, eps: float
         # rank-one block then has norm <= sqrt(2) ||N||
         worst = 0.0
         for s, x in _VESSELS[n]:
-            lo, hi = ref[s] - rho, ref[s] + rho
-            if not lo > 0.0:
-                return math.inf
-            den = K + lo + lo * lo * q  # den increases on s > 0
+            # the states stay in the orthant, and den increases on s >= 0
+            lo, hi = max(ref[s] - rho, 0.0), ref[s] + rho
+            den = K + lo + lo * lo * q
             # mu' = mu_bar (K - q s^2) / den^2 and
             # mu'' = 2 mu_bar (q^2 s^3 - 3 q K s - K) / den^3
             m1 = mu_bar * (max(abs(K - hi * hi * q), abs(K - lo * lo * q))
@@ -602,19 +604,19 @@ def _capture(n: int, constants: tuple, model, ref: State, eps: float
             worst = max(worst, a + math.sqrt(a * a + m1 * m1))
         return math.sqrt(2.0) * worst * (1.0 + _SLACK)
 
-    def fits(rho: float) -> bool:
-        return lipschitz(rho) * top * rho <= _CAPTURE_SHARE * (1.0 - delta)
+    mean = math.sqrt(top * low)
 
-    radius = _CAPTURE_CAP
-    if not fits(radius):
-        lo, hi = 0.0, radius
-        for _ in range(20):  # to 2^-20 of the cap
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-        radius = lo
-    L = lipschitz(radius)
+    def fits(rho: float) -> bool:
+        return lipschitz(rho) * mean * rho <= _CAPTURE_SHARE * (1.0 - delta)
+
+    # L(rho) grows with rho, so no radius past the one L(0) allows fits
+    lo, hi = 0.0, _CAPTURE_SHARE * (1.0 - delta) / (lipschitz(0.0) * mean)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    radius, L = lo, lipschitz(lo)
     drift = math.hypot(*f) + _SLACK * math.hypot(*size)  # >= ||f(ref)||
-    reach = (2.0 * top * drift / (1.0 - delta - L * top * radius)
+    reach = (2.0 * top * drift / (1.0 - delta - L * mean * radius)
              * math.sqrt(top / low))
     level = low * radius * radius * (1.0 - _SLACK * frobenius_P / low)
     if not (reach <= 0.5 * eps and reach < 0.5 * radius and level > 0.0):
@@ -632,8 +634,8 @@ def _captures(system, candidates: Sequence, eps: float
         return [None] * len(refs)
     n, constants = sized
     return [_capture(n, constants, system.model, tuple(map(float, ref)), eps)
-            if len(ref) == n and all(map(math.isfinite, ref)) else None
-            for ref in refs]
+            if len(ref) == n and all(0.0 <= v < math.inf for v in ref)
+            else None for ref in refs]
 
 
 def _capture_arguments(capture: Optional[_Capture], n: int) -> tuple:
@@ -721,7 +723,7 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
     settled(t, y) is fed the states of the run in time order.  It keeps
     the last time the run was over 2*eps from each candidate, records as
     the label the first candidate that y lies in the capture set of
-    (captures, parallel to candidates; a missing or None entry has none)
+    (captures, parallel to candidates, or empty; a None entry has none)
     or that is within eps of y with its last far time before t_cut = t -
     0.1 * (t - t0), else None, and returns whether it found one; label()
     is the label recorded last.  A candidate whose length is not the
@@ -738,8 +740,8 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
         if not all(map(math.isfinite, ref)):
             raise ValueError(
                 f"candidate {i} has a non-finite coordinate: {ref}")
-    tests = [_capture_arguments(captures[j] if j < len(captures) else None,
-                                n) for j in range(len(refs))]
+    tests = [_capture_arguments(capture, n)
+             for capture in captures or [None] * len(refs)]
     return _settling_rule(n, len(refs))(*chain.from_iterable(refs),
                                         *chain.from_iterable(tests), eps,
                                         2.0 * eps, t0)

@@ -1,4 +1,5 @@
 """Adaptive integrator and convergence detection."""
+import functools
 import hashlib
 import itertools
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bufchem import (
+    BRANCH_POSITIVE,
     BufferedConfig,
     CustomUnimodal,
     Haldane,
@@ -24,7 +26,7 @@ from bufchem import (
     split_threshold,
 )
 from bufchem.simulate import StiffnessError
-from conftest import draw_buffered_config
+from conftest import draw_buffered_config, run_python
 
 
 def test_linear_washout_decay_matches_closed_form():
@@ -633,3 +635,234 @@ def test_written_out_laws_bypass_rate_raw(system, x0, settings,
     rates = len(x0) // 2
     steps = traj.accepted_steps + traj.rejected_steps
     assert len(calls) == rates * (2 + 6 * steps)
+
+
+# ---------------------------------------------------------------------------
+# certified capture
+
+@functools.cache
+def _capture_cases() -> tuple:
+    """(system, candidates, captures) of the basin maps: the single
+    vessel's two attractors, the reference law's buffered chemostat at
+    alpha 0.25, 0.35 and 0.45 below and above r_bar, and a buffered
+    Monod chemostat."""
+    model = Haldane(12.0, 1.0, 0.08)
+    params = SingleParams(model, 1.4, 1.0)
+    systems = [(params, [e for e in classify_portrait(params).equilibria
+                         if e.tag in ("positive_attracting",
+                                      "washout_attracting")])]
+    for alpha in (0.25, 0.35, 0.45):
+        r_bar = split_threshold(model, 1.4, 1.0, alpha).r_bar
+        for r in (0.9 * r_bar, 1.2 * r_bar):
+            systems.append(BufferedConfig(model, 1.4, 1.0, alpha, r))
+    systems.append(BufferedConfig(Monod(2.0, 0.3), 1.4, 1.0, 0.35, 0.6))
+    cases = []
+    for system in systems:
+        if isinstance(system, tuple):
+            system, candidates = system
+        else:
+            candidates = [e for e in find_equilibria(system)
+                          if e.branch == BRANCH_POSITIVE and e.tag == "stable"]
+        cases.append((system, candidates,
+                      simulate._captures(system, candidates, 1e-6)))
+    return tuple(cases)
+
+
+def _certified():
+    """(system, candidates, index, capture) of every certified candidate."""
+    for system, candidates, captures in _capture_cases():
+        for j, capture in enumerate(captures):
+            if capture is not None:
+                yield system, candidates, j, capture
+
+
+def _jacobian(system, y):
+    """J(y) from the model equations, apart from simulate's own."""
+    mu, slope = system.model.rate, system.model.rate_prime
+    if isinstance(system, SingleParams):
+        s, x = y
+        D = system.D
+        return [[-slope(s) * x - D, -mu(s)], [slope(s) * x, mu(s) - D]]
+    s1, x1, s2, x2 = y
+    d_r, a_d = system.D / system.r, system.alpha * system.D
+    cross = system.alpha * (1.0 - system.r)
+    return [[-slope(s1) * x1 - d_r, -mu(s1), d_r * cross, 0.0],
+            [slope(s1) * x1, mu(s1) - d_r, 0.0, d_r * cross],
+            [0.0, 0.0, -slope(s2) * x2 - a_d, -mu(s2)],
+            [0.0, 0.0, slope(s2) * x2, mu(s2) - a_d]]
+
+
+def test_every_basin_sink_is_certified():
+    for system, candidates, captures in _capture_cases():
+        assert all(c is not None for c in captures), system
+    assert len(list(_certified())) == 12
+
+
+def test_capture_solves_the_lyapunov_equation():
+    np = pytest.importorskip("numpy")
+    for system, candidates, j, capture in _certified():
+        A = np.array(capture.jacobian)
+        P = np.array(capture.gram)
+        assert np.allclose(A, _jacobian(system, candidates[j].state),
+                           rtol=1e-12, atol=1e-12)
+        assert np.array_equal(P, P.T)
+        assert np.linalg.norm(A.T @ P + P @ A + np.eye(len(A))) <= 1e-12
+        eigenvalues = np.linalg.eigvalsh(P)
+        # the level's set lies in the Euclidean ball of the radius
+        assert capture.level <= eigenvalues[0] * capture.radius ** 2
+
+
+def test_capture_lipschitz_bounds_a_dense_sample():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(12)
+    for system, candidates, j, capture in _certified():
+        ref = candidates[j].state
+        n, radius = len(ref), capture.radius
+        A = np.array(_jacobian(system, ref))
+        # the corners of the sup-ball, its axis points and random points,
+        # in the orthant the states live in
+        offsets = [c for c in itertools.product((-1.0, 1.0), repeat=n)]
+        offsets += [tuple(float(i == k) * sign for k in range(n))
+                    for i in range(n) for sign in (-1.0, 1.0)]
+        offsets += [tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+                    for _ in range(400)]
+        worst = 0.0
+        for u in offsets:
+            for scale in (1.0, 0.5, 0.1):
+                y = [max(c + radius * scale * v, 0.0)
+                     for c, v in zip(ref, u)]
+                e = np.subtract(y, ref)
+                if not e.any():
+                    continue
+                worst = max(worst, np.linalg.norm(
+                    np.array(_jacobian(system, y)) - A, 2)
+                    / np.linalg.norm(e))
+        assert worst <= capture.lipschitz
+        # and the bound is not vacuous
+        assert worst >= 0.2 * capture.lipschitz
+
+
+def test_states_on_the_capture_boundary_settle_on_their_candidate():
+    rng = random.Random(13)
+    settings = IntegratorSettings(t_end=200.0)
+    for system, candidates, j, capture in _certified():
+        ref, P = candidates[j].state, capture.gram
+        n, found = len(ref), 0
+        while found < 4:
+            v = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            form = sum(P[i][k] * v[i] * v[k]
+                       for i in range(n) for k in range(n))
+            y = [c + w * math.sqrt(capture.level / form)
+                 for c, w in zip(ref, v)]
+            if min(y) < 0.0:
+                continue  # outside the orthant the states live in
+            found += 1
+            traj = integrate(system, y, settings)
+            assert detect_convergence(traj, candidates) == j
+
+
+def test_capture_stops_runs_earlier_with_the_same_labels(monkeypatch):
+    model = Haldane(12.0, 1.0, 0.08)
+    cfg = BufferedConfig(model, 1.4, 1.0, 0.35, 0.65)
+    candidates = [e for e in find_equilibria(cfg) if e.tag == "stable"]
+    rng = random.Random(14)
+    starts = [tuple(rng.uniform(0.05, 2.8) for _ in range(4))
+              for _ in range(20)]
+    settings = IntegratorSettings(t_end=200.0)
+    steps = []
+    original = simulate.integrate
+
+    def counting(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        steps.append(traj.accepted_steps)
+        return traj
+
+    monkeypatch.setattr(simulate, "integrate", counting)
+    certified = basin_probe(cfg, starts, settings, candidates)
+    captured = sum(steps)
+    del steps[:]
+    assert certified == _dwell_only(monkeypatch, cfg, starts, settings,
+                                    candidates)
+    assert captured < 0.85 * sum(steps)
+
+
+def _dwell_only(monkeypatch, *args) -> list:
+    """basin_probe's labels with no capture set: the dwell rule alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_captures",
+                      lambda system, candidates, eps: [None] * len(candidates))
+        return basin_probe(*args)
+
+
+def _without_captures(monkeypatch, system, grid, candidates, uncertified):
+    """basin_probe's labels, after checking that the candidates at the
+    indices uncertified got no capture set, so the rule never tests one."""
+    seen = []
+    original = simulate._captures
+
+    def spy(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_captures", spy)
+        labels = basin_probe(system, grid, None, candidates)
+    assert len(seen) == 1
+    assert all(seen[0][j] is None for j in uncertified)
+    assert labels == _dwell_only(monkeypatch, system, grid, None, candidates)
+    return labels
+
+
+class _HaldaneKin(Haldane):
+    """A subclass, which may override the law: never certified."""
+
+
+def test_callable_laws_and_subclasses_are_never_certified(monkeypatch):
+    def refuse(A):
+        raise AssertionError("a certificate was built")
+
+    for model in (_haldane_callables(12.0, 1.0, 0.08),
+                  _HaldaneKin(12.0, 1.0, 0.08)):
+        params = SingleParams(model, 1.4, 1.0)
+        candidates = [e for e in classify_portrait(params).equilibria
+                      if e.tag in ("positive_attracting",
+                                   "washout_attracting")]
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_lyapunov", refuse)
+            labels = _without_captures(monkeypatch, params, BISTABLE_GRID,
+                                       candidates, (0, 1))
+        assert set(labels) == {0, 1}
+
+
+def test_saddles_and_inexact_rest_points_are_never_certified(monkeypatch):
+    params = SingleParams(Haldane(12.0, 1.0, 0.08), 1.4, 1.0)
+    equilibria = classify_portrait(params).equilibria
+    saddle = next(e for e in equilibria if e.tag == "positive_saddle")
+    positive = next(e for e in equilibria if e.tag == "positive_attracting")
+    washout = next(e for e in equilibria if e.tag == "washout_attracting")
+    labels = _without_captures(monkeypatch, params, BISTABLE_GRID,
+                               [saddle, positive, washout], (0,))
+    assert 0 not in labels and set(labels) == {1, 2}
+    # 3e-7 off the rest point: the dwell rule settles on it, but its
+    # rest-point residual is far too large to certify it
+    near = (positive.S, positive.X + 3e-7)
+    labels = _without_captures(monkeypatch, params, BISTABLE_GRID,
+                               [near, washout], (0,))
+    assert set(labels) == {0, 1}
+
+
+def test_basin_probe_does_not_import_numpy():
+    code = (
+        "import sys\n"
+        "from bufchem import (Haldane, SingleParams, basin_probe,\n"
+        "                     classify_portrait, simulate)\n"
+        "params = SingleParams(Haldane(12.0, 1.0, 0.08), 1.4, 1.0)\n"
+        "stable = [e for e in classify_portrait(params).equilibria\n"
+        "          if e.tag.endswith('_attracting')]\n"
+        "labels = basin_probe(params, [(1.0, 0.5), (0.2, 0.01)],\n"
+        "                     candidates=stable)\n"
+        "captures = simulate._captures(params, stable, 1e-6)\n"
+        "print(labels, None not in captures, 'numpy' in sys.modules)\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["True", "False"]
