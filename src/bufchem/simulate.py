@@ -41,7 +41,8 @@ capture test (that distance as a pre-filter, then the quadratic form
 against the set's level) and the dwell rule; the first candidate that
 passes wins.  detect_convergence applies the dwell rule alone to a
 stored trajectory; basin_probe hands the whole rule to integrate as the
-stop condition, checked after each accepted step.
+stop condition, checked after each accepted step, and resets it between
+runs.
 """
 from __future__ import annotations
 
@@ -638,17 +639,20 @@ def _captures(system, candidates: Sequence, eps: float
             else None for ref in refs]
 
 
-def _capture_arguments(capture: Optional[_Capture], n: int) -> tuple:
-    """The arguments of a candidate's capture test in _settling_rule: the
-    sup-norm pre-filter rho, the level and the coefficients of e^T P e
-    (i <= k, doubled off the diagonal).  Without a capture set rho is
-    -1, so the test never passes."""
+def _capture_arguments(capture: Optional[_Capture]) -> tuple:
+    """A candidate's capture test in _settling_rule: the sup-norm
+    pre-filter rho, the level and P.  Without a capture set rho is -1,
+    so the test never passes."""
     if capture is None:
-        return (-1.0, 0.0) + (0.0,) * (n * (n + 1) // 2)
-    P = capture.gram
-    return (capture.radius, capture.level) + tuple(
-        P[i][k] * (1.0 if i == k else 2.0)
-        for i in range(n) for k in range(i, n))
+        return -1.0, 0.0, ()
+    return capture.radius, capture.level, capture.gram
+
+
+def _captured(P: tuple, level: float, e: State) -> bool:
+    """Whether e^T P e <= level.  _capture's level allows for the
+    rounding of the form in any order."""
+    return sum(e_i * sum(map(operator.mul, row, e))
+               for e_i, row in zip(e, P)) <= level
 
 
 @functools.cache
@@ -656,21 +660,20 @@ def _settling_rule(n: int, m: int) -> Callable:
     """The factory of the written-out settling rule of m candidates over
     n-component states.
 
-    _settling_rule(n, m)(*coordinates, *captures, eps, eps2, t0), given
+    _settling_rule(n, m)(*coordinates, *tests, eps, eps2, t0), given
     the candidates' coordinates in order, then each candidate's capture
-    test (_capture_arguments) in order and eps2 = 2 * eps, returns
-    (settled, label) as _settling describes.  settled works on the
-    state's components y_0, ... as locals and closes over the
-    coordinates r{j}_{i} and the tests rho_{j}, c_{j}, q{j}_{i}_{k}; the
-    far times far_{j} and the label are cells.
+    test (rho, level, P; _capture_arguments) in order and eps2 = 2 *
+    eps, returns (settled, label, reset) as _settling describes.
+    settled works on the state's components y_0, ... as locals and
+    closes over the coordinates r{j}_{i} and the tests rho_{j}, c_{j},
+    P{j}; the far times far_{j} and the label are cells.  Only a state
+    within rho_{j} of candidate j (sup-norm) calls _captured.
     """
-    pairs = [(i, k) for i in range(n) for k in range(i, n)]
     coordinates = [f"r{j}_{i}" for j in range(m) for i in range(n)]
-    captures = [name for j in range(m) for name in (
-        [f"rho_{j}", f"c_{j}"] + [f"q{j}_{i}_{k}" for i, k in pairs])]
+    tests = [f"{v}{j}" for j in range(m) for v in ("rho_", "c_", "P")]
     fars = [f"far_{j}" for j in range(m)]
     lines = [f"def factory("
-             f"{', '.join(coordinates + captures + ['eps', 'eps2', 't0'])}):"]
+             f"{', '.join(coordinates + tests + ['eps', 'eps2', 't0'])}):"]
     if m:
         lines.append(f"    {' = '.join(fars)} = -math.inf")
     lines += ["    found = None",
@@ -687,15 +690,10 @@ def _settling_rule(n: int, m: int) -> Callable:
         for i in range(1, n):
             lines += [f"        e = abs(y_{i} - r{j}_{i})",
                       "        d = e if e > d else d"]
-        # the capture test: the quadratic form sum over i <= k of
-        # q_i_k e_i e_k, each row's sum taken left to right
-        form = " + ".join(
-            f"e_{i} * ({' + '.join(f'q{j}_{i}_{k} * e_{k}' for k in range(i, n))})"
-            for i in range(n))
-        lines += [f"        if d <= rho_{j} and hit is None:"]
-        lines += [f"            e_{i} = y_{i} - r{j}_{i}" for i in range(n)]
-        lines += [f"            if {form} <= c_{j}:",
-                  f"                hit = {j}",
+        offset = ", ".join(f"y_{i} - r{j}_{i}" for i in range(n))
+        lines += [f"        if d <= rho_{j} and hit is None and"
+                  f" _captured(P{j}, c_{j}, ({offset},)):",
+                  f"            hit = {j}",
                   "        if not d <= eps2:",
                   f"            far_{j} = t",
                   "        elif hit is None and d <= eps and"
@@ -707,7 +705,13 @@ def _settling_rule(n: int, m: int) -> Callable:
               "    def label():",
               "        return found",
               "",
-              "    return settled, label"]
+              "    def reset():",
+              f"        nonlocal {', '.join(fars + ['found'])}"]
+    if m:
+        lines.append(f"        {' = '.join(fars)} = -math.inf")
+    lines += ["        found = None",
+              "",
+              "    return settled, label, reset"]
     namespace: dict = {}
     exec(compile("\n".join(lines), f"<settling rule, n = {n}, m = {m}>",
                  "exec"), globals(), namespace)
@@ -715,18 +719,19 @@ def _settling_rule(n: int, m: int) -> Callable:
 
 
 def _settling(candidates: Sequence, eps: float, t0: float, n: int,
-              captures: Sequence[Optional[_Capture]] = ()
+              tests: Sequence[tuple] = ()
               ) -> tuple[Callable[[float, State], bool],
-                         Callable[[], Optional[int]]]:
-    """The settling rule of one run: (settled, label).
+                         Callable[[], Optional[int]], Callable[[], None]]:
+    """The settling rule of a run: (settled, label, reset).
 
     settled(t, y) is fed the states of the run in time order.  It keeps
     the last time the run was over 2*eps from each candidate, records as
     the label the first candidate that y lies in the capture set of
-    (captures, parallel to candidates, or empty; a None entry has none)
-    or that is within eps of y with its last far time before t_cut = t -
-    0.1 * (t - t0), else None, and returns whether it found one; label()
-    is the label recorded last.  A candidate whose length is not the
+    (tests, parallel to candidates, holds their _capture_arguments; when
+    empty, no candidate has one) or that is within eps of y with its
+    last far time before t_cut = t - 0.1 * (t - t0), else None, and
+    returns whether it found one; label() is the label recorded last;
+    reset() forgets the run, so the rule serves another run from t0.  A candidate whose length is not the
     state size n, or with a non-finite coordinate, is a ValueError.
     """
     if n < 1:
@@ -740,11 +745,10 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
         if not all(map(math.isfinite, ref)):
             raise ValueError(
                 f"candidate {i} has a non-finite coordinate: {ref}")
-    tests = [_capture_arguments(capture, n)
-             for capture in captures or [None] * len(refs)]
-    return _settling_rule(n, len(refs))(*chain.from_iterable(refs),
-                                        *chain.from_iterable(tests), eps,
-                                        2.0 * eps, t0)
+    return _settling_rule(n, len(refs))(
+        *chain.from_iterable(refs),
+        *chain.from_iterable(tests or [_capture_arguments(None)] * len(refs)),
+        eps, 2.0 * eps, t0)
 
 
 def detect_convergence(traj: Trajectory, candidates: Sequence,
@@ -762,7 +766,8 @@ def detect_convergence(traj: Trajectory, candidates: Sequence,
         raise ValueError(f"eps must be finite and positive, got {eps}")
     times = traj.times
     tail = bisect.bisect_left(times, times[-1] - 0.1 * (times[-1] - times[0]))
-    settled, label = _settling(candidates, eps, times[0], len(traj.final))
+    settled, label, _ = _settling(candidates, eps, times[0],
+                                  len(traj.final))
     for t, y in zip(times[tail:], traj.states[tail:]):
         settled(t, y)
     return label()
@@ -794,11 +799,18 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
         raise ValueError("basin_probe needs a non-empty grid and candidates")
     if not finite_positive(eps):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    captures = _captures(system, candidates, eps)
+    tests = list(map(_capture_arguments, _captures(system, candidates, eps)))
+    # one rule per state size serves every run, reset before each: a rule
+    # built per run allocated its closure per run, and that pinned memory
+    # (basin's peak rose by about 0.5 MiB once the capture test came in)
+    rules: dict = {}
     labels: list[Optional[int]] = []
     for x0 in grid:
-        # a run starts at t = 0, which is never in its last 10%
-        settled, label = _settling(candidates, eps, 0.0, len(x0), captures)
+        if len(x0) not in rules:
+            # a run starts at t = 0, which is never in its last 10%
+            rules[len(x0)] = _settling(candidates, eps, 0.0, len(x0), tests)
+        settled, label, reset = rules[len(x0)]
+        reset()
         try:
             integrate(system, x0, settings, stop_condition=settled)
         except StiffnessError:

@@ -385,10 +385,16 @@ LATE = TEN[:10] + [9.5, 10.0]
 def test_settling_rule_matches_the_plain_loop(run):
     candidates, t0, times, states = run
     expected = _reference_settling(times, states, candidates, EPS, t0)
-    settled, label = simulate._settling(candidates, EPS, t0, len(states[0]))
+    settled, label, reset = simulate._settling(candidates, EPS, t0,
+                                               len(states[0]))
     for t, y, want in zip(times, states, expected):
         assert settled(t, y) is (want is not None)
         assert label() == want
+    # a reset rule serves the next run as a fresh one
+    reset()
+    assert label() is None
+    for t, y, want in zip(times, states, expected):
+        assert settled(t, y) is (want is not None)
     traj = Trajectory(tuple(times), tuple(states), len(times) - 1, 0)
     assert detect_convergence(traj, candidates, EPS) == expected[-1]
 
