@@ -215,8 +215,8 @@ class Haldane(GrowthModel, Record):
             if upper < math.inf:
                 return BreakEvenInterval(product / upper, upper)
         # K_I (mu_bar / d - 1), K K_I or the sum behind the upper root
-        # overflows: take the roots as K / h and K_I h, with h their
-        # quotient by K_I, so only a root past the largest float is inf
+        # overflows: take the roots as K / h and K_I h with h = upper /
+        # K_I, so that only a root past the largest float is inf
         b = ratio - 1.0
         c = 2.0 * math.sqrt(self.K / self.K_I)
         h = 0.5 * (b + math.sqrt(b - c) * math.sqrt(b + c))
