@@ -253,7 +253,7 @@ class CustomUnimodal(GrowthModel, Record):
         prev = 0.0
         for s in pts:
             v = self._sampled_rate(s)
-            if math.isfinite(self.peak_abscissa) and v < prev - 1e-12:
+            if v < prev - 1e-12:
                 raise ValueError("rate law must increase up to the declared peak")
             prev = v
         if math.isfinite(self.peak_abscissa):

@@ -580,9 +580,9 @@ def _capture(n: int, constants: tuple, model, ref: State, eps: float
         * abs(ref[x]) for s, x in _VESSELS[n])
     delta = residual + _SLACK * (1.0 + 4.0 * spread * frobenius_P)
     low = _least_eigenvalue(P)
-    top = -_least_eigenvalue([[-v for v in row] for row in P])
     if not (low > 0.0 and delta < 0.5):
         return None  # not a sink, or P is not trusted
+    top = -_least_eigenvalue([[-v for v in row] for row in P])
 
     def lipschitz(rho: float) -> float:
         # per vessel, (|a|, |b|) <= N (|s - s*|, |x - x*|) with N =
@@ -731,8 +731,9 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
     empty, no candidate has one) or that is within eps of y with its
     last far time before t_cut = t - 0.1 * (t - t0), else None, and
     returns whether it found one; label() is the label recorded last;
-    reset() forgets the run, so the rule serves another run from t0.  A candidate whose length is not the
-    state size n, or with a non-finite coordinate, is a ValueError.
+    reset() forgets the run, so the rule serves another run from t0.  A
+    candidate whose length is not the state size n, or with a non-finite
+    coordinate, is a ValueError.
     """
     if n < 1:
         raise ValueError("the states have no components")

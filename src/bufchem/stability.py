@@ -1,20 +1,17 @@
 """Linearization of the buffered chemostat at its rest points.
 
-The Jacobian is block-triangular at every rest point (the buffer never
-feels the main vessel), so all four eigenvalues come out in closed form.
-A numerically computed spectrum of the full 4x4 Jacobian is available as
-an independent route for cross-checking; only that route imports numpy,
-on first use, so the package and the CLI load without it.
+The Jacobian is block upper triangular at every state (the buffer never
+feels the main vessel), so its spectrum is that of its two 2x2 diagonal
+blocks.  At a rest point the four eigenvalues have closed forms; the
+blocks' roots, from the Jacobian's entries alone, cross-check them.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
 
 from ._numerics import Record
 from .buffered import BufferedConfig, growth_deficit_prime
-
-if TYPE_CHECKING:
-    import numpy as np
+from .simulate import _constants, _linearization
 
 __all__ = [
     "EigenReport",
@@ -94,36 +91,37 @@ def washout_eigenvalues(config: BufferedConfig, s1: float) -> EigenReport:
 
 
 def jacobian(config: BufferedConfig,
-             state: tuple[float, float, float, float]) -> np.ndarray:
-    """4x4 Jacobian of the vector field at an arbitrary state."""
-    import numpy as np
-    model, S_in, D, alpha, r = (config.model, config.S_in, config.D,
-                                config.alpha, config.r)
-    s1, x1, s2, x2 = state
-    mu1, mp1 = model.rate(s1), model.rate_prime(s1)
-    mu2, mp2 = model.rate(s2), model.rate_prime(s2)
-    d_r = D / r
-    cross = d_r * alpha * (1.0 - r)
-    return np.array([
-        [-mp1 * x1 - d_r, -mu1, cross, 0.0],
-        [mp1 * x1, mu1 - d_r, 0.0, cross],
-        [0.0, 0.0, -mp2 * x2 - alpha * D, -mu2],
-        [0.0, 0.0, mp2 * x2, mu2 - alpha * D],
-    ])
+             state: tuple[float, float, float, float]) -> tuple:
+    """4x4 Jacobian of the vector field at an arbitrary state, as four
+    tuples of floats.  A negative or non-finite substrate is a ValueError."""
+    s1, _, s2, _ = state
+    config.model._check_domain(s1)
+    config.model._check_domain(s2)
+    return tuple(map(tuple, _linearization(
+        4, _constants(config)[1], config.model, tuple(map(float, state)))[1]))
+
+
+def _block_roots(a: float, b: float, c: float, d: float) -> tuple:
+    """The eigenvalues of [[a, b], [c, d]]: q = tr/2 + sign(tr) sqrt(disc)
+    and det/q, with disc = ((a - d)/2)^2 + bc, tr^2/4 - det without the
+    cancellation.  An imaginary part above 1e-7 max(1, modulus) is a
+    ValueError; a smaller one is taken as rounding (disc = 0)."""
+    tr, disc = a + d, (0.5 * (a - d)) ** 2 + b * c
+    if -disc > 1e-14 * max(1.0, 0.25 * tr * tr - disc):
+        raise ValueError(f"complex pair of [[{a}, {b}], [{c}, {d}]]")
+    q = 0.5 * tr + math.copysign(math.sqrt(max(disc, 0.0)), tr)
+    return (q, (a * d - b * c) / q) if q != 0.0 else (0.0, 0.0)
 
 
 def numeric_eigenvalues(config: BufferedConfig,
                         state: tuple[float, float, float, float]
                         ) -> EigenReport:
-    """Spectrum of the Jacobian at a rest point, via the QR algorithm.
-
-    Spurious imaginary parts beyond rounding noise are rejected: the
-    spectrum at any rest point of this system is real.
-    """
-    import numpy as np
-    eig = np.linalg.eigvals(jacobian(config, state))
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    if float(np.max(np.abs(eig.imag))) > 1e-7 * scale:
-        raise ValueError(f"unexpected complex spectrum {eig} at {state}")
-    vals = tuple(float(v) for v in sorted(eig.real))
+    """Spectrum of the Jacobian at a state, from the entries of its two
+    diagonal blocks alone.  A spectrum that is not real beyond rounding,
+    or not finite, is a ValueError: at every state it is real."""
+    J = jacobian(config, state)
+    vals = (_block_roots(J[0][0], J[0][1], J[1][0], J[1][1])
+            + _block_roots(J[2][2], J[2][3], J[3][2], J[3][3]))
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"non-finite spectrum {vals} at {state}")
     return classify(vals, config.D)

@@ -74,8 +74,8 @@ def run_cli(*args: str):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the numeric eigenvalue route, imported on use, and
-    # the value records need neither dataclasses nor what it pulls in.
+    # the package has no third-party dependency to load, and the value
+    # records need neither dataclasses nor what it pulls in.
     # Only what the import itself adds counts, not what site preloads.
     for module in ("bufchem.cli", "bufchem"):
         out = run_python("-c", "import sys\n"

@@ -142,6 +142,15 @@ def test_break_even_stops_doubling_before_overflow():
     assert all(math.isfinite(s) for s in levels)
 
 
+def test_custom_unimodal_rejects_a_falling_law_declared_increasing(
+        reference_model):
+    # the README law falls after s = 0.283; declared without a peak it
+    # would read as increasing, with no upper break-even
+    with pytest.raises(ValueError, match="increase"):
+        CustomUnimodal(reference_model.rate, reference_model.rate_prime,
+                       math.inf)
+
+
 def test_custom_unimodal_rejects_bad_shape():
     # increasing on both sides of the claimed peak: not unimodal there
     with pytest.raises(ValueError):

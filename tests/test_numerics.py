@@ -156,6 +156,7 @@ def test_golden_min_random_quadratics(center, scale):
 
 
 REF = Haldane(12.0, 1.0, 0.08)
+RISING = Monod(2.0, 1.0)
 
 
 @pytest.mark.parametrize("build, inf_allowed", [
@@ -179,8 +180,8 @@ REF = Haldane(12.0, 1.0, 0.08)
     # a law that is v everywhere but at 0 must be finite and positive
     (lambda v: CustomUnimodal(lambda s: v if s else 0.0, REF.rate_prime,
                               0.28), False),
-    # inf means "no interior peak" and "no step cap"
-    (lambda v: CustomUnimodal(REF.rate, REF.rate_prime, v), True),
+    # inf means "no interior peak" (of an increasing law) and "no step cap"
+    (lambda v: CustomUnimodal(RISING.rate, RISING.rate_prime, v), True),
     (lambda v: IntegratorSettings(max_step=v), True),
 ])
 def test_constructors_reject_non_finite(build, inf_allowed):

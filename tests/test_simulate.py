@@ -698,6 +698,24 @@ def _jacobian(system, y):
             [0.0, 0.0, slope(s2) * x2, mu(s2) - a_d]]
 
 
+def test_capture_rejects_a_saddle_after_one_bisection(monkeypatch):
+    params = SingleParams(Haldane(12.0, 1.0, 0.08), 1.4, 1.0)
+    saddle = next(e for e in classify_portrait(params).equilibria
+                  if e.tag == "positive_saddle")
+    calls = []
+    original = simulate._least_eigenvalue
+
+    def counting(M):
+        calls.append(M)
+        return original(M)
+
+    monkeypatch.setattr(simulate, "_least_eigenvalue", counting)
+    n, constants = simulate._constants(params)
+    assert simulate._capture(n, constants, params.model, saddle.state,
+                             1e-6) is None
+    assert len(calls) == 1
+
+
 def test_every_basin_sink_is_certified():
     for system, candidates, captures in _capture_cases():
         assert all(c is not None for c in captures), system
@@ -858,17 +876,28 @@ def test_saddles_and_inexact_rest_points_are_never_certified(monkeypatch):
 
 
 def test_basin_probe_does_not_import_numpy():
+    # with numpy blocked, any import of it fails; the numeric spectrum
+    # of a buffered rest point of the README config runs without it
     code = (
         "import sys\n"
-        "from bufchem import (Haldane, SingleParams, basin_probe,\n"
-        "                     classify_portrait, simulate)\n"
-        "params = SingleParams(Haldane(12.0, 1.0, 0.08), 1.4, 1.0)\n"
+        "sys.modules['numpy'] = None\n"
+        "from bufchem import (BufferedConfig, Haldane, SingleParams,\n"
+        "                     basin_probe, classify_portrait,\n"
+        "                     find_equilibria, jacobian,\n"
+        "                     numeric_eigenvalues, simulate)\n"
+        "model = Haldane(12.0, 1.0, 0.08)\n"
+        "params = SingleParams(model, 1.4, 1.0)\n"
         "stable = [e for e in classify_portrait(params).equilibria\n"
         "          if e.tag.endswith('_attracting')]\n"
         "labels = basin_probe(params, [(1.0, 0.5), (0.2, 0.01)],\n"
         "                     candidates=stable)\n"
         "captures = simulate._captures(params, stable, 1e-6)\n"
-        "print(labels, None not in captures, 'numpy' in sys.modules)\n")
+        "cfg = BufferedConfig(model, 1.4, 1.0, 0.35, 0.48)\n"
+        "rest = next(e for e in find_equilibria(cfg) if e.x1 > 0.0)\n"
+        "jacobian(cfg, rest.state)\n"
+        "spectrum = numeric_eigenvalues(cfg, rest.state)\n"
+        "print(labels, None not in captures, spectrum.tag == rest.tag,\n"
+        "      sys.modules['numpy'] is not None)\n")
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["True", "False"]
+    assert proc.stdout.split()[-3:] == ["True", "True", "False"]

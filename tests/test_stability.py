@@ -1,4 +1,5 @@
 """Closed-form eigenvalues against the numeric 4x4 oracle."""
+import math
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from bufchem import (
 from bufchem.simulate import _rhs_and_step
 from bufchem.stability import (
     EigenReport,
+    _block_roots,
     TAG_NON_HYPERBOLIC,
     TAG_SADDLE,
     TAG_STABLE,
@@ -31,6 +33,10 @@ def test_closed_form_matches_numeric_oracle():
             numeric = sorted(numeric_eigenvalues(cfg, e.state).values)
             for a, b in zip(closed, numeric):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+            # a third opinion on the block roots: LAPACK's QR on all of J
+            qr = sorted(np.linalg.eigvals(jacobian(cfg, e.state)).real)
+            for a, b in zip(numeric, qr):
+                assert abs(a - b) <= 1e-12 * abs(b)
 
 
 def test_jacobian_matches_finite_differences(reference_model):
@@ -48,21 +54,21 @@ def test_jacobian_matches_finite_differences(reference_model):
         fd = rhs(0.0, tuple(bumped_dn))
         for i in range(4):
             fd_ij = (fu[i] - fd[i]) / (2.0 * h)
-            assert J[i, j] == pytest.approx(fd_ij, abs=5e-6)
+            assert J[i][j] == pytest.approx(fd_ij, abs=5e-6)
 
 
 def test_jacobian_block_structure(reference_model):
     cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.5)
     J = jacobian(cfg, (0.9, 0.5, 0.2, 1.1))
     # buffer evolves autonomously: no feedback from the main tank
-    assert J[2, 0] == J[2, 1] == J[3, 0] == J[3, 1] == 0.0
+    assert J[2][0] == J[2][1] == J[3][0] == J[3][1] == 0.0
     # the cross-coupling routes buffer substrate to tank substrate and
     # buffer biomass to tank biomass, never diagonally
-    assert J[0, 3] == 0.0
-    assert J[1, 2] == 0.0
+    assert J[0][3] == 0.0
+    assert J[1][2] == 0.0
     coupling = (cfg.D / cfg.r) * cfg.alpha * (1.0 - cfg.r)
-    assert J[0, 2] == pytest.approx(coupling, abs=1e-14)
-    assert J[1, 3] == pytest.approx(coupling, abs=1e-14)
+    assert J[0][2] == pytest.approx(coupling, abs=1e-14)
+    assert J[1][3] == pytest.approx(coupling, abs=1e-14)
 
 
 def test_monod_unique_equilibrium_is_stable():
@@ -106,17 +112,33 @@ def test_classify_flags_clustered_spectra():
     assert report.ill_conditioned
 
 
-def test_numeric_route_rejects_complex_pairs(reference_model):
-    # far from equilibrium the linearization can rotate; the numeric
-    # route refuses to return real parts silently
+def test_numeric_route_is_real_far_from_rest(reference_model):
+    # each diagonal block has the root -D/r or -alpha D, so the spectrum
+    # is real at every state, not only at rest points
     cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.5)
-    state = (0.05, 1.35, 0.05, 1.35)
-    values = np.linalg.eigvals(jacobian(cfg, state))
-    if np.max(np.abs(values.imag)) > 1e-7 * np.max(np.abs(values)):
+    s1, x1, s2, x2 = state = (0.05, 1.35, 0.05, 1.35)
+    mu, slope = reference_model.rate, reference_model.rate_prime
+    d_r, a_d = cfg.D / cfg.r, cfg.alpha * cfg.D
+    expected = sorted((-d_r, mu(s1) - slope(s1) * x1 - d_r,
+                       -a_d, mu(s2) - slope(s2) * x2 - a_d))
+    got = numeric_eigenvalues(cfg, state).values
+    for a, b in zip(got, expected):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_numeric_route_refuses_states_off_the_domain(reference_model):
+    cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.5)
+    for s in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="substrate concentration"):
+            jacobian(cfg, (0.9, 0.5, s, 1.1))
+    for x in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            numeric_eigenvalues(cfg, state)
-    else:
-        assert len(numeric_eigenvalues(cfg, state).values) == 4
+            numeric_eigenvalues(cfg, (0.9, x, 0.2, 1.1))
+
+
+def test_block_roots_reject_a_rotation():
+    with pytest.raises(ValueError):
+        _block_roots(0.0, -1.0, 1.0, 0.0)
 
 
 def test_monod_buffered_equilibrium_matches_chemostat_limit():
