@@ -1,14 +1,17 @@
 """Small deterministic numerical helpers shared across the package.
 
-critical_levels is the one sign-change scan: it samples a function on
-the GRID-point midpoint grid and bisects each sign change.  The function
+critical_levels is the sign-change scan: it samples a function on the
+GRID-point midpoint grid and bisects each sign change.  The function
 need not be a derivative.  Every extremum the analysis layer needs is a
 zero of a closed-form derivative found this way, and so are the ends of
-the admissible buffer dilution range.  The refinement stays scalar
-because it sets the last digits of every result: it evaluates the
-caller's own closure, so a result depends only on that closure's
-arithmetic.  golden_min serves only the tangency fit, the route to
-r_bar that must stay independent of these critical levels.
+the admissible buffer dilution range.  proxy_levels finds the same
+levels from a Chebyshev proxy of a few dozen samples; buffer_design
+uses it for every law without closed forms, and it falls back on the
+scan when the proxy's coefficients have not decayed at 129 points.  The
+refinement stays scalar because it sets the last digits of every
+result: it evaluates the caller's own closure, so a result depends only
+on that closure's arithmetic.  golden_min serves only the tangency fit,
+the route to r_bar that must stay independent of these critical levels.
 
 Every value the package returns is a Record: an immutable set of named
 fields, compared and hashed by value.
@@ -25,6 +28,13 @@ _NEWTON_STEPS = 8
 
 # points of every critical_levels scan
 GRID = 2048
+# proxy_levels: the degrees n of its nested Chebyshev-Lobatto samples,
+# the tail its coefficients must fall to, relative to the largest, and
+# cos(pi m / n) for the largest n, m < 2 n
+_PROXY_DEGREES = (16, 32, 64, 128)
+_PROXY_TAIL = 1e-13
+_COS = [math.cos(math.pi * m / _PROXY_DEGREES[-1])
+        for m in range(2 * _PROXY_DEGREES[-1])]
 
 _object_setattr = object.__setattr__
 
@@ -181,7 +191,87 @@ def critical_levels(g: Callable[[float], float], lo: float, hi: float,
     step = (hi - lo) / GRID
     xs = sorted([lo + step * (i + 0.5) for i in range(GRID)]
                 + [c for c in cuts if lo <= c <= hi])
-    vs = [g(x) for x in xs]
+    return _bisected_sign_changes(g, xs, [g(x) for x in xs])
+
+
+def proxy_levels(g: Callable[[float], float], lo: float,
+                 hi: float) -> list[float]:
+    """critical_levels(g, lo, hi) from a Chebyshev proxy of g.
+
+    g is sampled on [lo + step/2, hi - step/2], the span of the scan's
+    grid, at 17, 33, 65 and then 129 nested Chebyshev-Lobatto points,
+    until the last four Chebyshev coefficients are at most _PROXY_TAIL
+    of the largest; if they never are, the scan runs instead.  Walking
+    the samples in ascending order, a sign change is a bracket; a
+    same-sign gap of width d is free of levels when |g0| + |g1| > M d,
+    with M = sum k^2 |c_k| / r the Markov bound on the proxy's slope and
+    r the half-width of the span; any other gap wider than the scan's
+    step is split at a new sample of g.  Each bracket is bisected on g
+    itself, with the scan's sign and touch rules.
+    """
+    step = (hi - lo) / GRID
+    a, b = lo + step * 0.5, lo + step * (GRID - 0.5)
+    centre, r = 0.5 * (a + b), 0.5 * (b - a)
+    top = _PROXY_DEGREES[-1]
+    # g at the Lobatto points of degree top, ascending; degree n reads
+    # every (top // n)-th of them
+    xs = [a] + [centre - r * _COS[j] for j in range(1, top)] + [b]
+    vs = [None] * (top + 1)
+    for n in _PROXY_DEGREES:
+        stride = top // n
+        for j in range(0, top + 1, stride):
+            if vs[j] is None:
+                vs[j] = g(xs[j])
+        fs = vs[::stride]
+        tail = max(_chebyshev_magnitudes(fs, range(n - 3, n + 1)))
+        # every |c_k| is at most 2 max |f|: a tail above that share of
+        # it cannot pass, and costs no full transform
+        if not tail <= _PROXY_TAIL * 2.0 * max(map(abs, fs)):
+            continue
+        coeffs = _chebyshev_magnitudes(fs, range(n + 1))
+        if tail <= _PROXY_TAIL * max(coeffs):
+            break
+    else:
+        return critical_levels(g, lo, hi)
+    slope = sum(k * k * c for k, c in enumerate(coeffs)) / r
+    kept_x, kept_v = [a], [fs[0]]
+    # samples still to walk, the next one last
+    todo = list(zip(xs[::stride][:0:-1], fs[:0:-1]))
+    while todo:
+        x1, v1 = todo[-1]
+        x0, v0 = kept_x[-1], kept_v[-1]
+        d = x1 - x0
+        if ((v0 > 0.0) == (v1 > 0.0) and d > step
+                and not abs(v0) + abs(v1) > slope * d):
+            mid = x0 + 0.5 * d
+            todo.append((mid, g(mid)))
+        else:
+            todo.pop()
+            kept_x.append(x1)
+            kept_v.append(v1)
+    return _bisected_sign_changes(g, kept_x, kept_v)
+
+
+def _chebyshev_magnitudes(fs: list[float], ks) -> list[float]:
+    """|c_k| for each k in ks, of the degree-n Chebyshev interpolant
+    through fs, its n + 1 values at the Lobatto points in ascending
+    order: a DCT-I read from _COS.  Ascending order flips the sign of
+    every odd coefficient, which the magnitudes do not see."""
+    n = len(fs) - 1
+    stride, period = _PROXY_DEGREES[-1] // n, len(_COS)
+    weights = [0.5 * fs[0], *fs[1:n], 0.5 * fs[n]]
+    out = []
+    for k in ks:
+        turn = stride * k
+        c = sum([w * _COS[j * turn % period] for j, w in enumerate(weights)])
+        out.append(abs(c) * (1.0 if 0 < k < n else 0.5) * 2.0 / n)
+    return out
+
+
+def _bisected_sign_changes(g: Callable[[float], float], xs: list[float],
+                           vs: list[float]) -> list[float]:
+    """The sign changes of g over its ascending samples vs at xs, each
+    bisected, with critical_levels' sign and touch rules."""
     last = len(xs) - 1
     levels = []
     for i in range(1, last + 1):

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ._numerics import (GRID, Record, bisect_root, critical_levels,
-                        finite_positive)
-from .kinetics import GrowthModel
+                        finite_positive, proxy_levels)
+from .kinetics import GrowthModel, Haldane, Monod
 
 __all__ = [
     "DesignReport",
@@ -154,14 +154,19 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
 
     # each maximum is the largest value at the critical levels of its
     # curve's closed-form slope.  The surplus vanishes at both ends of
-    # (upper, S_in); the capacity at the end s_bar is mu(S_in) (S_in - s_bar)
+    # (upper, S_in); the capacity at the end s_bar is mu(S_in) (S_in - s_bar).
+    # A law without closed forms finds the levels from a Chebyshev proxy
+    # of the slope; Haldane and Monod keep the scan, whose last bits the
+    # recorded design artifacts carry
+    levels = (critical_levels if type(model) in (Haldane, Monod)
+              else proxy_levels)
     mu, mu_p = model._rate_raw, model._rate_prime_raw
     surplus_max = max(
-        washout_surplus(model, S_in, D, s) for s in critical_levels(
+        washout_surplus(model, S_in, D, s) for s in levels(
             lambda s: -(D - mu(s)) - (S_in - s) * mu_p(s), window.upper, S_in))
     # (capacity, the buffer dilution rate that holds a buffer at that level)
     candidates = [(uptake_capacity(model, S_in, s), mu(s))
-                  for s in critical_levels(
+                  for s in levels(
                       lambda s: mu_p(s) * (S_in - s) - mu(s), 0.0, s_bar)]
     capacity_max, d2_star = max(candidates
                                 + [(mu_feed * (S_in - s_bar), mu_feed)])

@@ -243,6 +243,13 @@ class CustomUnimodal(GrowthModel, Record):
         if not finite_positive(self.sample_scale):
             raise ValueError("sample scale must be positive")
         self._shape_check()
+        # callers read mu and mu' straight from the callables, one call
+        # frame fewer, unless a subclass has its own
+        cls = type(self)
+        if cls._rate_raw is GrowthModel._rate_raw:
+            object.__setattr__(self, "_rate_raw", self.rate_fn)
+        if cls._rate_prime_raw is GrowthModel._rate_prime_raw:
+            object.__setattr__(self, "_rate_prime_raw", self.rate_prime_fn)
 
     def _shape_check(self) -> None:
         if not abs(self.rate_fn(0.0)) <= 1e-12:
@@ -250,6 +257,9 @@ class CustomUnimodal(GrowthModel, Record):
         span = self.peak_abscissa if math.isfinite(self.peak_abscissa) \
             else 10.0 * self.sample_scale
         pts = [span * (k + 1) / 16.0 for k in range(16)]
+        if not math.isfinite(self.peak_abscissa):
+            # on to past 1e12 sample_scale, where peak() reads the supremum
+            pts += [span * 2.0 ** k for k in range(1, 38)]
         prev = 0.0
         for s in pts:
             v = self._sampled_rate(s)
@@ -271,12 +281,6 @@ class CustomUnimodal(GrowthModel, Record):
             raise ValueError(
                 f"rate law must be finite and positive at s = {s}, got {v}")
         return v
-
-    def _rate_raw(self, s):
-        return self.rate_fn(s)
-
-    def _rate_prime_raw(self, s):
-        return self.rate_prime_fn(s)
 
     def peak(self) -> Peak:
         if math.isfinite(self.peak_abscissa):

@@ -59,6 +59,27 @@ def test_design_report_canonical(reference_model):
     assert 0.0 < report.d2_star <= reference_model.peak().height
 
 
+def test_callable_law_sizes_the_buffer_from_few_rate_calls(reference_model):
+    # the README law as callables: both slope scans read a Chebyshev proxy
+    # of a few dozen samples, where the 2048-point scans made 8452 calls
+    calls = []
+
+    def mu(s):
+        calls.append(s)
+        return reference_model.rate(s)
+
+    def mu_prime(s):
+        calls.append(s)
+        return reference_model.rate_prime(s)
+
+    law = CustomUnimodal(mu, mu_prime, reference_model.peak().abscissa)
+    calls.clear()  # the constructor's shape check
+    report = buffer_design(law, 1.4, 1.0)
+    assert len(calls) <= 600
+    assert report.v2_inf == pytest.approx(
+        buffer_design(reference_model, 1.4, 1.0).v2_inf, rel=1e-12)
+
+
 def test_d2_star_runs_buffer_at_peak_conversion(reference_model):
     # recompute the conversion optimum with a brute scan over the
     # feasible buffer levels: the rising branch, no faster-growing than

@@ -11,8 +11,10 @@ import random
 
 import pytest
 
+import bufchem.design
 from bufchem import (CustomUnimodal, Haldane, buffer_design, split_threshold,
                      uptake_capacity, washout_surplus)
+from bufchem._numerics import critical_levels, proxy_levels
 from bufchem.buffered import split_map
 from bufchem.multiplicity import (CASE_PIVOT_ABOVE, CASE_PIVOT_BELOW,
                                   _operating_point)
@@ -176,6 +178,30 @@ def test_buffer_size_matches_dense_reference(kind, seed):
         report = buffer_design(model, S_in, D)
         want = reference_v2_inf(model, S_in, D, report.s_bar)
         assert report.v2_inf == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("kind, seed", [("andrews", 81), ("wrapped", 82)])
+def test_proxy_levels_match_the_scan_on_both_design_slopes(kind, seed,
+                                                           monkeypatch):
+    draws = _draws(kind, 30, seed)
+    reports = [buffer_design(model, S_in, D) for model, S_in, D, _ in draws]
+    for (model, S_in, D, _), report in zip(draws, reports):
+        mu, mu_p = model._rate_raw, model._rate_prime_raw
+        slopes = ((lambda s: -(D - mu(s)) - (S_in - s) * mu_p(s),
+                   model.break_even(D).upper, S_in),
+                  (lambda s: mu_p(s) * (S_in - s) - mu(s), 0.0, report.s_bar))
+        for g, lo, hi in slopes:
+            want = critical_levels(g, lo, hi)
+            assert proxy_levels(g, lo, hi) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+    # the same designs with buffer_design's route put back on the scan
+    monkeypatch.setattr(bufchem.design, "proxy_levels", critical_levels)
+    for (model, S_in, D, _), report in zip(draws, reports):
+        scanned = buffer_design(model, S_in, D)
+        for name in ("delta_v_inf", "v2_inf", "d2_star", "s_bar",
+                     "surplus_max"):
+            assert getattr(report, name) == pytest.approx(
+                getattr(scanned, name), rel=1e-12, abs=0.0)
 
 
 def test_capacity_peak_at_s_bar_runs_the_buffer_at_the_feed_rate(

@@ -151,6 +151,14 @@ def test_custom_unimodal_rejects_a_falling_law_declared_increasing(
                        math.inf)
 
 
+def test_custom_unimodal_rejects_a_law_falling_past_ten_sample_scales():
+    # Haldane(12, 1, 500) peaks at s = 22.4, past the 16 samples of
+    # (0, 10]; the rising check goes on doubling to 1.4e12
+    law = Haldane(12.0, 1.0, 500.0)
+    with pytest.raises(ValueError, match="increase"):
+        CustomUnimodal(law.rate, law.rate_prime, math.inf)
+
+
 def test_custom_unimodal_rejects_bad_shape():
     # increasing on both sides of the claimed peak: not unimodal there
     with pytest.raises(ValueError):

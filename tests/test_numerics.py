@@ -23,6 +23,7 @@ from bufchem._numerics import (
     critical_levels,
     golden_min,
     newton_polish,
+    proxy_levels,
     real_cubic_roots,
 )
 from bufchem.single import Portrait, PortraitEquilibrium, SingleParams
@@ -97,6 +98,70 @@ def test_cut_points_separate_sign_changes_within_one_grid_step():
         [0.7, 0.9], rel=0.0, abs=1e-15)
     # a cut outside the scanned range is dropped, never sampled
     assert critical_levels(g, 0.0, float(GRID), [-1.0]) == []
+
+
+def test_proxy_finds_every_root_of_a_sine():
+    # nine roots, each many grid steps from the next; the proxy needs 65
+    # samples for sin on a span this wide
+    levels = proxy_levels(math.sin, 0.5, 30.0)
+    assert levels == pytest.approx([k * math.pi for k in range(1, 10)],
+                                   rel=0.0, abs=1e-14)
+    assert len(levels) == len(critical_levels(math.sin, 0.5, 30.0))
+
+
+def test_proxy_finds_two_roots_three_grid_steps_apart():
+    # the parabola dips below zero by only (1.5 step)^2 between its
+    # roots, far from every Chebyshev sample: the slope bound keeps the
+    # gaps around them from being excluded until bisection brackets both
+    step = 1.0 / GRID
+    first, second = 0.5 + 0.25 * step, 0.5 + 3.25 * step
+
+    def g(x):
+        return (x - first) * (x - second)
+
+    assert proxy_levels(g, 0.0, 1.0) == pytest.approx([first, second],
+                                                      rel=0.0, abs=1e-16)
+    assert len(critical_levels(g, 0.0, 1.0)) == 2
+
+
+def test_proxy_tolerates_a_pole_at_the_upper_end():
+    # sampled no nearer than half a grid step to the pole at 1
+    def g(x):
+        return 1.0 / (1.0 - x) - 4.0
+
+    assert proxy_levels(g, 0.0, 1.0) == critical_levels(g, 0.0, 1.0)
+    assert proxy_levels(g, 0.0, 1.0) == pytest.approx([0.75], rel=1e-15)
+
+
+def test_proxy_finds_a_zero_on_a_sample_point_once():
+    # the abscissae the proxy samples depend only on (lo, hi): record
+    # them, then put a crossing and a touch exactly on one of them
+    calls = []
+
+    def recorder(x):
+        calls.append(x)
+        return x + 2.0
+
+    proxy_levels(recorder, 0.0, 1.0)
+    x0 = calls[5]
+    for g in (lambda x: x - x0, lambda x: x0 - x):
+        assert proxy_levels(g, 0.0, 1.0) == [x0]
+    assert proxy_levels(lambda x: (x - x0) ** 2, 0.0, 1.0) == []
+
+
+def test_proxy_of_a_kinked_function_falls_back_on_the_scan():
+    # the kink at 0.3 keeps the Chebyshev tail far above 1e-13 up to 129
+    # points, so the GRID-point scan runs and its result is returned
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return abs(x - 0.3) - 0.1
+
+    levels = proxy_levels(g, 0.0, 1.0)
+    assert len(calls) > GRID + 129
+    assert levels == critical_levels(g, 0.0, 1.0)
+    assert levels == pytest.approx([0.2, 0.4], rel=1e-15)
 
 
 def test_every_public_numerics_name_has_a_caller():

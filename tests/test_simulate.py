@@ -113,9 +113,11 @@ def test_rejects_non_finite_initial_state(reference_model):
 
 
 def test_non_finite_error_norm_raises():
-    # the rate law is NaN from s = 1.3 on, so every stage from the start is;
-    # sample_scale 0.1 keeps the constructor's shape check on (0, 1]
-    law = CustomUnimodal(lambda s: 2.0 * s / (1.0 + s) if s < 1.3 else math.nan,
+    # the rate law is NaN on [1.3, 1.39), so every stage from the start
+    # is; sample_scale 0.1 puts no sample of the constructor's shape
+    # check (16ths of 1, then 2, 4, 8, ...) in that band
+    law = CustomUnimodal(lambda s: math.nan if 1.3 <= s < 1.39
+                         else 2.0 * s / (1.0 + s),
                          lambda s: 2.0 / (1.0 + s) ** 2, math.inf,
                          sample_scale=0.1)
     params = SingleParams(law, 1.4, 0.5)
@@ -618,22 +620,24 @@ def test_written_out_laws_match_their_callables(system, x0, settings):
 def test_written_out_laws_bypass_rate_raw(system, x0, settings,
                                           monkeypatch):
     """Haldane and Monod run on the law written into the step; every
-    other law calls _rate_raw once per substrate at every stage."""
+    other law calls its rate once per substrate at every stage."""
     haldane, monod = Haldane(12.0, 1.0, 0.08), Monod(2.0, 0.3)
-    custom = _haldane_callables(12.0, 1.0, 0.08)
+    wrapped = _haldane_callables(12.0, 1.0, 0.08)
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return wrapped.rate_fn(s)
+
+    custom = CustomUnimodal(counting, wrapped.rate_prime_fn,
+                            wrapped.peak_abscissa)
+    calls.clear()  # the constructor's shape check
 
     def refuse(self, s):
         raise AssertionError("the written-out law called _rate_raw")
 
-    calls = []
-
-    def counting(self, s):
-        calls.append(s)
-        return self.rate_fn(s)
-
     monkeypatch.setattr(Haldane, "_rate_raw", refuse)
     monkeypatch.setattr(Monod, "_rate_raw", refuse)
-    monkeypatch.setattr(CustomUnimodal, "_rate_raw", counting)
     for law in (haldane, monod):
         assert integrate(system(law), x0, settings).accepted_steps > 0
     traj = integrate(system(custom), x0, settings)
