@@ -28,7 +28,7 @@ from typing import Optional
 
 from ._numerics import (Record, bisect_root, critical_levels, finite_positive,
                         newton_polish, real_cubic_roots)
-from .kinetics import GrowthModel, Haldane
+from .kinetics import GrowthModel, closed_form
 
 __all__ = [
     "InfeasibleBufferError",
@@ -333,7 +333,7 @@ def _pivot_split_map(model: GrowthModel, S_in: float, D: float, pv: float):
 def _positive_levels(config: BufferedConfig) -> list[float]:
     """Sorted rest levels of the main vessel on (0, S_in): the closed-form
     cubic for Haldane kinetics, the critical-point pass for every other law."""
-    if isinstance(config.model, Haldane):
+    if closed_form(config.model) == "haldane":
         return _haldane_levels(config)
     return _scan_levels(config)
 

@@ -16,8 +16,8 @@ import sys
 
 from . import (buffered, design, io, multiplicity, simulate, single,
                stability)
-from .config import GROWTH_LAWS, ConfigError, RunConfig, parse_config
-from .kinetics import GrowthModel
+from .config import ConfigError, RunConfig, parse_config
+from .kinetics import GrowthModel, closed_form
 
 __all__ = ["main"]
 
@@ -30,11 +30,11 @@ _SINGLE_ATTRACTORS = ((single.TAG_POSITIVE_ATTRACTING, "survival"),
 
 
 def _model_payload(model: GrowthModel) -> dict:
-    for kind, (law, keys) in GROWTH_LAWS.items():
-        if isinstance(model, law):
-            return {"type": kind,
-                    "parameters": {key: getattr(model, key) for key in keys}}
-    raise ValueError(f"no [growth] type for {type(model).__name__}")
+    kind = closed_form(model)
+    if kind is None:
+        raise ValueError(f"no [growth] type for {type(model).__name__}")
+    return {"type": kind,
+            "parameters": dict(zip(model._fields, model._values()))}
 
 
 def _break_even_payload(window) -> dict | None:

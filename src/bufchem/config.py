@@ -28,7 +28,7 @@ from typing import Optional
 
 from ._numerics import Record
 from .buffered import BufferedConfig
-from .kinetics import GrowthModel, Haldane, Monod
+from .kinetics import CLOSED_FORMS, GrowthModel
 from .simulate import IntegratorSettings
 from .single import Parallel, Serial, SingleParams
 
@@ -39,15 +39,10 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
-# [growth] type -> the rate law and its parameter names in constructor
-# order; the CLI writes a model back out from the same table
-GROWTH_LAWS = {
-    "haldane": (Haldane, ("mu_bar", "K", "K_I")),
-    "monod": (Monod, ("mu_max", "K_s")),
-}
+# the [growth] keys of each type are its law's fields, in constructor order
 _SECTION_KEYS = {
-    "growth": {"type",
-               *(key for _, keys in GROWTH_LAWS.values() for key in keys)},
+    "growth": {"type", *(key for law in CLOSED_FORMS.values()
+                         for key in law._fields)},
     "operating": {"S_in", "D", "Q", "V"},
     "buffered": {"alpha", "r", "Q1", "Q2", "V1", "V2"},
     "integrator": {"rel_tol", "abs_tol", "max_step", "t_end"},
@@ -115,17 +110,17 @@ def _require(section: dict, name: str, key: str) -> str:
 def _parse_growth(sec: dict) -> GrowthModel:
     _check_keys("growth", sec)
     kind = _require(sec, "growth", "type").strip().lower()
-    if kind not in GROWTH_LAWS:
-        raise ConfigError(f"[growth] type must be {' or '.join(GROWTH_LAWS)}, "
+    if kind not in CLOSED_FORMS:
+        raise ConfigError(f"[growth] type must be {' or '.join(CLOSED_FORMS)}, "
                           f"got {kind!r}")
-    law, keys = GROWTH_LAWS[kind]
+    keys = CLOSED_FORMS[kind]._fields
     for key in sec:
         if key not in {"type", *keys}:
             raise ConfigError(
                 f"[growth] key {key!r} does not belong to type {kind}")
     params = [_float("growth", key, _require(sec, "growth", key))
               for key in keys]
-    return _build("[growth] ", law, *params)
+    return _build("[growth] ", CLOSED_FORMS[kind], *params)
 
 
 def _parse_operating(sec: dict) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from ._numerics import (GRID, Record, bisect_root, critical_levels,
                         finite_positive, proxy_levels)
-from .kinetics import GrowthModel, Haldane, Monod
+from .kinetics import GrowthModel, closed_form
 
 __all__ = [
     "DesignReport",
@@ -158,8 +158,7 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
     # A law without closed forms finds the levels from a Chebyshev proxy
     # of the slope; Haldane and Monod keep the scan, whose last bits the
     # recorded design artifacts carry
-    levels = (critical_levels if type(model) in (Haldane, Monod)
-              else proxy_levels)
+    levels = critical_levels if closed_form(model) else proxy_levels
     mu, mu_p = model._rate_raw, model._rate_prime_raw
     surplus_max = max(
         washout_surplus(model, S_in, D, s) for s in levels(

@@ -8,8 +8,9 @@ which growth outpaces dilution:
 
     {s > 0 : mu(s) > D} = (lower, upper),   upper possibly infinite.
 
-Monod and Haldane laws carry closed forms for everything; a custom
-unimodal law falls back on guarded scans and bisection.
+Exact Monod and Haldane laws (CLOSED_FORMS, told apart by closed_form)
+carry closed forms for everything; every other law, a subclass of theirs
+included, falls back on guarded scans and bisection.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from typing import Callable, Optional
 from ._numerics import Record, bisect_root, finite_positive
 
 __all__ = [
+    "CLOSED_FORMS",
+    "closed_form",
     "BreakEvenInterval",
     "Peak",
     "GrowthModel",
@@ -32,6 +35,12 @@ _BREAK_EVEN_RTOL = 1e-12
 # a bracket end doubled past this level gives up: the rate is taken
 # never to cross the dilution rate beyond it
 _EXPAND_CEILING = 1e120
+# CustomUnimodal compares its declared slope at this many of its shape
+# samples s with the rate's one-sided differences of step 1e-6 s; one
+# must match within 1e-3 of the larger of |mu'(s)| and mu(s) / s
+_SLOPE_CHECKS = 12
+_SLOPE_STEP = 1e-6
+_SLOPE_RTOL = 1e-3
 
 
 class Peak(Record):
@@ -92,11 +101,12 @@ class GrowthModel:
         """Interval where mu > dilution, or None when growth never wins.
 
         The generic path brackets mu(s) = dilution on each monotone
-        branch and refines by bisection to a residual of 1e-12 * dilution.
+        branch and refines by bisection to a residual of 1e-12 * dilution;
+        a law with closed forms overrides _break_even.
         """
         if not dilution > 0.0:
             raise ValueError("dilution rate must be positive")
-        return self._break_even_generic(dilution)
+        return self._break_even(dilution)
 
     # fast unchecked evaluations; simulate builds its inner loops on these
     def _rate_raw(self, s):
@@ -111,7 +121,7 @@ class GrowthModel:
             raise ValueError(
                 f"substrate concentration must be finite and >= 0, got {s}")
 
-    def _break_even_generic(self, dilution: float) -> Optional[BreakEvenInterval]:
+    def _break_even(self, dilution: float) -> Optional[BreakEvenInterval]:
         f_tol = _BREAK_EVEN_RTOL * dilution
         g = lambda s: self._rate_raw(s) - dilution
         pk = self.peak()
@@ -149,6 +159,9 @@ class Monod(GrowthModel, Record):
     """
     mu_max: float
     K_s: float
+    # the rate at substrate {s} as the generated loops write it, over the
+    # fields' names: _rate_raw's operand order, so both round alike
+    _RATE = "mu_max * {s} / (K_s + {s})"
 
     def __post_init__(self) -> None:
         if not (finite_positive(self.mu_max) and finite_positive(self.K_s)):
@@ -163,9 +176,7 @@ class Monod(GrowthModel, Record):
     def peak(self) -> Peak:
         return Peak(math.inf, self.mu_max)
 
-    def break_even(self, dilution: float) -> Optional[BreakEvenInterval]:
-        if not dilution > 0.0:
-            raise ValueError("dilution rate must be positive")
+    def _break_even(self, dilution: float) -> Optional[BreakEvenInterval]:
         if dilution >= self.mu_max:
             return None
         return BreakEvenInterval(self.K_s * dilution / (self.mu_max - dilution),
@@ -181,6 +192,7 @@ class Haldane(GrowthModel, Record):
     mu_bar: float
     K: float
     K_I: float
+    _RATE = "mu_bar * {s} / (K + {s} + {s} * {s} / K_I)"
 
     def __post_init__(self) -> None:
         if not all(map(finite_positive, (self.mu_bar, self.K, self.K_I))):
@@ -197,13 +209,11 @@ class Haldane(GrowthModel, Record):
         s_hat = math.sqrt(self.K * self.K_I)
         return Peak(s_hat, self._rate_raw(s_hat))
 
-    def break_even(self, dilution: float) -> Optional[BreakEvenInterval]:
+    def _break_even(self, dilution: float) -> Optional[BreakEvenInterval]:
         """Closed form: the two roots of the quadratic mu(s) = dilution.
 
         Non-empty exactly when mu_bar / dilution > 1 + 2 sqrt(K / K_I).
         """
-        if not dilution > 0.0:
-            raise ValueError("dilution rate must be positive")
         ratio = self.mu_bar / dilution
         if ratio <= 1.0 + 2.0 * math.sqrt(self.K / self.K_I):
             return None
@@ -223,13 +233,25 @@ class Haldane(GrowthModel, Record):
         return BreakEvenInterval(self.K / h, self.K_I * h)
 
 
+# [growth] type -> the rate laws with closed forms
+CLOSED_FORMS = {"haldane": Haldane, "monod": Monod}
+_CLOSED_KINDS = {law: kind for kind, law in CLOSED_FORMS.items()}
+
+
+def closed_form(model: GrowthModel) -> Optional[str]:
+    """The CLOSED_FORMS type of an exact Haldane or Monod, else None: a
+    subclass may override the rate, so it takes the general route."""
+    return _CLOSED_KINDS.get(type(model))
+
+
 class CustomUnimodal(GrowthModel, Record):
     """User-supplied rate law with a declared peak abscissa.
 
     The callables must describe a law with mu(0) = 0 that is positive on
     (0, inf) and increasing below the declared peak, decreasing above it
     (peak_abscissa = math.inf declares a strictly increasing law).  The
-    shape is spot-checked on a sample grid at construction.
+    shape is spot-checked on a sample grid at construction, and so is
+    rate_prime_fn against one-sided differences of rate_fn.
     """
     rate_fn: Callable[[float], float]
     rate_prime_fn: Callable[[float], float]
@@ -260,11 +282,13 @@ class CustomUnimodal(GrowthModel, Record):
         if not math.isfinite(self.peak_abscissa):
             # on to past 1e12 sample_scale, where peak() reads the supremum
             pts += [span * 2.0 ** k for k in range(1, 38)]
+        samples = []
         prev = 0.0
         for s in pts:
             v = self._sampled_rate(s)
             if v < prev - 1e-12:
                 raise ValueError("rate law must increase up to the declared peak")
+            samples.append((s, v))
             prev = v
         if math.isfinite(self.peak_abscissa):
             right = [self.peak_abscissa * (1.0 + (k + 1) / 8.0) for k in range(8)]
@@ -273,7 +297,28 @@ class CustomUnimodal(GrowthModel, Record):
                 v = self._sampled_rate(s)
                 if v > prev + 1e-12:
                     raise ValueError("rate law must decrease beyond the declared peak")
+                samples.append((s, v))
                 prev = v
+        self._slope_check(samples[::-(-len(samples) // _SLOPE_CHECKS)])
+
+    def _slope_check(self, samples: list[tuple[float, float]]) -> None:
+        """The declared mu' at each (s, mu(s)) must be finite and match one
+        of the rate's one-sided differences there, so a kink passes and a
+        wrong factor or sign does not."""
+        for s, v in samples:
+            slope = self.rate_prime_fn(s)
+            tol = _SLOPE_RTOL * max(abs(slope), v / s)
+            diffs = []
+            # ahead of s, then behind it only where that does not match
+            for t in (s + _SLOPE_STEP * s, s - _SLOPE_STEP * s):
+                diffs.append((self.rate_fn(t) - v) / (t - s))
+                if math.isfinite(slope) and abs(slope - diffs[-1]) <= tol:
+                    break
+            else:
+                raise ValueError(
+                    f"declared derivative {slope} at s = {s} matches neither "
+                    f"one-sided difference of the rate law, {diffs[0]} ahead "
+                    f"and {diffs[1]} behind")
 
     def _sampled_rate(self, s: float) -> float:
         v = self.rate_fn(s)

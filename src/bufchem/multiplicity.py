@@ -30,7 +30,7 @@ from ._numerics import Record, bisect_root, critical_levels, golden_min
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
                        _check_feed, _pivot_split_map, buffer_substrate,
                        pivot_level, split_map)
-from .kinetics import GrowthModel, Haldane
+from .kinetics import GrowthModel, closed_form
 
 __all__ = [
     "CASE_NO_UPPER",
@@ -220,7 +220,7 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
 
     band_values = values_inside(extrema)
     band = (min(band_values), max(band_values)) if band_values else None
-    if (isinstance(model, Haldane) and band is not None
+    if (closed_form(model) == "haldane" and band is not None
             and r_plus_min is not None and not band[1] < r_plus_min):
         raise ConsistencyError(
             f"extra-root band {band} is expected to sit strictly below the "

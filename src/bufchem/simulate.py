@@ -55,7 +55,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ._numerics import Record, finite_positive
 from .buffered import BufferedConfig
-from .kinetics import Haldane, Monod
+from .kinetics import CLOSED_FORMS, closed_form
 from .single import SingleParams
 
 __all__ = [
@@ -99,14 +99,6 @@ _SYSTEMS = {
          "m1 * x1 + d_r * (cross * x2 - x1)",
          "-m2 * x2 + a_d * (S_in - s2)",
          "(m2 - a_d) * x2")),
-}
-# each rate-law kind: the parameters the step closes over and the rate
-# at substrate {s}, with the operand order of the law's _rate_raw
-_LAWS = {
-    "haldane": (("mu_bar", "K", "K_I"),
-                "mu_bar * {s} / (K + {s} + {s} * {s} / K_I)"),
-    "monod": (("mu_max", "K_s"), "mu_max * {s} / (K_s + {s})"),
-    "callable": (("mu",), "mu({s})"),
 }
 
 
@@ -172,17 +164,20 @@ def _dp5_step(n: int, law: str) -> Callable:
 
     _dp5_step(n, law)(*constants, *law_parameters) returns (rhs, run)
     for the system over n-component states (_SYSTEMS) and the rate-law
-    kind law (_LAWS).  rhs(t, y) is the right-hand side.  run(t_end, h,
-    y, k1, abs_tol, rel_tol, max_step, neg_floor, h_min, stop) is
-    integrate's adaptive loop from t = 0, state y, rhs there k1 and a
-    first step h (_RUN): it returns the lists of accepted times and
-    states with the counts of accepted and rejected steps.  Its source
-    works on scalar locals: y_0, k1_0, ..., k7_{n-1}, each stage's input
-    in the state's names and the rates m1, m2; the only tuple it builds
-    is each accepted state.
+    kind law: a CLOSED_FORMS type, whose fields it closes over and whose
+    _RATE it writes in, or "callable", a call of mu.  rhs(t, y) is the
+    right-hand side.  run(t_end, h, y, k1, abs_tol, rel_tol, max_step,
+    neg_floor, h_min, stop) is integrate's adaptive loop from t = 0,
+    state y, rhs there k1 and a first step h (_RUN): it returns the lists
+    of accepted times and states with the counts of accepted and
+    rejected steps.  Its source works on scalar locals: y_0, k1_0, ...,
+    k7_{n-1}, each stage's input in the state's names and the rates m1,
+    m2; the only tuple it builds is each accepted state.
     """
     constants, state, substrates, components = _SYSTEMS[n]
-    parameters, rate = _LAWS[law]
+    closed = CLOSED_FORMS.get(law)
+    parameters, rate = ((closed._fields, closed._RATE) if closed
+                        else (("mu",), "mu({s})"))
     comps = range(n)
     ind = " " * 12
 
@@ -304,19 +299,6 @@ class Trajectory(Record):
         return self.states[-1]
 
 
-def _law(model) -> tuple[str, tuple]:
-    """The rate-law kind of _LAWS for model, and its parameters.
-
-    Only the exact classes are written out: a subclass may override
-    _rate_raw, so it keeps the call, as every other law does.
-    """
-    if type(model) is Haldane:
-        return "haldane", (model.mu_bar, model.K, model.K_I)
-    if type(model) is Monod:
-        return "monod", (model.mu_max, model.K_s)
-    return "callable", (model._rate_raw,)
-
-
 def _constants(system) -> Optional[tuple[int, tuple]]:
     """The state size of system and the constants of its right-hand side
     (_SYSTEMS), or None for a system of another type."""
@@ -341,8 +323,10 @@ def _rhs_and_step(system: Union[SingleParams, BufferedConfig], n: int
     if n != size:
         kind = "single-vessel" if size == 2 else "buffered"
         raise ValueError(f"{kind} states have {size} components")
-    law, parameters = _law(system.model)
-    return _dp5_step(n, law)(*constants, *parameters)
+    law = closed_form(system.model)
+    if law is None:
+        return _dp5_step(n, "callable")(*constants, system.model._rate_raw)
+    return _dp5_step(n, law)(*constants, *system.model._values())
 
 
 def _initial_step(f, t0: float, y0: State, f0: State, abs_tol: float,
@@ -559,11 +543,10 @@ def _capture(n: int, constants: tuple, model, ref: State, eps: float
     L comes from interval bounds of mu' and mu'' on [max(s* - R, 0), s*
     + R] for each vessel's substrate s.
     """
-    kind, parameters = _law(model)
-    if kind == "callable":
+    if closed_form(model) is None:
         return None
-    mu_bar, K = parameters[:2]
-    q = 1.0 / parameters[2] if kind == "haldane" else 0.0  # Monod: K_I = inf
+    mu_bar, K = model._values()[:2]
+    q = 1.0 / getattr(model, "K_I", math.inf)  # a law without K_I: q = 0
     f, A, size = _linearization(n, constants, model, ref)
     P = _lyapunov(A)
     if P is None:

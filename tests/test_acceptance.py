@@ -79,7 +79,7 @@ def test_criterion_01_break_even_closed_form():
     for _ in range(5):
         t0 = time.perf_counter()
         closed = REF_MODEL.break_even(D_REF)
-        generic = GrowthModel.break_even(REF_MODEL, D_REF)
+        generic = GrowthModel._break_even(REF_MODEL, D_REF)
         best = min(best, time.perf_counter() - t0)
     route_gap = max(abs(closed.lower - generic.lower),
                     abs(closed.upper - generic.upper))

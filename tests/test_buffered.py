@@ -22,7 +22,10 @@ from bufchem import (
     split_threshold,
     surplus_region,
 )
-from bufchem.buffered import SingularSplitPoint, _deficit_fn, split_map
+from bufchem import simulate
+from bufchem.buffered import (SingularSplitPoint, _deficit_fn, _scan_levels,
+                              split_map)
+from bufchem.kinetics import GrowthModel
 from bufchem.simulate import _rhs_and_step
 from conftest import draw_buffered_config
 
@@ -234,6 +237,40 @@ def test_scan_keeps_a_double_root_whole_on_every_tangency(reference_model):
                       for model in (reference_model, wrapped)]
             assert len(levels[1]) == len(levels[0]), (alpha, r)
     assert tangencies == 76
+
+
+class _ScaledHaldane(Haldane):
+    """0.8 times Haldane's law, on the generic break-even route: a subclass
+    keeps Haldane's fields but not its rate."""
+
+    def _rate_raw(self, s):
+        return 0.8 * Haldane._rate_raw(self, s)
+
+    def _rate_prime_raw(self, s):
+        return 0.8 * Haldane._rate_prime_raw(self, s)
+
+    def _break_even(self, dilution):
+        return GrowthModel._break_even(self, dilution)
+
+
+def test_subclass_of_a_closed_form_law_takes_the_general_route(monkeypatch):
+    # Haldane's cubic for the base parameters finds three levels here, two
+    # of them far from rest; the scaled law has one, near 1.09826
+    config = BufferedConfig(_ScaledHaldane(12.0, 1.0, 0.08), 1.4, 1.0, 0.35,
+                            0.6)
+    deficit = _deficit_fn(config)[2]
+    levels = [e.s1 for e in find_equilibria(config)
+              if e.branch == BRANCH_POSITIVE]
+    assert levels == _scan_levels(config)
+    assert levels == pytest.approx([1.09826], abs=1e-5)
+    assert all(abs(deficit(s)) <= 1e-10 for s in levels)
+    laws = []
+    step = simulate._dp5_step
+    monkeypatch.setattr(simulate, "_dp5_step",
+                        lambda n, law: laws.append(law) or step(n, law))
+    simulate.integrate(config, (0.6, 0.4, 0.9, 0.3),
+                       simulate.IntegratorSettings(t_end=1.0))
+    assert laws == ["callable"]
 
 
 def test_monod_always_single_positive_root():

@@ -155,7 +155,9 @@ def test_d2_interval_refuses_disconnected_set():
     # rise past the feed, so the admissible D2 rates fall apart
     model = CustomUnimodal(
         lambda s: 0.5 * s / (0.01 + s) + 1.5 * s ** 12 / (0.35 ** 12 + s ** 12),
-        lambda s: 0.0, math.inf)
+        lambda s: (0.005 / (0.01 + s) ** 2
+                   + 18.0 * 0.35 ** 12 * s ** 11 / (0.35 ** 12 + s ** 12) ** 2),
+        math.inf)
     report = DesignReport(delta_v_inf=0.0, v2_inf=1.0, d2_star=1.0,
                           s_bar=1.0, surplus_max=0.395, _model=model,
                           _S_in=1.0)

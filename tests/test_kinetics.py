@@ -1,12 +1,17 @@
 """Growth laws, their peaks, and break-even concentrations."""
+import ast
 import math
+import pathlib
+import random
 import sys
 from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bufchem
 from bufchem import CustomUnimodal, GrowthModel, Haldane, Monod
+from bufchem.kinetics import CLOSED_FORMS, closed_form
 
 
 def test_haldane_break_even_frozen_values(reference_model):
@@ -102,8 +107,9 @@ def test_rate_prime_matches_finite_difference(reference_model):
 
 
 def test_generic_bisection_matches_haldane_closed_form(reference_model):
-    # base-class route: bracketing bisection around the peak
-    generic = GrowthModel.break_even(reference_model, 1.0)
+    # base-class route, which Haldane overrides: bracketing bisection
+    # around the peak
+    generic = GrowthModel._break_even(reference_model, 1.0)
     closed = reference_model.break_even(1.0)
     assert abs(generic.lower - closed.lower) < 1e-9
     assert abs(generic.upper - closed.upper) < 1e-9
@@ -111,7 +117,7 @@ def test_generic_bisection_matches_haldane_closed_form(reference_model):
 
 def test_generic_bisection_matches_monod_closed_form():
     model = Monod(2.0, 0.7)
-    generic = GrowthModel.break_even(model, 1.2)
+    generic = GrowthModel._break_even(model, 1.2)
     closed = model.break_even(1.2)
     assert abs(generic.lower - closed.lower) < 1e-9
     assert generic.upper == math.inf
@@ -134,7 +140,10 @@ def test_break_even_stops_doubling_before_overflow():
         levels.append(s)
         return 2.0 * s / (1.0 + s * s) if s <= 1.0 else 0.5 + 0.5 / (s * s)
 
-    custom = CustomUnimodal(rate, lambda s: 0.0, 1.0)
+    def rate_prime(s):
+        return 2.0 * (1.0 - s * s) / (1.0 + s * s) ** 2 if s <= 1.0 else -1.0 / s ** 3
+
+    custom = CustomUnimodal(rate, rate_prime, 1.0)
     levels.clear()
     window = custom.break_even(0.3)
     assert window.lower == 0.15353599527679762
@@ -163,6 +172,66 @@ def test_custom_unimodal_rejects_bad_shape():
     # increasing on both sides of the claimed peak: not unimodal there
     with pytest.raises(ValueError):
         CustomUnimodal(lambda s: s, lambda s: 1.0, 1.0)
+
+
+@pytest.mark.parametrize("factor", [2.0, -1.0], ids=["doubled", "negated"])
+def test_custom_unimodal_rejects_a_wrong_derivative(reference_model, factor):
+    with pytest.raises(ValueError, match=r"derivative .* at s = "):
+        CustomUnimodal(reference_model.rate,
+                       lambda s: factor * reference_model.rate_prime(s),
+                       math.sqrt(0.08))
+
+
+@pytest.mark.parametrize("slope", [math.nan, math.inf])
+def test_custom_unimodal_rejects_a_non_finite_derivative(slope):
+    with pytest.raises(ValueError, match=f"derivative {slope}"):
+        CustomUnimodal(lambda s: 2.0 * s / (1.0 + s), lambda s: slope,
+                       math.inf)
+
+
+def test_closed_form_names_only_the_exact_classes(reference_model):
+    class Sub(Haldane):
+        pass
+
+    assert closed_form(reference_model) == "haldane"
+    assert closed_form(Monod(2.0, 0.3)) == "monod"
+    assert closed_form(Sub(12.0, 1.0, 0.08)) is None
+    assert closed_form(CustomUnimodal(reference_model.rate,
+                                      reference_model.rate_prime,
+                                      math.sqrt(0.08))) is None
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
+def test_written_rate_is_rate_raw_bit_for_bit(kind):
+    """_RATE, the rate the generated loops write in, rounds as _rate_raw
+    does at every level, stage values below zero included."""
+    rng = random.Random(2301)
+    levels = [0.0, 1e-300, -1e-300, -1e-12, -1e-6, 1e300, math.sqrt(0.08)]
+    levels += [10.0 ** k for k in range(-300, 301, 4)]
+    levels += [rng.uniform(-1e-9, 3.0) for _ in range(100)]
+    law = CLOSED_FORMS[kind]
+    code = compile(law._RATE.format(s="s"), f"<{kind} rate>", "eval")
+    for values in ((12.0, 1.0, 0.08), (9.92, 0.176, 1.51), (2.0, 0.3, 7.0)):
+        model = law(*values[:len(law._fields)])
+        fields = dict(zip(model._fields, model._values()))
+        for s in levels:
+            assert (repr(eval(code, {}, {**fields, "s": s}))
+                    == repr(model._rate_raw(s))), (values, s)
+
+
+def test_only_kinetics_names_the_closed_form_laws():
+    """Every other module asks closed_form which route a law takes."""
+    found = []
+    for path in sorted(pathlib.Path(bufchem.__file__).parent.glob("*.py")):
+        if path.name in ("kinetics.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("Haldane", "Monod"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_invalid_parameters_raise():

@@ -604,7 +604,8 @@ def test_written_out_laws_match_their_callables(system, x0, settings):
         (Monod(2.0, 0.3), _monod_callables(2.0, 0.3)),
         (_DoubledHaldane(6.0, 1.0, 0.08),
          CustomUnimodal(lambda s: 2.0 * (6.0 * s / (1.0 + s + s * s / 0.08)),
-                        lambda s: 0.0, math.sqrt(0.08))),
+                        lambda s: 12.0 * (1.0 - s * s / 0.08)
+                        / (1.0 + s + s * s / 0.08) ** 2, math.sqrt(0.08))),
     ]
     for law, callables in pairs:
         written = integrate(system(law), x0, settings)
