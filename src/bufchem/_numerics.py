@@ -1,17 +1,17 @@
 """Small deterministic numerical helpers shared across the package.
 
 critical_levels is the sign-change scan: it samples a function on the
-GRID-point midpoint grid and bisects each sign change.  The function
+_GRID-point midpoint grid and bisects each sign change.  The function
 need not be a derivative.  Every extremum the analysis layer needs is a
-zero of a closed-form derivative found this way, and so are the ends of
-the admissible buffer dilution range.  proxy_levels finds the same
-levels from a Chebyshev proxy of a few dozen samples; buffer_design
-uses it for every law without closed forms, and it falls back on the
-scan when the proxy's coefficients have not decayed at 129 points.  The
-refinement stays scalar because it sets the last digits of every
-result: it evaluates the caller's own closure, so a result depends only
-on that closure's arithmetic.  golden_min serves only the tangency fit,
-the route to r_bar that must stay independent of these critical levels.
+zero of a closed-form derivative found this way.  proxy_levels finds
+the same levels from a Chebyshev proxy of a few dozen samples; the
+buffer design uses it for every law without closed forms, and it falls
+back on the scan when the proxy's coefficients have not decayed at 129
+points.  The refinement stays scalar because it sets the last digits of
+every result: it evaluates the caller's own closure, so a result
+depends only on that closure's arithmetic.  golden_min serves only the
+tangency fit, the route to r_bar that must stay independent of these
+critical levels.
 
 Every value the package returns is a Record: an immutable set of named
 fields, compared and hashed by value.
@@ -27,7 +27,7 @@ _GOLDEN_X_TOL = 1e-10   # relative bracket width golden_min stops at
 _NEWTON_STEPS = 8
 
 # points of every critical_levels scan
-GRID = 2048
+_GRID = 2048
 # proxy_levels: the degrees n of its nested Chebyshev-Lobatto samples,
 # the tail its coefficients must fall to, relative to the largest, and
 # cos(pi m / n) for the largest n, m < 2 n
@@ -172,7 +172,7 @@ def golden_min(f: Callable[[float], float], lo: float,
 
 def critical_levels(g: Callable[[float], float], lo: float, hi: float,
                     cuts: Sequence[float] = ()) -> list[float]:
-    """The sign changes of g on (lo, hi), ascending: a GRID-point scan
+    """The sign changes of g on (lo, hi), ascending: a _GRID-point scan
     brackets each one and bisection refines it to machine resolution.
     g need not be a derivative.
 
@@ -188,8 +188,8 @@ def critical_levels(g: Callable[[float], float], lo: float, hi: float,
     touch and gives none; a run that reaches an end of the grid keeps
     its v > 0 flip.
     """
-    step = (hi - lo) / GRID
-    xs = sorted([lo + step * (i + 0.5) for i in range(GRID)]
+    step = (hi - lo) / _GRID
+    xs = sorted([lo + step * (i + 0.5) for i in range(_GRID)]
                 + [c for c in cuts if lo <= c <= hi])
     return _bisected_sign_changes(g, xs, [g(x) for x in xs])
 
@@ -209,8 +209,8 @@ def proxy_levels(g: Callable[[float], float], lo: float,
     step is split at a new sample of g.  Each bracket is bisected on g
     itself, with the scan's sign and touch rules.
     """
-    step = (hi - lo) / GRID
-    a, b = lo + step * 0.5, lo + step * (GRID - 0.5)
+    step = (hi - lo) / _GRID
+    a, b = lo + step * 0.5, lo + step * (_GRID - 0.5)
     centre, r = 0.5 * (a + b), 0.5 * (b - a)
     top = _PROXY_DEGREES[-1]
     # g at the Lobatto points of degree top, ascending; degree n reads

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._numerics import (GRID, Record, bisect_root, critical_levels,
+from ._numerics import (Record, bisect_root, critical_levels,
                         finite_positive, proxy_levels)
 from .kinetics import GrowthModel, closed_form
 
@@ -87,43 +87,46 @@ class DesignReport(Record):
     def d2_interval_for(self, v2: float) -> Optional[tuple[float, float]]:
         """Buffer dilution rates D2 making size v2 sufficient.
 
-        The admissible set is where surplus_max < D2 * v2 * (S_in -
-        lower break-even of D2) < S_in; empty (None) for v2 below
-        v2_inf.  Its ends are the critical_levels of the slack to the
-        nearer bound on (0, mu(S_in)); a set reaching past the last grid
-        point ends there.  A set reaching below the first grid point has
-        its lower end bisected above the floor surplus_max / (v2 S_in),
-        below which the load cannot exceed surplus_max.  When the scan
-        finds no end and the slack is negative at the first grid point,
-        the same scan runs again on (0, that point), until a set shows or
-        the first grid point falls to the floor.
+        A buffer run at D2 < mu(S_in) holds the level s in (0, s_bar)
+        with mu(s) = D2, and s rises with D2, so the load D2 * v2 *
+        (S_in - s) is v2 * uptake_capacity(s).  The admissible set is mu
+        of the levels where surplus_max < v2 mu(s) (S_in - s) < S_in;
+        empty (None) for v2 below v2_inf.  The capacity is monotone
+        between its critical levels, so the load crosses each bound at
+        most once per piece, and each crossing is bisected.  The load
+        vanishes at s = 0, so a set with one end reaches s_bar and ends
+        at mu(S_in), the supremum of the rates a buffer survives.
         """
         if not finite_positive(v2):
             raise ValueError("buffer volume fraction v2 must be positive")
-        model, S_in, surplus_max = self._model, self._S_in, self.surplus_max
-
-        def slack(d2: float) -> float:
-            load = d2 * v2 * (S_in - model.break_even(d2).lower)
-            return min(load - surplus_max, S_in - load)
-
-        floor = surplus_max / (v2 * S_in)
-        hi = model.rate(S_in)
-        while True:
-            step = hi / GRID
-            ends = critical_levels(slack, 0.0, hi)
-            first = slack(step * 0.5) > 0.0
-            if ends or first or not step * 0.5 > floor:
-                break
-            hi = step * 0.5
-        if first:
-            # half the floor keeps the bracket's low end clear of rounding
-            ends.insert(0, bisect_root(slack, 0.5 * floor, step * 0.5, 0.0))
+        model, S_in, mu = self._model, self._S_in, self._model._rate_raw
+        cuts = [0.0, *_capacity_levels(model, S_in, self.s_bar), self.s_bar]
+        ends = []
+        for bound in (self.surplus_max, S_in):
+            def excess(s: float, bound: float = bound) -> float:
+                return v2 * mu(s) * (S_in - s) - bound
+            above = [excess(s) > 0.0 for s in cuts]
+            ends += [bisect_root(excess, cuts[i - 1], cuts[i], 0.0)
+                     for i in range(1, len(cuts)) if above[i] != above[i - 1]]
         if len(ends) > 2:
-            raise RuntimeError("admissible D2 set is not an interval; "
-                               "grid shows disconnected feasibility")
-        if len(ends) == 1:
-            ends.append(step * (GRID - 0.5))
-        return (ends[0], ends[1]) if ends else None
+            raise RuntimeError("admissible D2 set is not an interval")
+        d2 = [mu(s) for s in sorted(ends)] + [model.rate(S_in)]
+        return (d2[0], d2[1]) if ends else None
+
+
+def _levels(model: GrowthModel):
+    """The finder of the zeros of model's closed-form slopes: a law
+    without closed forms reads them from a Chebyshev proxy of the slope
+    (proxy_levels); Haldane and Monod keep the scan, whose last bits the
+    recorded design artifacts carry."""
+    return critical_levels if closed_form(model) else proxy_levels
+
+
+def _capacity_levels(model: GrowthModel, S_in: float,
+                     s_bar: float) -> list[float]:
+    """The critical levels of uptake_capacity on (0, s_bar)."""
+    mu, mu_p = model._rate_raw, model._rate_prime_raw
+    return _levels(model)(lambda s: mu_p(s) * (S_in - s) - mu(s), 0.0, s_bar)
 
 
 def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
@@ -154,19 +157,14 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
 
     # each maximum is the largest value at the critical levels of its
     # curve's closed-form slope.  The surplus vanishes at both ends of
-    # (upper, S_in); the capacity at the end s_bar is mu(S_in) (S_in - s_bar).
-    # A law without closed forms finds the levels from a Chebyshev proxy
-    # of the slope; Haldane and Monod keep the scan, whose last bits the
-    # recorded design artifacts carry
-    levels = critical_levels if closed_form(model) else proxy_levels
+    # (upper, S_in); the capacity at the end s_bar is mu(S_in) (S_in - s_bar)
     mu, mu_p = model._rate_raw, model._rate_prime_raw
-    surplus_max = max(
-        washout_surplus(model, S_in, D, s) for s in levels(
-            lambda s: -(D - mu(s)) - (S_in - s) * mu_p(s), window.upper, S_in))
+    levels = _levels(model)(
+        lambda s: -(D - mu(s)) - (S_in - s) * mu_p(s), window.upper, S_in)
+    surplus_max = max(washout_surplus(model, S_in, D, s) for s in levels)
     # (capacity, the buffer dilution rate that holds a buffer at that level)
     candidates = [(uptake_capacity(model, S_in, s), mu(s))
-                  for s in levels(
-                      lambda s: mu_p(s) * (S_in - s) - mu(s), 0.0, s_bar)]
+                  for s in _capacity_levels(model, S_in, s_bar)]
     capacity_max, d2_star = max(candidates
                                 + [(mu_feed * (S_in - s_bar), mu_feed)])
     return DesignReport(

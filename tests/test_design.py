@@ -120,7 +120,8 @@ def test_d2_interval_for_sufficient_volume(reference_model):
     interval = report.d2_interval_for(volume)
     assert interval is not None
     lo, hi = interval
-    assert 0.0 < lo < hi < reference_model.rate(1.4)
+    # the set reaches the feed: it ends at the feed's growth rate exactly
+    assert 0.0 < lo < hi == reference_model.rate(1.4)
     mid = 0.5 * (lo + hi)
     lam = reference_model.break_even(mid).lower
     load = mid * volume * (1.4 - lam)
@@ -166,47 +167,123 @@ def test_d2_interval_refuses_disconnected_set():
 
 
 # d2_interval_for on the README law at multiples of v2_inf, bit for bit:
-# too small, the last grid midpoint as the upper end, interior ends, a
-# lower end below the first grid midpoint, and an admissible set that
-# lies wholly below the first grid midpoint
+# too small, a set that reaches the feed and so ends at mu(S_in), interior
+# ends, a lower end below mu(S_in) / 4096, and an admissible set that lies
+# wholly below it, where a 2048-point midpoint scan of D2 sees nothing
 RECORDED_D2_INTERVALS = {
     0.5: None,
-    1.001: (0.6238794999174126, 0.6243828415427509),
-    10.0: (0.06012070855415689, 0.6243828415427509),
-    100.0: (0.005992579420651442, 0.11818434084114415),
-    1e4: (5.990462146584512e-05, 0.0011735182718162476),
-    1e5: (5.990442922016982e-06, 0.00011734444872064608),
+    1.001: (0.6238794999174125, 0.6245353159851301),
+    10.0: (0.06012070855415689, 0.6245353159851301),
+    100.0: (0.005992579420651441, 0.11818434084114414),
+    1e4: (5.990462146584513e-05, 0.0011735182718162476),
+    1e5: (5.990442922016982e-06, 0.0001173444487206461),
 }
+
+# (model, S_in, D, v2 / v2_inf) whose admissible D2 range, about
+# (2.3511e-4, 2.7366e-4), is narrower than a step of a 2048-point scan of
+# (0, mu(S_in)): the scan's midpoints 1.73e-4 and 2.88e-4 straddle it
+NARROW_D2_CASE = (Haldane(14.285122092238995, 0.44335045347423163,
+                          0.0591193664213434),
+                  3.517923555078635, 1.9618919835503679, 1e3)
+
+
+def _bistable_haldane_draws(seed: int, count: int) -> list[tuple]:
+    """(model, S_in, D, v2 / v2_inf) at random bistable Haldane points."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        model = Haldane(rng.uniform(2.0, 20.0), rng.uniform(0.1, 1.5),
+                        rng.uniform(0.05, 4.0))
+        D, S_in = rng.uniform(0.1, 2.0), rng.uniform(0.3, 4.0)
+        window = model.break_even(D)
+        if (window is not None and window.has_finite_upper
+                and window.upper < 0.95 * S_in):
+            draws.append((model, S_in, D, rng.choice((2.0, 1e2, 1e4))))
+    return draws
+
+
+def _break_even_slack(model, S_in: float, surplus_max: float, v2: float):
+    """min(load - surplus_max, S_in - load) at buffer dilution rate d2,
+    with the buffer's level read from break_even: a route of its own."""
+    def slack(d2: float) -> float:
+        load = d2 * v2 * (S_in - model.break_even(d2).lower)
+        return min(load - surplus_max, S_in - load)
+    return slack
 
 
 def test_d2_interval_matches_recorded_values(reference_model):
     report = buffer_design(reference_model, 1.4, 1.0)
-    step = reference_model.rate(1.4) / 2048
-    assert RECORDED_D2_INTERVALS[10.0][1] == step * 2047.5
-    assert RECORDED_D2_INTERVALS[1e4][0] < step * 0.5
-    assert RECORDED_D2_INTERVALS[1e5][1] < step * 0.5
+    feed_rate = reference_model.rate(1.4)
+    assert RECORDED_D2_INTERVALS[1.001][1] == feed_rate
+    assert RECORDED_D2_INTERVALS[10.0][1] == feed_rate
+    assert RECORDED_D2_INTERVALS[1e4][0] < feed_rate / 4096
+    assert RECORDED_D2_INTERVALS[1e5][1] < feed_rate / 4096
     for factor, interval in RECORDED_D2_INTERVALS.items():
         assert report.d2_interval_for(factor * report.v2_inf) == interval
 
 
-@pytest.mark.parametrize("factor", [1e4, 1e5])
-def test_d2_interval_below_the_grid_matches_a_dense_reference(
-        reference_model, factor):
-    # the slack is positive on a dense grid exactly inside the recorded
-    # ends, and changes sign across each end
-    report = buffer_design(reference_model, 1.4, 1.0)
+def test_d2_interval_finds_a_range_narrower_than_a_scan_step():
+    model, S_in, D, factor = NARROW_D2_CASE
+    report = buffer_design(model, S_in, D)
     v2 = factor * report.v2_inf
-    lo, hi = RECORDED_D2_INTERVALS[factor]
-
-    def slack(d2: float) -> float:
-        load = d2 * v2 * (1.4 - reference_model.break_even(d2).lower)
-        return min(load - report.surplus_max, 1.4 - load)
-
-    grid = [2.0 * hi * (i + 0.5) / 4000 for i in range(4000)]
-    assert ([d for d in grid if slack(d) > 0.0]
-            == [d for d in grid if lo < d < hi])
+    interval = report.d2_interval_for(v2)
+    assert interval is not None
+    lo, hi = interval
+    assert 0.0 < hi - lo < model.rate(S_in) / 2048
+    slack = _break_even_slack(model, S_in, report.surplus_max, v2)
+    assert slack(0.5 * (lo + hi)) > 0.0
     for end in (lo, hi):
         assert slack(end * (1.0 - 1e-9)) * slack(end * (1.0 + 1e-9)) < 0.0
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param((Haldane(12.0, 1.0, 0.08), 1.4, 1.0, factor),
+                   id=str(factor)) for factor in (1e4, 1e5)),
+    pytest.param(NARROW_D2_CASE, id="narrow"),
+    *(pytest.param(draw, id=f"draw{i}")
+      for i, draw in enumerate(_bistable_haldane_draws(24, 4))),
+])
+def test_d2_interval_below_the_grid_matches_a_dense_reference(case):
+    # the slack is positive on a dense grid exactly inside the ends, and
+    # changes sign across each end short of the feed's growth rate
+    model, S_in, D, factor = case
+    report = buffer_design(model, S_in, D)
+    v2 = factor * report.v2_inf
+    lo, hi = report.d2_interval_for(v2)
+    slack = _break_even_slack(model, S_in, report.surplus_max, v2)
+    top = min(2.0 * hi, model.rate(S_in))
+    grid = [top * (i + 0.5) / 4000 for i in range(4000)]
+    assert ([d for d in grid if slack(d) > 0.0]
+            == [d for d in grid if lo < d < hi])
+    for end in (lo, hi) if hi < model.rate(S_in) else (lo,):
+        assert slack(end * (1.0 - 1e-9)) * slack(end * (1.0 + 1e-9)) < 0.0
+
+
+@pytest.mark.parametrize("factor", sorted(RECORDED_D2_INTERVALS))
+def test_d2_interval_on_a_callable_law_takes_few_rate_calls(
+        reference_model, factor):
+    # the README law as callables: the admissible range costs the
+    # capacity's critical levels from a Chebyshev proxy and one bisection
+    # per end, not a scan of D2
+    calls = []
+
+    def mu(s):
+        calls.append(s)
+        return reference_model.rate(s)
+
+    def mu_prime(s):
+        calls.append(s)
+        return reference_model.rate_prime(s)
+
+    report = buffer_design(CustomUnimodal(mu, mu_prime, math.sqrt(0.08)),
+                           1.4, 1.0)
+    calls.clear()
+    interval = report.d2_interval_for(factor * report.v2_inf)
+    assert len(calls) <= 250
+    recorded = RECORDED_D2_INTERVALS[factor]
+    assert (interval is None) == (recorded is None)
+    if recorded is not None:
+        assert interval == pytest.approx(recorded, rel=1e-10)
 
 
 def test_preconditions_named(reference_model):

@@ -18,7 +18,7 @@ from bufchem import (BreakEvenInterval, BufferedConfig, CustomUnimodal,
                      split_threshold_crosscheck)
 import bufchem._numerics
 from bufchem._numerics import (
-    GRID,
+    _GRID,
     bisect_root,
     critical_levels,
     golden_min,
@@ -58,10 +58,10 @@ def test_critical_levels_are_the_zeros_of_cos():
 
 
 def test_critical_level_on_a_grid_point_is_found_once_and_exactly():
-    # grid 0.5, 1.5, ..., GRID - 0.5: both slopes vanish on the grid
+    # grid 0.5, 1.5, ..., _GRID - 0.5: both slopes vanish on the grid
     # point 1000.5, one crossing upwards and one downwards
     for g in (lambda x: x - 1000.5, lambda x: 1000.5 - x):
-        assert critical_levels(g, 0.0, float(GRID)) == [1000.5]
+        assert critical_levels(g, 0.0, float(_GRID)) == [1000.5]
 
 
 def test_critical_level_touching_zero_on_a_grid_point_is_no_sign_change():
@@ -74,10 +74,10 @@ def test_critical_level_touching_zero_on_a_grid_point_is_no_sign_change():
 
     for g in (lambda x: (x - 1000.5) ** 2, lambda x: -(x - 1000.5) ** 2,
               flat):
-        assert critical_levels(g, 0.0, float(GRID)) == []
-    assert critical_levels(lambda x: x - 1000.5, 0.0, float(GRID)) == [1000.5]
+        assert critical_levels(g, 0.0, float(_GRID)) == []
+    assert critical_levels(lambda x: x - 1000.5, 0.0, float(_GRID)) == [1000.5]
     assert critical_levels(lambda x: math.copysign(flat(x), x - 1000.5),
-                           0.0, float(GRID)) == [1002.5]
+                           0.0, float(_GRID)) == [1002.5]
 
 
 def test_critical_levels_without_a_sign_change_are_empty():
@@ -91,13 +91,13 @@ def test_cut_points_separate_sign_changes_within_one_grid_step():
     def g(x):
         return (x - 0.7) * (x - 0.9)
 
-    assert critical_levels(g, 0.0, float(GRID)) == []
-    assert critical_levels(g, 0.0, float(GRID), [0.8]) == pytest.approx(
+    assert critical_levels(g, 0.0, float(_GRID)) == []
+    assert critical_levels(g, 0.0, float(_GRID), [0.8]) == pytest.approx(
         [0.7, 0.9], rel=0.0, abs=1e-15)
-    assert critical_levels(g, 0.0, float(GRID), [0.6, 0.8]) == pytest.approx(
+    assert critical_levels(g, 0.0, float(_GRID), [0.6, 0.8]) == pytest.approx(
         [0.7, 0.9], rel=0.0, abs=1e-15)
     # a cut outside the scanned range is dropped, never sampled
-    assert critical_levels(g, 0.0, float(GRID), [-1.0]) == []
+    assert critical_levels(g, 0.0, float(_GRID), [-1.0]) == []
 
 
 def test_proxy_finds_every_root_of_a_sine():
@@ -113,7 +113,7 @@ def test_proxy_finds_two_roots_three_grid_steps_apart():
     # the parabola dips below zero by only (1.5 step)^2 between its
     # roots, far from every Chebyshev sample: the slope bound keeps the
     # gaps around them from being excluded until bisection brackets both
-    step = 1.0 / GRID
+    step = 1.0 / _GRID
     first, second = 0.5 + 0.25 * step, 0.5 + 3.25 * step
 
     def g(x):
@@ -151,7 +151,7 @@ def test_proxy_finds_a_zero_on_a_sample_point_once():
 
 def test_proxy_of_a_kinked_function_falls_back_on_the_scan():
     # the kink at 0.3 keeps the Chebyshev tail far above 1e-13 up to 129
-    # points, so the GRID-point scan runs and its result is returned
+    # points, so the _GRID-point scan runs and its result is returned
     calls = []
 
     def g(x):
@@ -159,7 +159,7 @@ def test_proxy_of_a_kinked_function_falls_back_on_the_scan():
         return abs(x - 0.3) - 0.1
 
     levels = proxy_levels(g, 0.0, 1.0)
-    assert len(calls) > GRID + 129
+    assert len(calls) > _GRID + 129
     assert levels == critical_levels(g, 0.0, 1.0)
     assert levels == pytest.approx([0.2, 0.4], rel=1e-15)
 
