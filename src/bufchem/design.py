@@ -88,17 +88,18 @@ class DesignReport(Record):
         """Buffer dilution rates D2 making size v2 sufficient.
 
         A buffer run at D2 < mu(S_in) holds the level s in (0, s_bar)
-        with mu(s) = D2, and s rises with D2, so the load D2 * v2 *
-        (S_in - s) is v2 * uptake_capacity(s).  The admissible set is mu
-        of the levels where surplus_max < v2 mu(s) (S_in - s) < S_in;
-        empty (None) for v2 below v2_inf.  The capacity is monotone
-        between its critical levels, so the load crosses each bound at
-        most once per piece, and each crossing is bisected.  The load
-        vanishes at s = 0, so a set with one end reaches s_bar and ends
-        at mu(S_in), the supremum of the rates a buffer survives.
+        with mu(s) = D2, s rising with D2, so the load D2 v2 (S_in - s)
+        is v2 uptake_capacity(s): the admissible set is mu of the levels
+        where surplus_max < v2 mu(s) (S_in - s) < S_in, None for v2 below
+        v2_inf or surplus_max at or above S_in.  The capacity is monotone
+        between its critical levels, so the load, zero at s = 0, crosses
+        each bound at most once per piece, and is bisected there.  A set
+        with one end reaches s_bar and so ends at mu(S_in).
         """
         if not finite_positive(v2):
             raise ValueError("buffer volume fraction v2 must be positive")
+        if self.surplus_max >= self._S_in:
+            return None  # the bounds cross: no load lies between them
         model, S_in, mu = self._model, self._S_in, self._model._rate_raw
         cuts = [0.0, *_capacity_levels(model, S_in, self.s_bar), self.s_bar]
         ends = []

@@ -259,6 +259,20 @@ def test_d2_interval_below_the_grid_matches_a_dense_reference(case):
         assert slack(end * (1.0 - 1e-9)) * slack(end * (1.0 + 1e-9)) < 0.0
 
 
+@pytest.mark.parametrize("factor", [0.97, 2.0, 1e3])
+def test_d2_interval_empty_when_the_surplus_exceeds_the_feed(factor):
+    # D > 1 lifts the surplus peak (about 10.44) above S_in = 10: no load
+    # lies between the bounds, whatever the buffer's size
+    model, S_in = Haldane(20.0, 1.0, 0.08), 10.0
+    report = buffer_design(model, S_in, 2.0)
+    assert report.surplus_max > S_in
+    v2 = factor * report.v2_inf
+    assert report.d2_interval_for(v2) is None
+    slack = _break_even_slack(model, S_in, report.surplus_max, v2)
+    top = model.rate(S_in)
+    assert all(slack(top * (i + 0.5) / 400) < 0.0 for i in range(400))
+
+
 @pytest.mark.parametrize("factor", sorted(RECORDED_D2_INTERVALS))
 def test_d2_interval_on_a_callable_law_takes_few_rate_calls(
         reference_model, factor):
