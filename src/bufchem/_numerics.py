@@ -7,7 +7,9 @@ zero of a closed-form derivative found this way.  proxy_levels finds
 the same levels from a Chebyshev proxy of a few dozen samples; the
 buffer design uses it for every law without closed forms, and it falls
 back on the scan when the proxy's coefficients have not decayed at 129
-points.  The refinement stays scalar because it sets the last digits of
+points.  Where the caller knows a closed-form root, _levels_near reads
+the scan's own result from the four grid points around it.  The
+refinement stays scalar because it sets the last digits of
 every result: it evaluates the caller's own closure, so a result
 depends only on that closure's arithmetic.  golden_min serves only the
 tangency fit, the route to r_bar that must stay independent of these
@@ -189,9 +191,26 @@ def critical_levels(g: Callable[[float], float], lo: float, hi: float,
     its v > 0 flip.
     """
     step = (hi - lo) / _GRID
-    xs = sorted([lo + step * (i + 0.5) for i in range(_GRID)]
+    xs = sorted(_grid(lo, step, range(_GRID))
                 + [c for c in cuts if lo <= c <= hi])
     return _bisected_sign_changes(g, xs, [g(x) for x in xs])
+
+
+def _levels_near(g: Callable[[float], float], lo: float, hi: float,
+                 near: float) -> list[float]:
+    """critical_levels(g, lo, hi) for a g whose one sign change lies near
+    `near`: the scan's samples that bound the grid cell holding it and its
+    two neighbours, read and bisected with the scan's rules, so a change
+    within half a step of lo or hi goes unseen here too."""
+    step = (hi - lo) / _GRID
+    i = math.floor((near - lo) / step - 0.5)
+    xs = _grid(lo, step, range(max(i - 1, 0), min(i + 3, _GRID)))
+    return _bisected_sign_changes(g, xs, [g(x) for x in xs])
+
+
+def _grid(lo: float, step: float, indices) -> list[float]:
+    """The scan's grid points lo + step * (i + 0.5) at indices."""
+    return [lo + step * (i + 0.5) for i in indices]
 
 
 def proxy_levels(g: Callable[[float], float], lo: float,
@@ -210,7 +229,7 @@ def proxy_levels(g: Callable[[float], float], lo: float,
     itself, with the scan's sign and touch rules.
     """
     step = (hi - lo) / _GRID
-    a, b = lo + step * 0.5, lo + step * (_GRID - 0.5)
+    a, b = _grid(lo, step, (0, _GRID - 1))
     centre, r = 0.5 * (a + b), 0.5 * (b - a)
     top = _PROXY_DEGREES[-1]
     # g at the Lobatto points of degree top, ascending; degree n reads

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._numerics import (Record, bisect_root, critical_levels,
+from ._numerics import (Record, _levels_near, bisect_root, critical_levels,
                         finite_positive, proxy_levels)
 from .kinetics import GrowthModel, closed_form
 
@@ -37,14 +37,19 @@ def min_enlargement_ratio(model: GrowthModel, S_in: float, D: float) -> float:
     Zero when growth at the feed level already beats dilution (nothing
     to fix).
     """
-    if not finite_positive(S_in):
-        raise ValueError("feed concentration S_in must be positive")
-    if not finite_positive(D):
-        raise ValueError("dilution rate D must be positive")
+    _check_inputs(S_in, D)
     mu_feed = model.rate(S_in)
     if mu_feed <= 0.0:
         raise ValueError("growth rate vanishes at the feed level")
     return max(0.0, D / mu_feed - 1.0)
+
+
+def _check_inputs(S_in: float, D: Optional[float] = None) -> None:
+    """Refuse a feed level, and a dilution rate if given, not finite > 0."""
+    if not finite_positive(S_in):
+        raise ValueError("feed concentration S_in must be positive")
+    if D is not None and not finite_positive(D):
+        raise ValueError("dilution rate D must be positive")
 
 
 def washout_surplus(model: GrowthModel, S_in: float, D: float,
@@ -54,6 +59,7 @@ def washout_surplus(model: GrowthModel, S_in: float, D: float,
     Negative exactly where growth beats dilution, zero at the break-even
     levels and at the feed.
     """
+    _check_inputs(S_in, D)
     if not (0.0 <= s <= S_in):
         raise ValueError(f"level s must lie in [0, S_in], got {s}")
     return (S_in - s) * (D - model.rate(s))
@@ -61,6 +67,7 @@ def washout_surplus(model: GrowthModel, S_in: float, D: float,
 
 def uptake_capacity(model: GrowthModel, S_in: float, s: float) -> float:
     """mu(s)(S_in - s): substrate conversion rate a vessel held at s runs."""
+    _check_inputs(S_in)
     if not (0.0 <= s <= S_in):
         raise ValueError(f"level s must lie in [0, S_in], got {s}")
     return model.rate(s) * (S_in - s)
@@ -116,18 +123,23 @@ class DesignReport(Record):
 
 
 def _levels(model: GrowthModel):
-    """The finder of the zeros of model's closed-form slopes: a law
-    without closed forms reads them from a Chebyshev proxy of the slope
-    (proxy_levels); Haldane and Monod keep the scan, whose last bits the
-    recorded design artifacts carry."""
+    """The finder of the zeros of model's slopes where no closed form
+    gives them: a law without closed forms reads them from a Chebyshev
+    proxy of the slope (proxy_levels); Haldane and Monod keep the scan,
+    whose last bits the recorded design artifacts carry."""
     return critical_levels if closed_form(model) else proxy_levels
 
 
 def _capacity_levels(model: GrowthModel, S_in: float,
                      s_bar: float) -> list[float]:
-    """The critical levels of uptake_capacity on (0, s_bar)."""
+    """The critical levels of uptake_capacity on (0, s_bar).  Haldane's
+    one level is the scan's, bisected in the grid cell around its closed
+    form; any other law goes to _levels."""
     mu, mu_p = model._rate_raw, model._rate_prime_raw
-    return _levels(model)(lambda s: mu_p(s) * (S_in - s) - mu(s), 0.0, s_bar)
+    slope = lambda s: mu_p(s) * (S_in - s) - mu(s)
+    if closed_form(model) == "haldane":
+        return _levels_near(slope, 0.0, s_bar, model._capacity_peak(S_in))
+    return _levels(model)(slope, 0.0, s_bar)
 
 
 def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:

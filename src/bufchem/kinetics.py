@@ -232,6 +232,13 @@ class Haldane(GrowthModel, Record):
         h = 0.5 * (b + math.sqrt(b - c) * math.sqrt(b + c))
         return BreakEvenInterval(self.K / h, self.K_I * h)
 
+    def _capacity_peak(self, S_in: float) -> float:
+        """The level of peak uptake capacity mu(s)(S_in - s): times den^2 /
+        mu_bar its slope is K S_in - 2 K s - (1 + S_in / K_I) s^2, the cubic
+        terms cancelling, and this is its one positive root."""
+        return S_in / (1.0 + math.sqrt(
+            1.0 + S_in / self.K * (1.0 + S_in / self.K_I)))
+
 
 # [growth] type -> the rate laws with closed forms
 CLOSED_FORMS = {"haldane": Haldane, "monod": Monod}

@@ -14,6 +14,9 @@ from bufchem import (
     uptake_capacity,
     washout_surplus,
 )
+from bufchem import design
+from bufchem._numerics import _GRID, critical_levels
+from bufchem.kinetics import closed_form
 
 
 def test_enlargement_ratio_canonical_value(reference_model):
@@ -35,6 +38,21 @@ def test_washout_surplus_sign_pattern(reference_model):
     assert washout_surplus(reference_model, 1.4, 1.0, 1.2) > 0.0
     assert washout_surplus(reference_model, 1.4, 1.0, 1.4) == 0.0
     assert washout_surplus(reference_model, 1.4, 1.0, 0.01) > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_surplus_and_capacity_refuse_a_bad_feed_or_dilution(
+        reference_model, bad):
+    # the same named errors as min_enlargement_ratio, not nan, inf or a
+    # number from a negative dilution rate
+    with pytest.raises(ValueError, match="dilution rate D must be positive"):
+        washout_surplus(reference_model, 1.4, bad, 0.5)
+    for call in (lambda: washout_surplus(reference_model, bad, 1.0, 0.5),
+                 lambda: uptake_capacity(reference_model, bad, 0.5),
+                 lambda: min_enlargement_ratio(reference_model, bad, 1.0)):
+        with pytest.raises(ValueError,
+                           match="feed concentration S_in must be positive"):
+            call()
 
 
 def test_uptake_capacity_endpoints(reference_model):
@@ -311,3 +329,117 @@ def test_preconditions_named(reference_model):
         min_enlargement_ratio(reference_model, -1.0, 1.0)
     with pytest.raises(ValueError):
         washout_surplus(reference_model, 1.4, 1.0, 2.0)
+
+
+def _scanned_capacity_levels(model, S_in: float, s_bar: float) -> list[float]:
+    """The oracle: the 2048-point scan of the capacity's slope on (0, s_bar),
+    the route every law took before Haldane's closed form."""
+    mu, mu_p = model._rate_raw, model._rate_prime_raw
+    return critical_levels(lambda s: mu_p(s) * (S_in - s) - mu(s), 0.0, s_bar)
+
+
+def _haldane_draws_over_decades(seed: int, count: int) -> list[tuple]:
+    """(model, S_in, D) at bistable Haldane points, K, K_I and mu_bar
+    log-uniform over six decades, the feed within a decade above the
+    peak, and D between mu(S_in) and the peak rate, log-uniform: about
+    a third hold the capacity's peak inside (0, s_bar)."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        model = Haldane(*(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)))
+        peak = model.peak()
+        S_in = peak.abscissa * 10.0 ** rng.uniform(0.001, 1.0)
+        feed = model.rate(S_in)
+        D = feed * (peak.height / feed) ** rng.uniform(0.01, 0.99)
+        draws.append((model, S_in, D))
+    return draws
+
+
+def _d2_ranges(report: DesignReport) -> list:
+    """d2_interval_for at 1.001, 2, 10 and 1e3 v2_inf, a set that is not
+    an interval read as its error's text."""
+    ranges = []
+    for factor in (1.001, 2.0, 10.0, 1e3):
+        try:
+            ranges.append(report.d2_interval_for(factor * report.v2_inf))
+        except RuntimeError as error:
+            ranges.append(str(error))
+    return ranges
+
+
+def test_haldane_capacity_levels_match_the_scan_bit_for_bit(monkeypatch):
+    # the closed form only picks the scan's cell, so every level, design
+    # and admissible range is the scan's to the last bit
+    inside = 0
+    for model, S_in, D in _haldane_draws_over_decades(25, 1000):
+        report = buffer_design(model, S_in, D)
+        levels = _scanned_capacity_levels(model, S_in, report.s_bar)
+        assert design._capacity_levels(model, S_in, report.s_bar) == levels
+        inside += bool(levels)
+        ranges = _d2_ranges(report)
+        with monkeypatch.context() as m:
+            m.setattr(design, "_capacity_levels",
+                      lambda *args, levels=levels: levels)
+            scanned = buffer_design(model, S_in, D)
+            assert scanned == report
+            assert _d2_ranges(scanned) == ranges
+    assert 250 < inside < 750
+
+
+def _design_at_feed(model, S_in: float):
+    """(report, grid step, s_c) at S_in, D the geometric mean of mu(S_in)
+    and the peak rate."""
+    D = math.sqrt(model.rate(S_in) * model.peak().height)
+    report = buffer_design(model, S_in, D)
+    return report, report.s_bar / _GRID, model._capacity_peak(S_in)
+
+
+@pytest.mark.parametrize("model, S_in, cells", [
+    # K / K_I = 1e-16 puts s_c 0.38 steps above 0, below the first point
+    pytest.param(Haldane(1.0, 1e-8, 1e8), 1.5, (0.0, 0.5), id="near 0"),
+    # S_in / sqrt(K K_I) near the root of t^3 = 3 t + 1, where s_c meets
+    # s_bar: s_c 0.25 steps below s_bar, above the last point
+    pytest.param(Haldane(1.0, 1.0, 1.0), 1.8792322949264086,
+                 (_GRID - 0.5, _GRID), id="near s_bar"),
+])
+def test_capacity_peak_off_the_grid_gives_no_level(model, S_in, cells):
+    report, step, s_c = _design_at_feed(model, S_in)
+    assert cells[0] < s_c / step < cells[1]
+    assert design._capacity_levels(model, S_in, report.s_bar) == []
+    assert _scanned_capacity_levels(model, S_in, report.s_bar) == []
+
+
+@pytest.mark.parametrize("S_in, ulps", [
+    (1.4994666390391451, -1.0),
+    (1.4994666390391456, 0.0),
+])
+def test_capacity_peak_on_a_grid_point_keeps_the_scan_cell(S_in, ulps):
+    # s_c one ulp below, and on, the grid point 1448.5 steps up, where the
+    # slope's sign there is rounding noise (about 5.6e-17)
+    model = Haldane(1.0, 1.0, 1.0)
+    report, step, s_c = _design_at_feed(model, S_in)
+    point = step * 1448.5
+    assert s_c - point == ulps * math.ulp(point)
+    levels = design._capacity_levels(model, S_in, report.s_bar)
+    assert len(levels) == 1
+    assert levels == _scanned_capacity_levels(model, S_in, report.s_bar)
+
+
+def test_haldane_capacity_level_costs_no_scan(reference_model, monkeypatch):
+    # mu' counted on the class, so the law stays an exact Haldane: the
+    # design keeps one scan, the surplus slope's, and the admissible
+    # range none (the scan of the capacity's slope made 2048 calls each)
+    calls = []
+    rate_prime = Haldane._rate_prime_raw
+
+    def counted(self, s):
+        calls.append(s)
+        return rate_prime(self, s)
+
+    monkeypatch.setattr(Haldane, "_rate_prime_raw", counted)
+    assert closed_form(reference_model) == "haldane"
+    report = buffer_design(reference_model, 1.4, 1.0)
+    assert len(calls) <= _GRID + 100
+    calls.clear()
+    report.d2_interval_for(10.0 * report.v2_inf)
+    assert len(calls) <= 100

@@ -19,6 +19,7 @@ from bufchem import (BreakEvenInterval, BufferedConfig, CustomUnimodal,
 import bufchem._numerics
 from bufchem._numerics import (
     _GRID,
+    _levels_near,
     bisect_root,
     critical_levels,
     golden_min,
@@ -98,6 +99,26 @@ def test_cut_points_separate_sign_changes_within_one_grid_step():
         [0.7, 0.9], rel=0.0, abs=1e-15)
     # a cut outside the scanned range is dropped, never sampled
     assert critical_levels(g, 0.0, float(_GRID), [-1.0]) == []
+
+
+def test_levels_near_a_known_root_are_the_scan_levels():
+    # roots on, one ulp either side of, and between grid points, and
+    # within half a step of either end, where the scan sees none
+    step = 1.0 / _GRID
+    points = [step * (i + 0.5) for i in (0, 700, _GRID - 1)]
+    roots = [0.25 * step, 1.0 - 0.25 * step, 700.2 * step]
+    roots += [f(x) for x in points
+              for f in (lambda x: x, lambda x: x - math.ulp(x),
+                        lambda x: x + math.ulp(x))]
+    for root in roots:
+        for g in (lambda x: math.cos(x) - math.cos(root), lambda x: root - x):
+            expected = critical_levels(g, 0.0, 1.0)
+            assert _levels_near(g, 0.0, 1.0, root) == expected
+        # a zero on the first point is no sign change, one on the last is
+        assert len(expected) == (0.5 * step < root <= 1.0 - 0.5 * step)
+    # a guess a few cells off misses the level; one off the grid reads none
+    assert _levels_near(lambda x: 0.5 - x, 0.0, 1.0, 0.5 + 3 * step) == []
+    assert _levels_near(lambda x: 0.5 - x, 0.0, 1.0, 2.0) == []
 
 
 def test_proxy_finds_every_root_of_a_sine():
