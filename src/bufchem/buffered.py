@@ -53,7 +53,7 @@ __all__ = [
 BRANCH_POSITIVE = "buffer_positive"
 BRANCH_WASHOUT = "buffer_washout"
 
-_TANGENCY_TOL = 1e-8           # |deficit| at a critical point counted as a double root
+_TANGENCY_TOL = 1e-8           # |deficit| / D of a double root at a critical point
 _EDGE_PAD = 1e-12              # both routes' margin inside (0, S_in)
 _SINGULAR_TOL = 1e-14
 
@@ -351,7 +351,7 @@ def _scan_levels(config: BufferedConfig) -> list[float]:
     crit = critical_levels(fp, 0.0, S_in)
     cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
     vals = [f(c) for c in cuts]
-    tol = _TANGENCY_TOL * max(1.0, config.D)
+    tol = _TANGENCY_TOL * config.D
     double = [False, *(abs(v) <= tol for v in vals[1:-1]), False]
     roots = [c for c, d in zip(cuts, double) if d]
     roots += [bisect_root(f, a, b, 0.0)
@@ -374,19 +374,20 @@ def _haldane_levels(config: BufferedConfig) -> list[float]:
     a0 = D * a_cap * K
     tol = _EDGE_PAD * S_in
     _, _, f, fp = _deficit_fn(config)
+    # in units of S_in, so the cubic's double-root test is unit-free
     return _polished(config, f, fp,
-                     [t for t in real_cubic_roots(a3, a2, a1, a0)
-                      if tol < t < S_in - tol])
+                     [t * S_in for t in real_cubic_roots(
+                         a3 * S_in ** 3, a2 * S_in ** 2, a1 * S_in, a0)
+                      if tol < t * S_in < S_in - tol])
 
 
 def _polished(config: BufferedConfig, f, fp, roots: list[float]
               ) -> list[float]:
-    """Newton-polish each root with |f'| > 1e-9 max(1, D) (a smaller slope
-    marks a double root), sort, and merge roots within 1e-8 S_in."""
-    scale = max(1.0, config.D)
+    """Newton-polish each root with |f'| > 1e-9 D (a smaller slope marks
+    a double root), sort, and merge roots within 1e-8 S_in."""
     out: list[float] = []
     for v in sorted(newton_polish(f, fp, s, 0.0, config.S_in)
-                    if abs(fp(s)) > 1e-9 * scale else s for s in roots):
+                    if abs(fp(s)) > 1e-9 * config.D else s for s in roots):
         if not out or v - out[-1] > 1e-8 * config.S_in:
             out.append(v)
     return out

@@ -15,13 +15,15 @@ error estimate per component, both rejection rules, the step-size
 controller, the stiffness floor and the exact landing on t_end, with no
 loop over components, zip, generator, call of a right-hand side or of a
 step, and no tuple but the accepted state.  The same factory gives the
-right-hand side f(t, y) that sizes the first step.  Each weighted sum is
-taken left to right from 0.0, exactly as the builtin sum() of Python
-3.11 adds floats, and the error norm adds the components in order from
-0.0.  The rounding is then the same on every Python version; since 3.12,
-sum() of floats is compensated and a loop of sum() calls would round
-differently.  Every expression keeps the operand order of the law's
-_rate_raw and of the model equations, so the routes agree to the bit.
+right-hand side f(t, y) that sizes the first step.  Each weighted sum
+adds its terms left to right, leaving out the tableau's zero weights: on
+finite terms that rounds exactly as the builtin sum() of Python 3.11,
+whose start 0.0 and zero-weight terms change no nonzero partial sum.
+The error norm adds the components in order from 0.0.  The rounding is
+then the same on every Python version; since 3.12, sum() of floats is
+compensated and a loop of sum() calls would round differently.  Every
+expression keeps the operand order of the law's _rate_raw and of the
+model equations, so the routes agree to the bit.
 
 Non-negativity is enforced by step rejection, never by clipping: the
 mass-balance quantities S_i + X_i - S_in decay linearly and tests rely
@@ -32,17 +34,16 @@ certified candidate or the dwell verdict.  The dwell rule: a run has
 settled on a candidate state when its last state is within eps
 (sup-norm) of it and every state of the last 10% of the run, by time,
 stayed within 2*eps.  The certificate: basin_probe gives each candidate
-that is a hyperbolic sink of an exact Haldane or Monod system a capture
-set, a sublevel set of a quadratic Lyapunov function from which the
+that is a sink of an exact Haldane or Monod system a capture box, a box
+in each vessel's substrate and mass excess s + x - S_in from which the
 system provably ends within eps of it (_capture), and a run settles on
 the first state inside one.  The rule is written out too, per state size
-and number of candidates: per candidate, the sup-norm distance, the
-capture test (that distance as a pre-filter, then the quadratic form
-against the set's level) and the dwell rule; the first candidate that
-passes wins.  detect_convergence applies the dwell rule alone to a
-stored trajectory; basin_probe hands the whole rule to integrate as the
-stop condition, checked after each accepted step, and resets it between
-runs.
+and number of candidates: per candidate, the capture test (each
+vessel's |s - s*| and |s + x - S_in| against the box's bounds) and the
+dwell rule; the first candidate that passes wins.  detect_convergence
+applies the dwell rule alone to a stored trajectory; basin_probe hands
+the whole rule to integrate as the stop condition, checked after each
+accepted step, and resets it between runs.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ import operator
 from itertools import chain, repeat
 from typing import Callable, Optional, Sequence, Union
 
-from ._numerics import Record, finite_positive
+from ._numerics import Record, finite_positive, real_cubic_roots
 from .buffered import BufferedConfig
 from .kinetics import CLOSED_FORMS, closed_form
 from .single import SingleParams
@@ -185,9 +186,10 @@ def _dp5_step(n: int, law: str) -> Callable:
         return ", ".join(f"{v}_{i}" for i in comps)
 
     def weighted(coefs: Sequence[float], i: int) -> str:
-        # a float's repr reads back as the same double
-        return "0.0" + "".join(f" + {c!r} * k{j}_{i}"
-                               for j, c in enumerate(coefs, 1))
+        # a float's repr reads back as the same double; a zero weight's
+        # term adds nothing
+        return " + ".join(f"{c!r} * k{j}_{i}"
+                          for j, c in enumerate(coefs, 1) if c)
 
     def stage(s: int) -> list[str]:
         # the input of stage s in the state's names, then k{s} from it;
@@ -390,252 +392,230 @@ def _candidate_state(candidate) -> State:
 # ---------------------------------------------------------------------------
 # Certified capture.  Both systems are an affine part plus one uptake term
 # per vessel (substrate index, biomass index):
-#     f(y) = C + B y + sum over vessels of mu(s) x (e_x - e_s),
-# so J(y) - J(y*) is, per vessel, the rank-one block (-1, 1)^T (a, b)
-# with a = mu'(s) x - mu'(s*) x*, b = mu(s) - mu(s*).
+#     f(y) = C + B y + sum over vessels of mu(s) x (e_x - e_s).
 _VESSELS = {2: ((0, 1),), 4: ((0, 1), (2, 3))}
 # relative allowance for the certificate's own rounding: 256 units in the
 # last place of the size of each quantity it bounds, which is some ten
 # times the rounding of the few operations behind any of them
 _SLACK = 2.0 ** -44
-# the share of the Lyapunov margin 1 - delta that the Jacobian's
-# variation may take
-_CAPTURE_SHARE = 0.99
+# the capture box's ladder of half-widths, in units of S_in: 2^-j
+_LADDER = tuple(2.0 ** -j for j in range(1, 64))
 
 
 class _Capture(Record):
-    """A certified capture set {e : e^T P e <= level} of a candidate y*,
-    e = y - y*.
-
-    jacobian is A = J(y*) and gram the P with A^T P + P A = -I (both
-    rows of floats); lipschitz bounds ||J(y) - A|| / ||y - y*|| over
-    the non-negative part of the sup-ball of radius radius about y*,
-    which holds the set.
-    """
-    jacobian: tuple
-    gram: tuple
-    lipschitz: float
-    radius: float
-    level: float
+    """A certified capture box of a candidate y*: the states with |s_i -
+    s_i*| <= widths[i] and |s_i + x_i - feed| <= masses[i] for each vessel
+    i of _VESSELS, feed the system's S_in.  Both bounds allow for the
+    rounding of their tests.  In the box, ds_i'/ds_i <= -rates[i], at
+    fixed mass excess s_i + x_i - feed."""
+    feed: float
+    widths: tuple
+    masses: tuple
+    rates: tuple
 
 
-def _linearization(n: int, constants: tuple, model, y: State
-                   ) -> tuple[list, list, list]:
-    """(f(y), J(y), the size of f's terms at y) for the system of size n
-    with constants (_constants), in pure Python."""
-    S_in = constants[0]
+def _linearization(n: int, constants: tuple, model, y: State) -> list:
+    """J(y) for the system of size n with constants (_constants), in pure
+    Python: B plus each vessel's uptake block."""
     if n == 2:
         D = constants[1]
-        C, B = (D * S_in, 0.0), ((-D, 0.0), (0.0, -D))
+        J = [[-D, 0.0], [0.0, -D]]
     else:
         _, d_r, cross, direct, a_d = constants
-        C = (d_r * direct * S_in, 0.0, a_d * S_in, 0.0)
-        B = ((-d_r * (cross + direct), 0.0, d_r * cross, 0.0),
-             (0.0, -d_r, 0.0, d_r * cross),
-             (0.0, 0.0, -a_d, 0.0),
-             (0.0, 0.0, 0.0, -a_d))
-    f = [c + sum(map(operator.mul, row, y)) for c, row in zip(C, B)]
-    size = [abs(c) + sum(abs(b * v) for b, v in zip(row, y))
-            for c, row in zip(C, B)]
-    J = [list(row) for row in B]
+        J = [[-d_r * (cross + direct), 0.0, d_r * cross, 0.0],
+             [0.0, -d_r, 0.0, d_r * cross],
+             [0.0, 0.0, -a_d, 0.0],
+             [0.0, 0.0, 0.0, -a_d]]
     for s, x in _VESSELS[n]:
         m, slope = model._rate_raw(y[s]), model._rate_prime_raw(y[s])
-        uptake = m * y[x]
-        f[s] -= uptake
-        f[x] += uptake
-        size[s] += abs(uptake)
-        size[x] += abs(uptake)
         J[s][s] -= slope * y[x]
         J[s][x] -= m
         J[x][s] += slope * y[x]
         J[x][x] += m
-    return f, J, size
+    return J
 
 
-def _lyapunov(A: list) -> Optional[list]:
-    """The symmetric P with A^T P + P A = -I, by Gaussian elimination with
-    partial pivoting on its n(n+1)/2 unknowns, or None when singular."""
-    n = len(A)
-    pairs = [(i, k) for i in range(n) for k in range(i, n)]
-    index = {pair: u for u, pair in enumerate(pairs)}
-    m = len(pairs)
+def _capture(n: int, constants: tuple, model, eps: float
+             ) -> Callable[[State], Optional[_Capture]]:
+    """box(ref): the certified capture box of a candidate ref of one
+    basin_probe call, or None.  model is an exact Haldane or Monod law.
 
-    def unknown(i: int, k: int) -> int:
-        return index[(i, k) if i <= k else (k, i)]
+    In each vessel's substrate s and mass excess z = s + x - S_in both
+    systems are a cascade (Smith and Waltman, The Theory of the Chemostat,
+    1995, ch. 2; Thieme, J. Math. Biol. 30 (1992) 755):
+        s' = g(s, z, u) = -mu(s) (S_in + z - s) + k (u - s),
+    z' = -k z, with u = S_in and k = D (single vessel) or alpha D
+    (buffer); in the main vessel k = D / r, u = c s_2 + (1 - c) S_in with
+    c = alpha (1 - r), and z_1' = k (c z_2 - z_1).  The box |s - s*| <=
+    sigma, |z| <= zeta (each vessel) is certified when, with _SLACK of
+    the size of its terms to spare in each inequality,
+      1. g < 0 on s = s* + sigma and g > 0 on s = s* - sigma, for every
+         |z| <= zeta and every u the buffer's box allows (g is affine in
+         both: the worst corner decides); below s = 0 the face is s = 0,
+         where g = k u > 0;
+      2. dg/ds = mu_bar R(s) / den(s)^2 - k - mu'(s) z <= -c < 0 on the
+         box, with R / den^2 bounded in closed form (below) and |mu'| at
+         the ends of the range of s;
+      3. zeta_1 >= c zeta_2, so that z_1' <= 0 on z_1 = zeta_1;
+      4. |x* - (S_in - s*)| <= eps/4, and the zero of g(., 0, u) lies
+         within eps/4 of s*: within (|g(s*, 0, u*)| + k c e_2) / c of it,
+         e_2 the buffer's own such bound.
+    By 1 and 3 the box is forward invariant (Nagumo).  In it z -> 0, and
+    by 1 and 2 g(., 0, u) has one zero s_eq(u) there.  w = s - s_eq(u_eq)
+    has w' = (dg/ds) w + g(s_eq, z, u) - g(s_eq, 0, u_eq), whose last part
+    vanishes as z -> 0 and the buffer settles, so w -> 0 (Gronwall): each
+    vessel ends at s_eq, x = S_in - s_eq, within eps/2 of y* by 4.
 
-    rows = []
-    for i, j in pairs:
-        row = [0.0] * (m + 1)
-        for k in range(n):
-            row[unknown(k, j)] += A[k][i]
-            row[unknown(i, k)] += A[k][j]
-        row[m] = -1.0 if i == j else 0.0
-        rows.append(row)
-    for c in range(m):
-        p = max(range(c, m), key=lambda r: abs(rows[r][c]))
-        if rows[p][c] == 0.0:
-            return None
-        rows[c], rows[p] = rows[p], rows[c]
-        for r in range(c + 1, m):
-            factor = rows[r][c] / rows[c][c]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
-    p = [0.0] * m
-    for c in reversed(range(m)):
-        p[c] = (rows[c][m] - sum(rows[c][k] * p[k] for k in range(c + 1, m))
-                ) / rows[c][c]
-    return [[p[unknown(i, k)] for k in range(n)] for i in range(n)]
-
-
-def _has_cholesky(M: list, shift: float) -> bool:
-    """Whether the Cholesky factorisation of M - shift I runs to the end
-    with positive pivots."""
-    L: list[list[float]] = []
-    for i, row in enumerate(M):
-        out: list[float] = []
-        for j in range(i):
-            out.append((row[j] - sum(map(operator.mul, out, L[j]))) / L[j][j])
-        v = row[i] - shift - sum(map(operator.mul, out, out))
-        if not v > 0.0:
-            return False
-        out.append(math.sqrt(v))
-        L.append(out)
-    return True
-
-
-def _least_eigenvalue(M: list) -> float:
-    """A lower bound of the least eigenvalue of the symmetric matrix M.
-
-    Bisection on whether M - shift I has a Cholesky factor (Sylvester's
-    law of inertia).  A factor found in floating point is exact for M -
-    shift I plus a perturbation below n(n+1) ulps of the largest row sum
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3),
-    and the bound gives that away.
+    One rule sizes the box: zeta is 9/10 of the least |z| that uses up a
+    face's margin or the contraction at z = 0, and sigma the level S_in
+    2^-j, walking down from the first that fits, past which zeta stops
+    growing; first for the main (or single) vessel at a fixed input.  The
+    buffer's spread may take half the main vessel's least face margin;
+    the main vessel's zeta is taken again with it, and 3 caps the
+    buffer's.
     """
-    scale = max(sum(map(abs, row)) for row in M)  # >= the spectral radius
-    lo, hi = -scale, min(M[i][i] for i in range(len(M)))
-    for _ in range(32):  # to 2^-31 of the scale
-        mid = 0.5 * (lo + hi)
-        if _has_cholesky(M, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo - _SLACK * scale
-
-
-def _capture(n: int, constants: tuple, model, ref: State, eps: float
-             ) -> Optional[_Capture]:
-    """The certified capture set of the candidate ref, or None.
-
-    Only a hyperbolic sink of an exact Haldane or Monod system has one.
-    Let A = J(ref), P solve A^T P + P A = -I up to a residual delta, low
-    <= lambda_min(P) <= lambda_max(P) <= top, and L bound ||J(y) - A|| /
-    ||y - ref|| over the orthant's part of the sup-ball of radius R about
-    ref.  On the set e^T P e <= low R^2, which lies in that ball,
-    ||P e|| <= sqrt(top low) R, so V = e^T P e has
-        dV/dt <= -||e|| ((1 - delta - L sqrt(top low) R) ||e||
-                         - 2 top ||f(ref)||)
-    (Khalil, Nonlinear Systems, 3rd ed., Thm 4.7 and section 8.2).  R is
-    the largest radius with L sqrt(top low) R <= _CAPTURE_SHARE (1 -
-    delta).  Every solution from the set then stays in it (and in the
-    orthant, which the system keeps) and ends within reach = 2 top
-    ||f(ref)|| / (1 - delta - L sqrt(top low) R) * sqrt(top / low) of
-    ref; the set is certified only if reach <= eps / 2 and reach < R / 2.
-    L comes from interval bounds of mu' and mu'' on [max(s* - R, 0), s*
-    + R] for each vessel's substrate s.
-    """
-    if closed_form(model) is None:
-        return None
     mu_bar, K = model._values()[:2]
     q = 1.0 / getattr(model, "K_I", math.inf)  # a law without K_I: q = 0
-    f, A, size = _linearization(n, constants, model, ref)
-    P = _lyapunov(A)
-    if P is None:
-        return None
-    rows = range(n)
-    residual = math.hypot(*(
-        sum(A[k][i] * P[k][j] + P[i][k] * A[k][j] for k in rows)
-        + (1.0 if i == j else 0.0) for i in rows for j in rows))
-    frobenius_P = math.hypot(*chain.from_iterable(P))
-    # A carries the rounding of its entries and of mu'(s*), whose terms
-    # K and q s^2 may cancel; delta allows for it and for the residual's
-    spread = math.hypot(*chain.from_iterable(A)) + sum(
-        mu_bar * (K + q * ref[s] ** 2) / (K + ref[s] + q * ref[s] ** 2) ** 2
-        * abs(ref[x]) for s, x in _VESSELS[n])
-    delta = residual + _SLACK * (1.0 + 4.0 * spread * frobenius_P)
-    low = _least_eigenvalue(P)
-    if not (low > 0.0 and delta < 0.5):
-        return None  # not a sink, or P is not trusted
-    top = -_least_eigenvalue([[-v for v in row] for row in P])
+    S_in = constants[0]
+    # R = A s^2 + 2 K s - K S_in with A = 1 + q S_in, den = K + s + q s^2
+    # (the terms in s^3 cancel).  (R / den^2)' has the sign of K (K + S_in)
+    # + 3 K q S_in s - 3 K q s^2 - A q s^3, which changes once on s > 0:
+    # at the peak, a simple root, whose rounding moves R / den^2 only at
+    # second order.  A saddle needs no peak, so it is found on first use
+    A = 1.0 + q * S_in
+    crest: list = []  # the peak, and mu_bar R / den^2 there
 
-    def lipschitz(rho: float) -> float:
-        # per vessel, (|a|, |b|) <= N (|s - s*|, |x - x*|) with N =
-        # [[x* M2, M1], [M1, 0]] for M1 >= |mu'| and M2 >= |mu''|; the
-        # rank-one block then has norm <= sqrt(2) ||N||
-        worst = 0.0
-        for s, x in _VESSELS[n]:
-            # the states stay in the orthant, and den increases on s >= 0
-            lo, hi = max(ref[s] - rho, 0.0), ref[s] + rho
-            den = K + lo + lo * lo * q
-            # mu' = mu_bar (K - q s^2) / den^2 and
-            # mu'' = 2 mu_bar (q^2 s^3 - 3 q K s - K) / den^3
-            m1 = mu_bar * (max(abs(K - hi * hi * q), abs(K - lo * lo * q))
-                           + _SLACK * (K + hi * hi * q)) / den ** 2
-            m2 = 2.0 * mu_bar * (
-                max(abs(q * q * lo ** 3 - 3.0 * q * K * hi - K),
-                    abs(q * q * hi ** 3 - 3.0 * q * K * lo - K))
-                + _SLACK * (q * q * hi ** 3 + 3.0 * q * K * hi + K)) / den ** 3
-            a = 0.5 * abs(ref[x]) * m2
-            worst = max(worst, a + math.sqrt(a * a + m1 * m1))
-        return math.sqrt(2.0) * worst * (1.0 + _SLACK)
+    def fit(s_: float, k: float, u: float, du: float, sigma: float
+            ) -> Optional[tuple[float, float, float]]:
+        # (zeta, c, margin) of the box of half-width sigma about s_, its
+        # input within du of u, or None; c0 is the contraction and margin
+        # g's least margin on the faces, both at z = 0
+        b, a = s_ + sigma, (s_ - sigma if s_ > sigma else 0.0)
+        v = crest[0]  # where R / den^2 is largest on [a, b]
+        v = a if v < a else (b if v > b else v)
+        den_v = K + v + q * v * v
+        c0 = k * (1.0 - _SLACK) - mu_bar * (
+            A * v * v + 2.0 * K * v - K * S_in
+            + _SLACK * (A * b * b + 2.0 * K * b + K * S_in)) / (den_v * den_v)
+        if not c0 > 0.0:
+            return None
+        den_a, den_b = K + a + q * a * a, K + b + q * b * b
+        m_a, m_b = mu_bar * a / den_a, mu_bar * b / den_b
+        up = m_b * (S_in - b) - k * (u + du - b) - _SLACK * (
+            m_b * (S_in + b) + k * (u + du + b))
+        low = k * (u - du - a) - m_a * (S_in - a) - _SLACK * (
+            k * (u + du + a) + m_a * (S_in + a))
+        if not (up > 0.0 and low > 0.0):
+            return None
+        # |mu'| = mu_bar |K - q s^2| / den^2, and K - q s^2 falls on s >= 0
+        n_a, n_b = K - q * a * a, q * b * b - K
+        slope = mu_bar * (n_a if n_a > n_b else n_b) * (
+            1.0 + _SLACK) / (den_a * den_a)
+        zeta = c0 / slope
+        if up < zeta * m_b:
+            zeta = up / m_b
+        if a > 0.0 and low < zeta * m_a:
+            zeta = low / m_a
+        zeta *= 0.9
+        return zeta, c0 - slope * zeta, up if up < low else low
 
-    mean = math.sqrt(top * low)
+    def widest(s_: float, k: float, u: float, du: float, top: float
+               ) -> Optional[tuple[float, tuple]]:
+        # (sigma, fit) of the level at most top past which zeta stops
+        # growing, walking down from the first that fits; a box that holds
+        # the peak does not contract where k <= the crest
+        if not crest:
+            peak = math.inf if q == 0.0 else max(real_cubic_roots(
+                A * q, 3.0 * K * q, -3.0 * K * q * S_in, -K * (K + S_in)))
+            crest.extend((peak, 0.0 if q == 0.0 else mu_bar * (
+                A * peak * peak + 2.0 * K * peak - K * S_in) / (
+                    K + peak + q * peak * peak) ** 2))
+        if k <= crest[1]:
+            top = min(top, abs(crest[0] - s_))
+        best = None
+        for level in _LADDER:
+            sigma = S_in * level
+            if sigma > top:
+                continue
+            if sigma < eps:
+                break
+            got = fit(s_, k, u, du, sigma)
+            if got is not None and (best is None or got[0] > best[1][0]):
+                best = sigma, got
+            elif best is not None:
+                break
+        return best
 
-    def fits(rho: float) -> bool:
-        return lipschitz(rho) * mean * rho <= _CAPTURE_SHARE * (1.0 - delta)
+    def box(ref: State) -> Optional[_Capture]:
+        # (s index, x index, k, u at the candidate, c), the buffer first
+        if n == 2:
+            vessels = ((0, 1, constants[1], S_in, 0.0),)
+        else:
+            _, d_r, cross, direct, a_d = constants
+            vessels = ((2, 3, a_d, S_in, 0.0),
+                       (0, 1, d_r, cross * ref[2] + direct * S_in, cross))
+        for s, _, k, _, _ in vessels:
+            # dg/ds at the candidate: a vessel that does not contract there
+            # (a saddle's) has no box, and none is sized
+            if not (model._rate_raw(ref[s]) - k - model._rate_prime_raw(
+                    ref[s]) * (S_in - ref[s])) < 0.0:
+                return None
+        # (sigma, fit) of each vessel, the buffer first
+        s, _, k, u, share = vessels[-1]
+        main = widest(ref[s], k, u, 0.0, S_in)
+        sized = [main]
+        if n == 4 and main is not None:
+            cap = 0.5 * main[1][2] / (k * share) if share > 0.0 else S_in
+            spread = widest(ref[2], a_d, S_in, 0.0, min(S_in, cap))
+            sized = [spread, spread and (main[0], fit(
+                ref[s], k, u, share * spread[0], main[0]))]
+        if any(got is None or got[1] is None for got in sized):
+            return None
+        reach = 0.0  # the buffer's bound on |s_eq - s*|, then the main's
+        for (s, x, k, u, share), (_, (_, c, _)) in zip(vessels, sized):
+            m = mu_bar * ref[s] / (K + ref[s] + q * ref[s] * ref[s])
+            reach = (abs(k * (u - ref[s]) - m * (S_in - ref[s]))
+                     + _SLACK * (k * (u + ref[s]) + m * (S_in + ref[s]))
+                     + share * k * reach) / c
+            if not (reach <= 0.25 * eps and abs(ref[x] - (S_in - ref[s]))
+                    + _SLACK * (S_in + ref[x]) <= 0.25 * eps):
+                return None
+        masses = [zeta for _, (zeta, _, _) in sized]
+        if share > 0.0:  # 3 caps the buffer's zeta
+            masses[0] = min(masses[0], masses[1] / share * (1.0 - _SLACK))
+        # the tests' own rounding comes off each bound
+        bounds = {s: (sigma * (1.0 - _SLACK),
+                      zeta - _SLACK * (2.0 * S_in + ref[s] + sigma + zeta), c)
+                  for (s, *_), (sigma, (_, c, _)), zeta in zip(
+                      vessels, sized, masses)}
+        return _Capture(S_in, *zip(*(bounds[s] for s, _ in _VESSELS[n])))
 
-    # L(rho) grows with rho, so no radius past the one L(0) allows fits
-    lo, hi = 0.0, _CAPTURE_SHARE * (1.0 - delta) / (lipschitz(0.0) * mean)
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    radius, L = lo, lipschitz(lo)
-    drift = math.hypot(*f) + _SLACK * math.hypot(*size)  # >= ||f(ref)||
-    reach = (2.0 * top * drift / (1.0 - delta - L * mean * radius)
-             * math.sqrt(top / low))
-    level = low * radius * radius * (1.0 - _SLACK * frobenius_P / low)
-    if not (reach <= 0.5 * eps and reach < 0.5 * radius and level > 0.0):
-        return None
-    return _Capture(tuple(map(tuple, A)), tuple(map(tuple, P)), L, radius,
-                    level)
+    return box
 
 
 def _captures(system, candidates: Sequence, eps: float
               ) -> list[Optional[_Capture]]:
-    """The capture set of each candidate of a basin_probe call, or None."""
+    """The capture box of each candidate of a basin_probe call, or None:
+    only a sink of an exact Haldane or Monod system has one."""
     sized = _constants(system)
     refs = list(map(_candidate_state, candidates))
-    if sized is None:
+    if sized is None or closed_form(system.model) is None:
         return [None] * len(refs)
     n, constants = sized
-    return [_capture(n, constants, system.model, tuple(map(float, ref)), eps)
+    box = _capture(n, constants, system.model, eps)
+    return [box(tuple(map(float, ref)))
             if len(ref) == n and all(0.0 <= v < math.inf for v in ref)
             else None for ref in refs]
 
 
-def _capture_arguments(capture: Optional[_Capture]) -> tuple:
-    """A candidate's capture test in _settling_rule: the sup-norm
-    pre-filter rho, the level and P.  Without a capture set rho is -1,
-    so the test never passes."""
+def _capture_arguments(capture: Optional[_Capture], n: int) -> tuple:
+    """A candidate's capture test in _settling_rule over n-component
+    states: the feed, then each vessel's width and mass bound.  Without a
+    capture box every width is -1, so the test never passes."""
     if capture is None:
-        return -1.0, 0.0, ()
-    return capture.radius, capture.level, capture.gram
-
-
-def _captured(P: tuple, level: float, e: State) -> bool:
-    """Whether e^T P e <= level.  _capture's level allows for the
-    rounding of the form in any order."""
-    return sum(e_i * sum(map(operator.mul, row, e))
-               for e_i, row in zip(e, P)) <= level
+        return (0.0,) + (-1.0, -1.0) * len(_VESSELS.get(n, ()))
+    return (capture.feed,) + tuple(chain.from_iterable(
+        zip(capture.widths, capture.masses)))
 
 
 @functools.cache
@@ -644,16 +624,18 @@ def _settling_rule(n: int, m: int) -> Callable:
     n-component states.
 
     _settling_rule(n, m)(*coordinates, *tests, eps, eps2, t0), given
-    the candidates' coordinates in order, then each candidate's capture
-    test (rho, level, P; _capture_arguments) in order and eps2 = 2 *
-    eps, returns (settled, label, reset) as _settling describes.
-    settled works on the state's components y_0, ... as locals and
-    closes over the coordinates r{j}_{i} and the tests rho_{j}, c_{j},
-    P{j}; the far times far_{j} and the label are cells.  Only a state
-    within rho_{j} of candidate j (sup-norm) calls _captured.
+    the candidates' coordinates, then each candidate's capture test (the
+    feed, then each vessel's width and mass bound: _capture_arguments)
+    and eps2 = 2 * eps, returns (settled, label, reset) as _settling
+    describes.  settled works on the state's components y_0, ... as
+    locals and closes over the coordinates r{j}_{i} and the tests f_{j},
+    w{j}_{v}, z{j}_{v}; the far times far_{j} and the label are cells.
     """
     coordinates = [f"r{j}_{i}" for j in range(m) for i in range(n)]
-    tests = [f"{v}{j}" for j in range(m) for v in ("rho_", "c_", "P")]
+    vessels = _VESSELS.get(n, ())
+    tests = [name for j in range(m) for name in (
+        [f"f_{j}"] + [f"{v}{j}_{i}" for i in range(len(vessels))
+                      for v in ("w", "z")])]
     fars = [f"far_{j}" for j in range(m)]
     lines = [f"def factory("
              f"{', '.join(coordinates + tests + ['eps', 'eps2', 't0'])}):"]
@@ -667,17 +649,20 @@ def _settling_rule(n: int, m: int) -> Callable:
               "        t_cut = t - 0.1 * (t - t0)",
               "        hit = None"]
     for j in range(m):
+        # the capture box: each vessel's substrate, then its mass excess
+        inside = " and ".join(
+            f"abs(y_{s} - r{j}_{s}) <= w{j}_{i} and"
+            f" abs(y_{s} + y_{x} - f_{j}) <= z{j}_{i}"
+            for i, (s, x) in enumerate(vessels)) or "False"
+        lines += [f"        if hit is None and {inside}:",
+                  f"            hit = {j}"]
         # the sup-norm distance as max() takes it: a later component
         # replaces d only if it is greater
         lines.append(f"        d = abs(y_0 - r{j}_0)")
         for i in range(1, n):
             lines += [f"        e = abs(y_{i} - r{j}_{i})",
                       "        d = e if e > d else d"]
-        offset = ", ".join(f"y_{i} - r{j}_{i}" for i in range(n))
-        lines += [f"        if d <= rho_{j} and hit is None and"
-                  f" _captured(P{j}, c_{j}, ({offset},)):",
-                  f"            hit = {j}",
-                  "        if not d <= eps2:",
+        lines += ["        if not d <= eps2:",
                   f"            far_{j} = t",
                   "        elif hit is None and d <= eps and"
                   f" far_{j} < t_cut:",
@@ -709,7 +694,7 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
 
     settled(t, y) is fed the states of the run in time order.  It keeps
     the last time the run was over 2*eps from each candidate, records as
-    the label the first candidate that y lies in the capture set of
+    the label the first candidate that y lies in the capture box of
     (tests, parallel to candidates, holds their _capture_arguments; when
     empty, no candidate has one) or that is within eps of y with its
     last far time before t_cut = t - 0.1 * (t - t0), else None, and
@@ -731,7 +716,8 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
                 f"candidate {i} has a non-finite coordinate: {ref}")
     return _settling_rule(n, len(refs))(
         *chain.from_iterable(refs),
-        *chain.from_iterable(tests or [_capture_arguments(None)] * len(refs)),
+        *chain.from_iterable(
+            tests or [_capture_arguments(None, n)] * len(refs)),
         eps, 2.0 * eps, t0)
 
 
@@ -765,12 +751,13 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     """Label each initial state with the candidate it converges to.
 
     A label is the certified candidate or the dwell verdict.  Once per
-    call, each candidate that is a hyperbolic sink of an exact Haldane or
-    Monod system gets a certified capture set (a Lyapunov sublevel set
-    from which the system provably ends within eps of it; see _capture).
-    Each run stops at the first accepted state that lies in a capture set
-    or where detect_convergence's settling rule (the dwell rule) holds,
-    and the first candidate that passes either test wins.  Any other
+    call, each candidate that is a sink of an exact Haldane or Monod
+    system gets a certified capture box (bounds on each vessel's |s - s*|
+    and mass excess |s + x - S_in| from which the system provably ends
+    within eps of it; see _capture).  Each run stops at the first
+    accepted state that lies in a capture box or where
+    detect_convergence's settling rule (the dwell rule) holds, and the
+    first candidate that passes either test wins.  Any other
     candidate, law or system relies on the dwell rule alone.  None marks
     unresolved runs (not settled by t_end, or stiffness failure).  Runs
     execute sequentially in input order, so output ordering and
@@ -783,7 +770,7 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
         raise ValueError("basin_probe needs a non-empty grid and candidates")
     if not finite_positive(eps):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    tests = list(map(_capture_arguments, _captures(system, candidates, eps)))
+    captures = _captures(system, candidates, eps)
     # one rule per state size serves every run, reset before each: a rule
     # built per run allocated its closure per run, and that pinned memory
     # (basin's peak rose by about 0.5 MiB once the capture test came in)
@@ -792,7 +779,9 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     for x0 in grid:
         if len(x0) not in rules:
             # a run starts at t = 0, which is never in its last 10%
-            rules[len(x0)] = _settling(candidates, eps, 0.0, len(x0), tests)
+            rules[len(x0)] = _settling(
+                candidates, eps, 0.0, len(x0),
+                [_capture_arguments(c, len(x0)) for c in captures])
         settled, label, reset = rules[len(x0)]
         reset()
         try:

@@ -98,7 +98,7 @@ def jacobian(config: BufferedConfig,
     config.model._check_domain(s1)
     config.model._check_domain(s2)
     return tuple(map(tuple, _linearization(
-        4, _constants(config)[1], config.model, tuple(map(float, state)))[1]))
+        4, _constants(config)[1], config.model, tuple(map(float, state)))))
 
 
 def _block_roots(a: float, b: float, c: float, d: float) -> tuple:

@@ -703,22 +703,58 @@ def _jacobian(system, y):
             [0.0, 0.0, slope(s2) * x2, mu(s2) - a_d]]
 
 
-def test_capture_rejects_a_saddle_after_one_bisection(monkeypatch):
+def _vessels(system) -> tuple:
+    """(substrate index, biomass index) of each vessel, main one first."""
+    return ((0, 1),) if isinstance(system, SingleParams) else ((0, 1), (2, 3))
+
+
+def _substrate_rate(system, y, s: int) -> float:
+    """s' of the vessel whose substrate is y[s], from the model equations."""
+    mu, S_in = system.model.rate, system.S_in
+    if isinstance(system, SingleParams):
+        return -mu(y[0]) * y[1] + system.D * (S_in - y[0])
+    if s == 2:
+        return -mu(y[2]) * y[3] + system.alpha * system.D * (S_in - y[2])
+    cross = system.alpha * (1.0 - system.r)
+    return -mu(y[0]) * y[1] + system.D / system.r * (
+        cross * (y[2] - y[0]) + (1.0 - cross) * (S_in - y[0]))
+
+
+def _box_state(system, ref, capture, pick) -> list:
+    """The state whose vessel v has substrate pick(lo, hi) in its range
+    [max(s* - width, 0), s* + width] and mass excess pick(-mass, mass)."""
+    y = list(ref)
+    for v, (s, x) in enumerate(_vessels(system)):
+        w, m = capture.widths[v], capture.masses[v]
+        y[s] = pick(max(ref[s] - w, 0.0), ref[s] + w)
+        y[x] = system.S_in + pick(-m, m) - y[s]
+    return y
+
+
+def _anywhere(rng: random.Random):
+    """A pick of an end or of a uniform point of a range, so that samples
+    cover the box's corners, faces and interior."""
+    return lambda lo, hi: rng.choice((lo, hi, rng.uniform(lo, hi)))
+
+
+def test_capture_rejects_a_saddle_after_two_rate_evaluations(monkeypatch):
     params = SingleParams(Haldane(12.0, 1.0, 0.08), 1.4, 1.0)
     saddle = next(e for e in classify_portrait(params).equilibria
                   if e.tag == "positive_saddle")
     calls = []
-    original = simulate._least_eigenvalue
+    for name in ("_rate_raw", "_rate_prime_raw"):
+        def counting(self, s, original=getattr(Haldane, name), name=name):
+            calls.append(name)
+            return original(self, s)
+        monkeypatch.setattr(Haldane, name, counting)
 
-    def counting(M):
-        calls.append(M)
-        return original(M)
+    def refuse(*args):
+        raise AssertionError("a capture box was sized")
 
-    monkeypatch.setattr(simulate, "_least_eigenvalue", counting)
-    n, constants = simulate._constants(params)
-    assert simulate._capture(n, constants, params.model, saddle.state,
-                             1e-6) is None
-    assert len(calls) == 1
+    # sizing a box starts from the peak of the contraction's closed form
+    monkeypatch.setattr(simulate, "real_cubic_roots", refuse)
+    assert simulate._captures(params, [saddle], 1e-6) == [None]
+    assert calls == ["_rate_raw", "_rate_prime_raw"]
 
 
 def test_every_basin_sink_is_certified():
@@ -727,67 +763,75 @@ def test_every_basin_sink_is_certified():
     assert len(list(_certified())) == 12
 
 
-def test_capture_solves_the_lyapunov_equation():
-    np = pytest.importorskip("numpy")
+def test_capture_refuses_a_candidate_off_its_rest_level():
+    # 3e-7 along s + x = S_in: the mass balance holds, but the zero of s'
+    # lies farther than eps/4 from the candidate
     for system, candidates, j, capture in _certified():
-        A = np.array(capture.jacobian)
-        P = np.array(capture.gram)
-        assert np.allclose(A, _jacobian(system, candidates[j].state),
-                           rtol=1e-12, atol=1e-12)
-        assert np.array_equal(P, P.T)
-        assert np.linalg.norm(A.T @ P + P @ A + np.eye(len(A))) <= 1e-12
-        eigenvalues = np.linalg.eigvalsh(P)
-        # the level's set lies in the Euclidean ball of the radius
-        assert capture.level <= eigenvalues[0] * capture.radius ** 2
+        y = list(candidates[j].state)
+        y[0] -= 3e-7
+        y[1] += 3e-7
+        assert simulate._captures(system, [y], 1e-6) == [None], system
+        # a looser eps certifies it
+        assert simulate._captures(system, [y], 1e-4) != [None], system
 
 
-def test_capture_lipschitz_bounds_a_dense_sample():
-    np = pytest.importorskip("numpy")
+def test_capture_box_faces_point_inward():
     rng = random.Random(12)
+    pick = _anywhere(rng)
     for system, candidates, j, capture in _certified():
         ref = candidates[j].state
-        n, radius = len(ref), capture.radius
-        A = np.array(_jacobian(system, ref))
-        # the corners of the sup-ball, its axis points and random points,
-        # in the orthant the states live in
-        offsets = [c for c in itertools.product((-1.0, 1.0), repeat=n)]
-        offsets += [tuple(float(i == k) * sign for k in range(n))
-                    for i in range(n) for sign in (-1.0, 1.0)]
-        offsets += [tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
-                    for _ in range(400)]
-        worst = 0.0
-        for u in offsets:
-            for scale in (1.0, 0.5, 0.1):
-                y = [max(c + radius * scale * v, 0.0)
-                     for c, v in zip(ref, u)]
-                e = np.subtract(y, ref)
-                if not e.any():
-                    continue
-                worst = max(worst, np.linalg.norm(
-                    np.array(_jacobian(system, y)) - A, 2)
-                    / np.linalg.norm(e))
-        assert worst <= capture.lipschitz
-        # and the bound is not vacuous
-        assert worst >= 0.2 * capture.lipschitz
+        for v, (s, _) in enumerate(_vessels(system)):
+            for sign in (-1.0, 1.0):
+                face = ref[s] + sign * capture.widths[v]
+                if face <= 0.0:
+                    continue  # the face is s = 0, where s' = k u > 0
+                for _ in range(300):
+                    y = _box_state(system, ref, capture, pick)
+                    x = _vessels(system)[v][1]
+                    y[x] += y[s] - face  # the same mass excess, on the face
+                    y[s] = face
+                    assert sign * _substrate_rate(system, y, s) < 0.0, (
+                        system, j, v, y)
+
+
+def test_capture_contraction_bounds_a_dense_sample():
+    rng = random.Random(13)
+    pick = _anywhere(rng)
+    for system, candidates, j, capture in _certified():
+        ref = candidates[j].state
+        for v, (s, x) in enumerate(_vessels(system)):
+            least = math.inf
+            for _ in range(400):
+                J = _jacobian(system, _box_state(system, ref, capture, pick))
+                # ds'/ds at a fixed mass excess, where x moves against s
+                least = min(least, J[s][x] - J[s][s])
+            assert least >= capture.rates[v], (system, j, v)
+            # and the bound is not vacuous
+            assert capture.rates[v] >= 0.1 * least, (system, j, v)
 
 
 def test_states_on_the_capture_boundary_settle_on_their_candidate():
-    rng = random.Random(13)
+    rng = random.Random(14)
     settings = IntegratorSettings(t_end=200.0)
     for system, candidates, j, capture in _certified():
-        ref, P = candidates[j].state, capture.gram
-        n, found = len(ref), 0
-        while found < 4:
-            v = [rng.gauss(0.0, 1.0) for _ in range(n)]
-            form = sum(P[i][k] * v[i] * v[k]
-                       for i in range(n) for k in range(n))
-            y = [c + w * math.sqrt(capture.level / form)
-                 for c, w in zip(ref, v)]
+        ref = candidates[j].state
+        # the box has one range per state component: every corner, then
+        # random points of its faces
+        starts = []
+        for corner in itertools.product((0, 1), repeat=len(ref)):
+            ends = iter(corner)
+            starts.append(_box_state(system, ref, capture,
+                                     lambda lo, hi: (lo, hi)[next(ends)]))
+        for _ in range(4):
+            face, ranges = rng.randrange(len(ref)), itertools.count()
+            starts.append(_box_state(system, ref, capture, lambda lo, hi: (
+                rng.choice((lo, hi)) if next(ranges) == face
+                else rng.uniform(lo, hi))))
+        for y in starts:
             if min(y) < 0.0:
                 continue  # outside the orthant the states live in
-            found += 1
             traj = integrate(system, y, settings)
-            assert detect_convergence(traj, candidates) == j
+            assert detect_convergence(traj, candidates) == j, (system, j, y)
 
 
 def test_capture_stops_runs_earlier_with_the_same_labels(monkeypatch):
@@ -812,7 +856,8 @@ def test_capture_stops_runs_earlier_with_the_same_labels(monkeypatch):
     del steps[:]
     assert certified == _dwell_only(monkeypatch, cfg, starts, settings,
                                     candidates)
-    assert captured < 0.85 * sum(steps)
+    # the box stops these runs at 0.36 of the dwell rule's steps
+    assert captured < 0.4 * sum(steps)
 
 
 def _dwell_only(monkeypatch, *args) -> list:
@@ -847,8 +892,8 @@ class _HaldaneKin(Haldane):
 
 
 def test_callable_laws_and_subclasses_are_never_certified(monkeypatch):
-    def refuse(A):
-        raise AssertionError("a certificate was built")
+    def refuse(*args):
+        raise AssertionError("a capture box was built")
 
     for model in (_haldane_callables(12.0, 1.0, 0.08),
                   _HaldaneKin(12.0, 1.0, 0.08)):
@@ -857,7 +902,7 @@ def test_callable_laws_and_subclasses_are_never_certified(monkeypatch):
                       if e.tag in ("positive_attracting",
                                    "washout_attracting")]
         with monkeypatch.context() as patch:
-            patch.setattr(simulate, "_lyapunov", refuse)
+            patch.setattr(simulate, "_capture", refuse)
             labels = _without_captures(monkeypatch, params, BISTABLE_GRID,
                                        candidates, (0, 1))
         assert set(labels) == {0, 1}
