@@ -54,7 +54,7 @@ import operator
 from itertools import chain, repeat
 from typing import Callable, Optional, Sequence, Union
 
-from ._numerics import Record, finite_positive, real_cubic_roots
+from ._numerics import Record, bisect_root, finite_positive
 from .buffered import BufferedConfig
 from .kinetics import CLOSED_FORMS, closed_form
 from .single import SingleParams
@@ -390,9 +390,8 @@ def _candidate_state(candidate) -> State:
 
 
 # ---------------------------------------------------------------------------
-# Certified capture.  Both systems are an affine part plus one uptake term
-# per vessel (substrate index, biomass index):
-#     f(y) = C + B y + sum over vessels of mu(s) x (e_x - e_s).
+# Certified capture.  Each vessel's (substrate index, biomass index) in
+# the states of each size.
 _VESSELS = {2: ((0, 1),), 4: ((0, 1), (2, 3))}
 # relative allowance for the certificate's own rounding: 256 units in the
 # last place of the size of each quantity it bounds, which is some ten
@@ -412,27 +411,6 @@ class _Capture(Record):
     widths: tuple
     masses: tuple
     rates: tuple
-
-
-def _linearization(n: int, constants: tuple, model, y: State) -> list:
-    """J(y) for the system of size n with constants (_constants), in pure
-    Python: B plus each vessel's uptake block."""
-    if n == 2:
-        D = constants[1]
-        J = [[-D, 0.0], [0.0, -D]]
-    else:
-        _, d_r, cross, direct, a_d = constants
-        J = [[-d_r * (cross + direct), 0.0, d_r * cross, 0.0],
-             [0.0, -d_r, 0.0, d_r * cross],
-             [0.0, 0.0, -a_d, 0.0],
-             [0.0, 0.0, 0.0, -a_d]]
-    for s, x in _VESSELS[n]:
-        m, slope = model._rate_raw(y[s]), model._rate_prime_raw(y[s])
-        J[s][s] -= slope * y[x]
-        J[s][x] -= m
-        J[x][s] += slope * y[x]
-        J[x][x] += m
-    return J
 
 
 def _capture(n: int, constants: tuple, model, eps: float
@@ -478,12 +456,26 @@ def _capture(n: int, constants: tuple, model, eps: float
     q = 1.0 / getattr(model, "K_I", math.inf)  # a law without K_I: q = 0
     S_in = constants[0]
     # R = A s^2 + 2 K s - K S_in with A = 1 + q S_in, den = K + s + q s^2
-    # (the terms in s^3 cancel).  (R / den^2)' has the sign of K (K + S_in)
-    # + 3 K q S_in s - 3 K q s^2 - A q s^3, which changes once on s > 0:
+    # (the terms in s^3 cancel).  (R / den^2)' has the sign of
+    #     p(s) = K (K + S_in) + 3 K q S_in s - 3 K q s^2 - A q s^3,
+    # concave on s >= 0 with p(0) > 0, so it changes sign once on s > 0:
     # at the peak, a simple root, whose rounding moves R / den^2 only at
-    # second order.  A saddle needs no peak, so it is found on first use
+    # second order.  It is bisected in units of S_in, where p / S_in^2
+    # does not depend on the unit of substrate, to full precision
     A = 1.0 + q * S_in
-    crest: list = []  # the peak, and mu_bar R / den^2 there
+    peak, crest = math.inf, 0.0  # a law without K_I rises for ever
+    if q > 0.0:
+        p0, p1, p3 = K * (K + S_in), 3.0 * K * q * S_in ** 2, A * q * S_in ** 3
+
+        def p(t: float) -> float:
+            return p0 + t * (p1 - t * (p1 + p3 * t))
+
+        t_hi = 1.0
+        while p(t_hi) >= 0.0:
+            t_hi *= 2.0
+        peak = S_in * bisect_root(p, 0.0, t_hi, 0.0)
+        crest = mu_bar * (A * peak * peak + 2.0 * K * peak - K * S_in) / (
+            K + peak + q * peak * peak) ** 2
 
     def fit(s_: float, k: float, u: float, du: float, sigma: float
             ) -> Optional[tuple[float, float, float]]:
@@ -491,8 +483,8 @@ def _capture(n: int, constants: tuple, model, eps: float
         # input within du of u, or None; c0 is the contraction and margin
         # g's least margin on the faces, both at z = 0
         b, a = s_ + sigma, (s_ - sigma if s_ > sigma else 0.0)
-        v = crest[0]  # where R / den^2 is largest on [a, b]
-        v = a if v < a else (b if v > b else v)
+        # where R / den^2 is largest on [a, b]
+        v = a if peak < a else (b if peak > b else peak)
         den_v = K + v + q * v * v
         c0 = k * (1.0 - _SLACK) - mu_bar * (
             A * v * v + 2.0 * K * v - K * S_in
@@ -524,14 +516,8 @@ def _capture(n: int, constants: tuple, model, eps: float
         # (sigma, fit) of the level at most top past which zeta stops
         # growing, walking down from the first that fits; a box that holds
         # the peak does not contract where k <= the crest
-        if not crest:
-            peak = math.inf if q == 0.0 else max(real_cubic_roots(
-                A * q, 3.0 * K * q, -3.0 * K * q * S_in, -K * (K + S_in)))
-            crest.extend((peak, 0.0 if q == 0.0 else mu_bar * (
-                A * peak * peak + 2.0 * K * peak - K * S_in) / (
-                    K + peak + q * peak * peak) ** 2))
-        if k <= crest[1]:
-            top = min(top, abs(crest[0] - s_))
+        if k <= crest:
+            top = min(top, abs(peak - s_))
         best = None
         for level in _LADDER:
             sigma = S_in * level

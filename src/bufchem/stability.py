@@ -11,7 +11,7 @@ import math
 
 from ._numerics import Record
 from .buffered import BufferedConfig, growth_deficit_prime
-from .simulate import _constants, _linearization
+from .simulate import _VESSELS, _constants
 
 __all__ = [
     "EigenReport",
@@ -95,10 +95,23 @@ def jacobian(config: BufferedConfig,
     """4x4 Jacobian of the vector field at an arbitrary state, as four
     tuples of floats.  A negative or non-finite substrate is a ValueError."""
     s1, _, s2, _ = state
-    config.model._check_domain(s1)
-    config.model._check_domain(s2)
-    return tuple(map(tuple, _linearization(
-        4, _constants(config)[1], config.model, tuple(map(float, state)))))
+    model = config.model
+    model._check_domain(s1)
+    model._check_domain(s2)
+    y = tuple(map(float, state))
+    _, d_r, cross, direct, a_d = _constants(config)[1]
+    # the affine part, then each vessel's uptake block
+    J = [[-d_r * (cross + direct), 0.0, d_r * cross, 0.0],
+         [0.0, -d_r, 0.0, d_r * cross],
+         [0.0, 0.0, -a_d, 0.0],
+         [0.0, 0.0, 0.0, -a_d]]
+    for s, x in _VESSELS[4]:
+        m, slope = model._rate_raw(y[s]), model._rate_prime_raw(y[s])
+        J[s][s] -= slope * y[x]
+        J[s][x] -= m
+        J[x][s] += slope * y[x]
+        J[x][x] += m
+    return tuple(map(tuple, J))
 
 
 def _block_roots(a: float, b: float, c: float, d: float) -> tuple:

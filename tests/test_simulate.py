@@ -652,21 +652,24 @@ def test_written_out_laws_bypass_rate_raw(system, x0, settings,
 # certified capture
 
 @functools.cache
-def _capture_cases() -> tuple:
-    """(system, candidates, captures) of the basin maps: the single
-    vessel's two attractors, the reference law's buffered chemostat at
-    alpha 0.25, 0.35 and 0.45 below and above r_bar, and a buffered
-    Monod chemostat."""
-    model = Haldane(12.0, 1.0, 0.08)
-    params = SingleParams(model, 1.4, 1.0)
+def _capture_cases(unit: float = 1.0) -> tuple:
+    """(system, candidates, captures) of the basin maps, with substrate
+    in units 1 / unit of the README's: the single vessel's two
+    attractors, the reference law's buffered chemostat at alpha 0.25,
+    0.35 and 0.45 below and above r_bar, and a buffered Monod
+    chemostat."""
+    model = Haldane(12.0, 1.0 * unit, 0.08 * unit)
+    S_in = 1.4 * unit
+    params = SingleParams(model, S_in, 1.0)
     systems = [(params, [e for e in classify_portrait(params).equilibria
                          if e.tag in ("positive_attracting",
                                       "washout_attracting")])]
     for alpha in (0.25, 0.35, 0.45):
-        r_bar = split_threshold(model, 1.4, 1.0, alpha).r_bar
+        r_bar = split_threshold(model, S_in, 1.0, alpha).r_bar
         for r in (0.9 * r_bar, 1.2 * r_bar):
-            systems.append(BufferedConfig(model, 1.4, 1.0, alpha, r))
-    systems.append(BufferedConfig(Monod(2.0, 0.3), 1.4, 1.0, 0.35, 0.6))
+            systems.append(BufferedConfig(model, S_in, 1.0, alpha, r))
+    systems.append(BufferedConfig(Monod(2.0, 0.3 * unit), S_in, 1.0, 0.35,
+                                  0.6))
     cases = []
     for system in systems:
         if isinstance(system, tuple):
@@ -675,16 +678,21 @@ def _capture_cases() -> tuple:
             candidates = [e for e in find_equilibria(system)
                           if e.branch == BRANCH_POSITIVE and e.tag == "stable"]
         cases.append((system, candidates,
-                      simulate._captures(system, candidates, 1e-6)))
+                      simulate._captures(system, candidates, 1e-6 * unit)))
     return tuple(cases)
 
 
-def _certified():
+def _certified(unit: float = 1.0):
     """(system, candidates, index, capture) of every certified candidate."""
-    for system, candidates, captures in _capture_cases():
+    for system, candidates, captures in _capture_cases(unit):
         for j, capture in enumerate(captures):
             if capture is not None:
                 yield system, candidates, j, capture
+
+
+# the README's substrate unit, and one a thousand times smaller, where a
+# floor absolute in the unit would misplace the contraction's peak
+UNITS = (1.0, 1e-3)
 
 
 def _jacobian(system, y):
@@ -747,20 +755,15 @@ def test_capture_rejects_a_saddle_after_two_rate_evaluations(monkeypatch):
             calls.append(name)
             return original(self, s)
         monkeypatch.setattr(Haldane, name, counting)
-
-    def refuse(*args):
-        raise AssertionError("a capture box was sized")
-
-    # sizing a box starts from the peak of the contraction's closed form
-    monkeypatch.setattr(simulate, "real_cubic_roots", refuse)
     assert simulate._captures(params, [saddle], 1e-6) == [None]
     assert calls == ["_rate_raw", "_rate_prime_raw"]
 
 
 def test_every_basin_sink_is_certified():
-    for system, candidates, captures in _capture_cases():
-        assert all(c is not None for c in captures), system
-    assert len(list(_certified())) == 12
+    for unit in UNITS:
+        for system, candidates, captures in _capture_cases(unit):
+            assert all(c is not None for c in captures), system
+        assert len(list(_certified(unit))) == 12
 
 
 def test_capture_refuses_a_candidate_off_its_rest_level():
@@ -778,7 +781,8 @@ def test_capture_refuses_a_candidate_off_its_rest_level():
 def test_capture_box_faces_point_inward():
     rng = random.Random(12)
     pick = _anywhere(rng)
-    for system, candidates, j, capture in _certified():
+    for system, candidates, j, capture in itertools.chain.from_iterable(
+            map(_certified, UNITS)):
         ref = candidates[j].state
         for v, (s, _) in enumerate(_vessels(system)):
             for sign in (-1.0, 1.0):
@@ -797,7 +801,8 @@ def test_capture_box_faces_point_inward():
 def test_capture_contraction_bounds_a_dense_sample():
     rng = random.Random(13)
     pick = _anywhere(rng)
-    for system, candidates, j, capture in _certified():
+    for system, candidates, j, capture in itertools.chain.from_iterable(
+            map(_certified, UNITS)):
         ref = candidates[j].state
         for v, (s, x) in enumerate(_vessels(system)):
             least = math.inf
