@@ -1,19 +1,19 @@
 """Small deterministic numerical helpers shared across the package.
 
 critical_levels is the sign-change scan: it samples a function on the
-_GRID-point midpoint grid and bisects each sign change.  The function
-need not be a derivative.  Every extremum the analysis layer needs is a
-zero of a closed-form derivative found this way.  proxy_levels finds
-the same levels from a Chebyshev proxy of a few dozen samples; the
-buffer design uses it for every law without closed forms, and it falls
-back on the scan when the proxy's coefficients have not decayed at 129
-points.  Where the caller knows a closed-form root, _levels_near reads
-the scan's own result from the four grid points around it.  The
-refinement stays scalar because it sets the last digits of
-every result: it evaluates the caller's own closure, so a result
-depends only on that closure's arithmetic.  golden_min serves only the
-tangency fit, the route to r_bar that must stay independent of these
-critical levels.
+_GRID-point midpoint grid, or on the pieces of it a caller reads, and
+bisects each sign change.  The function need not be a derivative.
+Every extremum the analysis layer needs is a zero of a closed-form
+derivative found this way.  proxy_levels finds the same levels from a
+Chebyshev proxy of a few dozen samples; the buffer design uses it for
+every law without closed forms, and it falls back on the scan when the
+proxy's coefficients have not decayed at 129 points.  Where the caller
+knows a closed-form root, _levels_near reads the scan's own result from
+the four grid points around it.  The refinement stays scalar because it
+sets the last digits of every result: it evaluates the caller's own
+closure, so a result depends only on that closure's arithmetic.
+golden_min serves only the tangency fit, the route to r_bar that must
+stay independent of these critical levels.
 
 Every value the package returns is a Record: an immutable set of named
 fields, compared and hashed by value.
@@ -21,7 +21,8 @@ fields, compared and hashed by value.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Callable, Optional, Sequence
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BISECT_MAX_ITER = 200
@@ -173,27 +174,40 @@ def golden_min(f: Callable[[float], float], lo: float,
 
 
 def critical_levels(g: Callable[[float], float], lo: float, hi: float,
-                    cuts: Sequence[float] = ()) -> list[float]:
+                    pieces: Optional[Sequence] = None) -> list[float]:
     """The sign changes of g on (lo, hi), ascending: a _GRID-point scan
     brackets each one and bisection refines it to machine resolution.
     g need not be a derivative.
 
     The grid lo + step * (i + 0.5) stays half a step clear of lo and hi,
     so g may have a pole or be undefined at either end; two sign changes
-    within one step go unseen.  g is also sampled at the cuts in [lo, hi],
-    the ends of the sub-intervals a caller reads, so a sub-interval
-    narrower than a step keeps the sign change between its ends.
+    within one step go unseen.  Given pieces, disjoint sub-intervals of
+    [lo, hi], g is sampled at their grid points and ends alone, and the
+    levels strictly inside each piece come in turn, bit for bit those of
+    the whole grid with every end added; so a piece narrower than a step
+    keeps the sign change between its ends.
 
     The sign is v > 0, so a crossing through an exact grid zero gives one
     bracket, with the zero at an end where bisect_root returns it.  A run
     of exact zeros whose nearest non-zero neighbours share a sign is a
     touch and gives none; a run that reaches an end of the grid keeps
-    its v > 0 flip.
-    """
+    its v > 0 flip.  A piece with a zero at an end, which such a run may
+    cross, is read on the whole grid."""
     step = (hi - lo) / _GRID
-    xs = sorted(_grid(lo, step, range(_GRID))
-                + [c for c in cuts if lo <= c <= hi])
-    return _bisected_sign_changes(g, xs, [g(x) for x in xs])
+    if pieces is None:
+        xs = _grid(lo, step, range(_GRID))
+        return _bisected_sign_changes(g, xs, [g(x) for x in xs])
+    at = lambda i: lo + step * (i + 0.5)
+    levels = []
+    for a, b in pieces:
+        xs = [a, *map(at, range(bisect_right(range(_GRID), a, key=at),
+                                bisect_left(range(_GRID), b, key=at))), b]
+        vs = [g(x) for x in xs]
+        if vs[0] == 0.0 or vs[-1] == 0.0:
+            xs = sorted([a, b, *map(at, range(_GRID))])
+            vs = [g(x) for x in xs]
+        levels += [s for s in _bisected_sign_changes(g, xs, vs) if a < s < b]
+    return levels
 
 
 def _levels_near(g: Callable[[float], float], lo: float, hi: float,

@@ -134,11 +134,13 @@ def _capacity_levels(model: GrowthModel, S_in: float,
                      s_bar: float) -> list[float]:
     """The critical levels of uptake_capacity on (0, s_bar).  Haldane's
     one level is the scan's, bisected in the grid cell around its closed
-    form; any other law goes to _levels."""
+    form s_c, or s_c where the scan misses it; else _levels gives them."""
     mu, mu_p = model._rate_raw, model._rate_prime_raw
     slope = lambda s: mu_p(s) * (S_in - s) - mu(s)
     if closed_form(model) == "haldane":
-        return _levels_near(slope, 0.0, s_bar, model._capacity_peak(S_in))
+        s_c = model._capacity_peak(S_in)
+        return (_levels_near(slope, 0.0, s_bar, s_c)
+                or ([s_c] if 0.0 < s_c < s_bar else []))
     return _levels(model)(slope, 0.0, s_bar)
 
 

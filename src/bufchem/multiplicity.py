@@ -14,7 +14,7 @@ break-even concentration of the full dilution rate D:
 
   upper_break_even_absent      no upper break-even below the feed at D
   pivot_below_upper_break_even pivot left of the upper break-even
-  pivot_at_upper_break_even    coincidence (within 1e-9)
+  pivot_at_upper_break_even    coincidence (within 1e-9 S_in)
   pivot_above_upper_break_even pivot right of the upper break-even
 
 An independent cross-check recovers the same boundary by minimizing the
@@ -156,7 +156,7 @@ def _operating_point(model: GrowthModel, S_in: float, D: float,
     if lam_plus >= S_in:
         return pv, CASE_NO_UPPER, None, (lam_minus, pv)
     gap = pv - lam_plus
-    if abs(gap) <= _CASE_TOL * max(1.0, S_in):
+    if abs(gap) <= _CASE_TOL * S_in:
         return pv, CASE_PIVOT_AT, (lam_minus, S_in), None
     if gap < 0.0:
         return pv, CASE_PIVOT_BELOW, (lam_plus, S_in), (lam_minus, pv)
@@ -198,22 +198,19 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
     The split map equals 1 at the break-even levels of D and at the
     feed, and 0 at the pivot, so its extreme values over the case's
     intervals are interior: they are its values at the critical levels
-    of one 2048-point scan of the derivative's numerator, which also
-    samples the intervals' ends, each refined by bisection.  r_plus_min
-    is the smallest of those values inside the plus interval and the
-    value 1 at its ends, and the band spans the values inside the
-    extrema interval.
+    inside them, from the 2048-point scan of the derivative's numerator
+    sampled on those intervals alone, ends included, each refined by
+    bisection.  r_plus_min is the smallest of those values inside the
+    plus interval and the value 1 at its ends, and the band spans the
+    values inside the extrema interval.
     """
     pv, case, plus, extrema = _operating_point(model, S_in, D, alpha)
     gamma = _pivot_split_map(model, S_in, D, pv)
-    ends = [end for iv in (plus, extrema) if iv is not None for end in iv]
-    levels = critical_levels(gamma.prime_numerator, 0.0, S_in, ends)
+    pieces = [iv for iv in (plus, extrema) if iv is not None and iv[0] < iv[1]]
+    levels = critical_levels(gamma.prime_numerator, 0.0, S_in, pieces)
 
-    def values_inside(interval):
-        if interval is None:
-            return []
-        lo, hi = interval
-        return [gamma(s) for s in levels if lo < s < hi]
+    def values_inside(iv):
+        return [gamma(s) for s in levels if iv and iv[0] < s < iv[1]]
 
     r_plus_min = None if plus is None else min([1.0, *values_inside(plus)])
     cap = 1.0 if r_plus_min is None else r_plus_min
@@ -226,10 +223,7 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
             f"extra-root band {band} is expected to sit strictly below the "
             f"boundary {r_plus_min} for this kinetics")
 
-    if band is None or band[1] < cap or band[0] >= cap:
-        r_bar = cap
-    else:
-        r_bar = band[0]
+    r_bar = band[0] if band and band[0] < cap <= band[1] else cap
     return MultiplicityReport(r_plus_min, band, min(r_bar, 1.0), case)
 
 

@@ -402,11 +402,16 @@ def _design_at_feed(model, S_in: float):
     pytest.param(Haldane(1.0, 1.0, 1.0), 1.8792322949264086,
                  (_GRID - 0.5, _GRID), id="near s_bar"),
 ])
-def test_capacity_peak_off_the_grid_gives_no_level(model, S_in, cells):
+def test_capacity_peak_off_the_grid_is_its_closed_form(model, S_in, cells):
+    # the scan sees no level there, so the closed form s_c stands in for
+    # it, and the buffer size is the surplus over the capacity's peak
     report, step, s_c = _design_at_feed(model, S_in)
     assert cells[0] < s_c / step < cells[1]
-    assert design._capacity_levels(model, S_in, report.s_bar) == []
     assert _scanned_capacity_levels(model, S_in, report.s_bar) == []
+    assert design._capacity_levels(model, S_in, report.s_bar) == [s_c]
+    assert report.v2_inf == (
+        report.surplus_max / uptake_capacity(model, S_in, s_c))
+    assert report.d2_star == model.rate(s_c)
 
 
 @pytest.mark.parametrize("S_in, ulps", [

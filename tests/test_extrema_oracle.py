@@ -4,19 +4,24 @@ split_threshold and buffer_design read every extreme value at the
 critical levels of a closed-form derivative.  The reference here shares
 none of that: it samples the curve itself on a grid four times finer,
 takes each discrete extremum and refines it by golden section, and
-compares the values.
+compares the values.  split_threshold samples only the intervals it
+reads; its reports are also held to those of the whole grid's scan.
 """
 import math
 import random
 
 import pytest
+from conftest import draw_buffered_config
 
 import bufchem.design
+import bufchem.multiplicity
 from bufchem import (CustomUnimodal, Haldane, buffer_design, split_threshold,
                      uptake_capacity, washout_surplus)
-from bufchem._numerics import critical_levels, proxy_levels
-from bufchem.buffered import split_map
-from bufchem.multiplicity import (CASE_PIVOT_ABOVE, CASE_PIVOT_BELOW,
+from bufchem._numerics import (_GRID, _bisected_sign_changes, bisect_root,
+                               critical_levels, proxy_levels)
+from bufchem.buffered import pivot_level, split_map
+from bufchem.multiplicity import (CASE_NO_UPPER, CASE_PIVOT_ABOVE,
+                                  CASE_PIVOT_AT, CASE_PIVOT_BELOW,
                                   _operating_point)
 
 _SAMPLES = 8192
@@ -218,3 +223,83 @@ def test_capacity_peak_at_s_bar_runs_the_buffer_at_the_feed_rate(
         assert report.v2_inf == pytest.approx(
             reference_v2_inf(reference_model, feed, D, report.s_bar),
             rel=1e-8)
+
+
+def _whole_grid(g, lo: float, hi: float, pieces) -> list[float]:
+    """The oracle: critical_levels(g, lo, hi) with every piece's ends
+    sampled too, the scan split_threshold made of the whole grid before
+    it sampled its pieces alone."""
+    step = (hi - lo) / _GRID
+    xs = sorted([lo + step * (i + 0.5) for i in range(_GRID)]
+                + [end for piece in pieces for end in piece])
+    return _bisected_sign_changes(g, xs, [g(x) for x in xs])
+
+
+def _at_crossing(model, S_in: float, D: float, alpha: float) -> float:
+    """The alpha below the given one where the pivot level meets the upper
+    break-even of D, or the given alpha where it stays above it."""
+    upper = model.break_even(D).upper
+    gap = lambda a: pivot_level(model, S_in, D, a) - upper
+    return bisect_root(gap, 1e-9, alpha, 0.0) if gap(alpha) < 0.0 else alpha
+
+
+def _report(*point):
+    try:
+        return split_threshold(*point)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_threshold_on_its_intervals_equals_the_whole_grid(monkeypatch):
+    # split_threshold's reports on the whole grid, then critical_levels
+    # on its pieces against the whole grid for functions of our own.
+    # 1000 Haldane points and 500 CustomUnimodal ones in all four cases,
+    # every third one at the alpha where the pivot meets the upper
+    # break-even, and 300 buffered draws, mostly without an upper one
+    rng = random.Random(27)
+    points = []
+    for kind, n, seed in (("haldane", 700, 91), ("wrapped", 250, 92),
+                          ("andrews", 250, 93)):
+        for i, (model, S_in, D, alpha) in enumerate(_draws(kind, n, seed)):
+            if i % 3 == 0:
+                alpha = _at_crossing(model, S_in, D, alpha)
+            points.append((model, S_in, D, alpha))
+    for _ in range(300):
+        config = draw_buffered_config(rng)
+        points.append((config.model, config.S_in, config.D, config.alpha))
+    reports = [_report(*point) for point in points]
+    assert {r.case for r in reports if not isinstance(r, tuple)} == {
+        CASE_NO_UPPER, CASE_PIVOT_BELOW, CASE_PIVOT_AT, CASE_PIVOT_ABOVE}
+    with monkeypatch.context() as m:
+        m.setattr(bufchem.multiplicity, "critical_levels", _whole_grid)
+        assert [_report(*point) for point in points] == reports
+
+    def inside(g, lo, hi, pieces):
+        levels = _whole_grid(g, lo, hi, pieces)
+        return [s for a, b in pieces for s in levels if a < s < b]
+
+    # two pieces with ends on grid points or between them, and two sign
+    # changes within 1.5 grid steps of each end
+    step = 1.0 / _GRID
+    for _ in range(200):
+        ends = sorted(rng.choice([rng.uniform(0.0, 1.0),
+                                  (rng.randrange(_GRID) + 0.5) * step])
+                      for _ in range(4))
+        roots = [end + rng.uniform(-1.5, 1.5) * step
+                 for end in ends for _ in range(2)]
+        g = lambda x, roots=roots: math.prod(x - r for r in roots)
+        pieces = [tuple(ends[:2]), tuple(ends[2:])]
+        assert critical_levels(g, 0.0, 1.0, pieces) == inside(
+            g, 0.0, 1.0, pieces)
+    # exact zeros at a piece's end and its nearest grid point, the next
+    # grid point past the end of the same sign as the last one before
+    # the run: a touch, which the whole grid's scan reads across the end
+    def flat(x):
+        return max(abs(x - 999.75) - 0.4, 0.0)
+
+    for g in (flat, lambda x: -flat(x),
+              lambda x: math.copysign(flat(x), x - 999.75)):
+        for piece in ((900.0, 1000.0), (999.4, 1100.0)):
+            assert g(piece[0]) == 0.0 or g(piece[1]) == 0.0
+            assert critical_levels(g, 0.0, float(_GRID), [piece]) == inside(
+                g, 0.0, float(_GRID), [piece])

@@ -86,19 +86,20 @@ def test_critical_levels_without_a_sign_change_are_empty():
     assert critical_levels(math.exp, 0.0, 5.0) == []
 
 
-def test_cut_points_separate_sign_changes_within_one_grid_step():
-    # both zeros lie between the grid points 0.5 and 1.5; a cut between
-    # them, or at the ends of a sub-interval holding one, shows each
+def test_pieces_narrower_than_a_grid_step_keep_their_sign_changes():
+    # both zeros lie between the grid points 0.5 and 1.5; the ends of a
+    # piece are sampled, so a piece around each zero shows it
     def g(x):
         return (x - 0.7) * (x - 0.9)
 
     assert critical_levels(g, 0.0, float(_GRID)) == []
-    assert critical_levels(g, 0.0, float(_GRID), [0.8]) == pytest.approx(
+    assert critical_levels(g, 0.0, float(_GRID),
+                           [(0.6, 0.8), (0.8, 1.0)]) == pytest.approx(
         [0.7, 0.9], rel=0.0, abs=1e-15)
-    assert critical_levels(g, 0.0, float(_GRID), [0.6, 0.8]) == pytest.approx(
-        [0.7, 0.9], rel=0.0, abs=1e-15)
-    # a cut outside the scanned range is dropped, never sampled
-    assert critical_levels(g, 0.0, float(_GRID), [-1.0]) == []
+    # a piece reads the levels strictly inside it only, piece by piece
+    assert critical_levels(g, 0.0, float(_GRID), [(0.8, 1.0), (0.0, 0.75)]
+                           ) == pytest.approx([0.9, 0.7], rel=0.0, abs=1e-15)
+    assert critical_levels(g, 0.0, float(_GRID), [(0.75, 0.85)]) == []
 
 
 def test_levels_near_a_known_root_are_the_scan_levels():

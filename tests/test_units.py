@@ -5,23 +5,30 @@ S_in and every level) and time by tau (mu_bar, D and every rate) maps
 each rest point to c times itself and leaves every count and stability
 tag unchanged, so find_equilibria must see the same chemostat in any
 unit.  The interval oracle of tests/_interval.py is exact in any unit
-and checks each scaled count.  The same symmetry maps each capture
-box of basin_probe's certificate to c times itself, its contraction
-rate to tau times itself.
+and checks each scaled count.  The case, the uniqueness boundary and
+the buffer size are free of units too.  The same symmetry maps each
+capture box of basin_probe's certificate to c times itself, its
+contraction rate to tau times itself.
 """
 import itertools
 import math
 import random
 
+import pytest
+
 from _interval import count_rest_levels
 from conftest import draw_buffered_config
 
 from bufchem import (BRANCH_POSITIVE, BufferedConfig, CustomUnimodal,
-                     Haldane, Monod, SingleParams, classify_portrait,
-                     find_equilibria, simulate, split_threshold)
+                     Haldane, Monod, SingleParams, buffer_design,
+                     classify_portrait, find_equilibria, simulate,
+                     split_threshold)
+from bufchem.multiplicity import CASE_PIVOT_ABOVE, CASE_PIVOT_BELOW
 
 DRAWS = 500
 README_LAW = (12.0, 1.0, 0.08)
+# the alpha where the README law's pivot level meets its upper break-even
+CROSSING_ALPHA = 0.45822841362922084
 
 
 def _law(params: tuple, wrapped: bool):
@@ -81,7 +88,44 @@ def test_rest_points_scale_with_the_units():
         if not undecided:
             assert count == positive, where
         counts.add(positive)
+        case, values = _unit_free(_law((mu_bar, K, K_I), wrapped),
+                                  S_in, D, alpha)
+        other_case, others = _unit_free(_law(scaled, wrapped), S_in * c,
+                                        D * tau, alpha)
+        assert other_case == case, where
+        assert [v is None for v in others] == [v is None for v in values]
+        for u, v in zip(values, others):
+            if u is not None:
+                assert abs(v - u) <= 1e-12 * abs(u), where
     assert counts == {1, 3}
+
+
+def _unit_free(law, S_in: float, D: float, alpha: float) -> tuple:
+    """(case, [r_plus_min, band low, band high, r_bar, v2_inf]) with None
+    for an absent value, v2_inf absent where no buffer design applies."""
+    report = split_threshold(law, S_in, D, alpha)
+    band = report.r_minus_interval or (None, None)
+    try:
+        v2_inf = buffer_design(law, S_in, D).v2_inf
+    except ValueError:
+        v2_inf = None
+    return report.case, [report.r_plus_min, *band, report.r_bar, v2_inf]
+
+
+def test_case_split_is_free_of_the_substrate_unit():
+    # 3e-7 either side of the crossing alpha the pivot level clears the
+    # upper break-even by about 2.8e-7 S_in: the same case in every unit
+    law = Haldane(*README_LAW)
+    for offset in (-3e-7, 3e-7):
+        alpha = CROSSING_ALPHA + offset
+        base = split_threshold(law, 1.4, 1.0, alpha)
+        assert base.case == (CASE_PIVOT_BELOW if offset > 0.0
+                             else CASE_PIVOT_ABOVE)
+        for c in (1e-3, 1e-4):
+            scaled = Haldane(law.mu_bar, law.K * c, law.K_I * c)
+            other = split_threshold(scaled, 1.4 * c, 1.0, alpha)
+            assert other.case == base.case, (offset, c)
+            assert other.r_bar == pytest.approx(base.r_bar, rel=1e-12)
 
 
 def _sinks(system) -> list:
