@@ -3,15 +3,14 @@
 critical_levels is the sign-change scan: it samples a function on the
 _GRID-point midpoint grid, or on the pieces of it a caller reads, and
 bisects each sign change.  The function need not be a derivative.
-Every extremum the analysis layer needs is a zero of a closed-form
-derivative found this way.  proxy_levels finds the same levels from a
-Chebyshev proxy of a few dozen samples; the buffer design uses it for
-every law without closed forms, and it falls back on the scan when the
-proxy's coefficients have not decayed at 129 points.  Where the caller
-knows a closed-form root, _levels_near reads the scan's own result from
-the four grid points around it.  The refinement stays scalar because it
-sets the last digits of every result: it evaluates the caller's own
-closure, so a result depends only on that closure's arithmetic.
+Every extremum the analysis layer needs, save the closed forms a law
+declares, is a zero of a closed-form derivative found this way.
+proxy_levels finds the same levels from a Chebyshev proxy of a few
+dozen samples; the buffer design uses it for every law without closed
+forms, and it falls back on the scan when the proxy's coefficients have
+not decayed at 129 points.  The refinement stays scalar because it sets
+the last digits of every result: it evaluates the caller's own closure,
+so a result depends only on that closure's arithmetic.
 golden_min serves only the tangency fit, the route to r_bar that must
 stay independent of these critical levels.
 
@@ -26,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BISECT_MAX_ITER = 200
-_GOLDEN_X_TOL = 1e-10   # relative bracket width golden_min stops at
+_GOLDEN_X_TOL = 1e-10   # golden_min's last width, per |lo| + |hi| of its first
 _NEWTON_STEPS = 8
 
 # points of every critical_levels scan
@@ -154,13 +153,13 @@ def golden_min(f: Callable[[float], float], lo: float,
     """Golden-section minimum of a unimodal f on [lo, hi].
 
     Returns (abscissa, value).  The bracket is assumed valid; callers
-    build it from a grid scan.
+    build it from a grid scan.  It stops at a width relative to [lo, hi].
     """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > _GOLDEN_X_TOL * max(1.0, abs(a) + abs(b)):
+    while (b - a) > _GOLDEN_X_TOL * (abs(lo) + abs(hi)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -208,18 +207,6 @@ def critical_levels(g: Callable[[float], float], lo: float, hi: float,
             vs = [g(x) for x in xs]
         levels += [s for s in _bisected_sign_changes(g, xs, vs) if a < s < b]
     return levels
-
-
-def _levels_near(g: Callable[[float], float], lo: float, hi: float,
-                 near: float) -> list[float]:
-    """critical_levels(g, lo, hi) for a g whose one sign change lies near
-    `near`: the scan's samples that bound the grid cell holding it and its
-    two neighbours, read and bisected with the scan's rules, so a change
-    within half a step of lo or hi goes unseen here too."""
-    step = (hi - lo) / _GRID
-    i = math.floor((near - lo) / step - 0.5)
-    xs = _grid(lo, step, range(max(i - 1, 0), min(i + 3, _GRID)))
-    return _bisected_sign_changes(g, xs, [g(x) for x in xs])
 
 
 def _grid(lo: float, step: float, indices) -> list[float]:

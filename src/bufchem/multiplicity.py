@@ -249,11 +249,11 @@ def split_threshold_crosscheck(model: GrowthModel, S_in: float, D: float,
     gap = alpha * (S_in - s2)  # = S_in - pivot
 
     def reduced(s: float) -> tuple[float, float]:
-        """(residual, u) at level s, u = (1-r)/r optimal for that s."""
+        """(residual, u) at level s, u = (1-r)/r optimal; slopes per S_in."""
         a = model._rate_raw(s) / D - 1.0
-        b = model._rate_prime_raw(s) / D
+        b = model._rate_prime_raw(s) / D * S_in
         c = 1.0 - gap / (S_in - s)
-        e = gap / (S_in - s) ** 2
+        e = gap * S_in / (S_in - s) ** 2
         u = (c * a - e * b) / (c * c + e * e)
         if u <= 0.0:
             return (a * a + b * b, 0.0)

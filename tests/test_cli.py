@@ -262,6 +262,51 @@ def test_basin_buffered_map(tmp_path, r, names):
     assert {b for _, _, b in basin_rows(tmp_path)} == names
 
 
+def _in_substrate_unit(c: float, r: str) -> str:
+    """The README config at split r, every concentration times c."""
+    text = REFERENCE_INI.replace("r = 0.48", f"r = {r}")
+    for name, value in (("K", "1"), ("K_I", "0.08"), ("S_in", "1.4"),
+                        ("state", "1.4 0.1 1.4 0.01")):
+        scaled = " ".join(repr(float(v) * c) for v in value.split())
+        text = text.replace(f"\n{name} = {value}\n",
+                            f"\n{name} = {scaled}\n")
+    return text
+
+
+@pytest.mark.parametrize("r", ["0.48", "0.65"])
+def test_readme_config_in_a_smaller_substrate_unit(tmp_path, r):
+    # the same chemostat with concentrations in a unit 100x or 1e4x
+    # smaller: the same rest points times c, the same eigenvalues and the
+    # same basin of every start
+    runs = {}
+    for c in (1.0, 1e-2, 1e-4):
+        out = tmp_path / repr(c)
+        out.mkdir()
+        (out / "run.ini").write_text(_in_substrate_unit(c, r))
+        for command in ("equilibria", "basin"):
+            result = run_cli(command, "--config", str(out / "run.ini"),
+                             "--out", str(out))
+            assert result.returncode == 0, result.stdout + result.stderr
+        runs[c] = (validate(out / "equilibria.json", "equilibria"),
+                   validate(out / "basin.json", "basin"),
+                   [b for _, _, b in basin_rows(out)])
+    base, base_basin, base_labels = runs.pop(1.0)
+    tol = 1e-10 * 1.4
+    for c, (payload, basin, labels) in runs.items():
+        assert payload["S_in"] == basin["S_in"] == pytest.approx(1.4 * c)
+        assert payload["positive_count"] == base["positive_count"]
+        assert abs(payload["pivot"] - c * base["pivot"]) <= tol * c
+        for e, f in zip(base["equilibria"], payload["equilibria"],
+                        strict=True):
+            assert (f["branch"], f["tag"]) == (e["branch"], e["tag"])
+            assert f["eigenvalues"] == pytest.approx(e["eigenvalues"],
+                                                     rel=1e-10, abs=0.0)
+            for key in ("s1", "x1", "s2", "x2"):
+                assert abs(f[key] - c * e[key]) <= tol * c, (c, key)
+        assert basin["counts"] == base_basin["counts"]
+        assert labels == base_labels
+
+
 def test_audit_artifact(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(AUDIT)

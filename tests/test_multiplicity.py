@@ -48,7 +48,7 @@ NO_UPPER_INPUTS = {
     "monod": (Monod(2.0, 1.0), 3.0, 1.0, 0.5),
 }
 RECORDED_THRESHOLD_DIGEST = (
-    "272844b30d3441cdf0f16b4f0e66779aa0b424a177664d39911fd90b681b7432")
+    "b5c4b4d65593ee96a6371ece8affc3e4b5df95795d2e415ffadfc22363a82d6d")
 
 
 def test_case_classification(reference_model):

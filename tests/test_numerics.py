@@ -19,7 +19,6 @@ from bufchem import (BreakEvenInterval, BufferedConfig, CustomUnimodal,
 import bufchem._numerics
 from bufchem._numerics import (
     _GRID,
-    _levels_near,
     bisect_root,
     critical_levels,
     golden_min,
@@ -49,6 +48,23 @@ def test_golden_min_quadratic():
     x, v = golden_min(lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 2.0)
     assert abs(x - 0.3) < 1e-7
     assert abs(v - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("c", [10.0 ** k for k in range(-8, 9, 2)])
+def test_golden_min_is_free_of_the_unit_of_x(c):
+    # the same minimum at 0.3 c on [-c, 2 c], found to the same relative
+    # accuracy in every unit; a minimum at 0 ends in as few evaluations
+    x, _ = golden_min(lambda t: (t - 0.3 * c) ** 2, -c, 2.0 * c)
+    assert abs(x / c - 0.3) < 1e-7
+    calls = []
+
+    def square(t):
+        calls.append(t)
+        return t * t
+
+    x, _ = golden_min(square, -c, c)
+    assert abs(x) < 1e-7 * c
+    assert len(calls) < 60
 
 
 def test_critical_levels_are_the_zeros_of_cos():
@@ -100,26 +116,6 @@ def test_pieces_narrower_than_a_grid_step_keep_their_sign_changes():
     assert critical_levels(g, 0.0, float(_GRID), [(0.8, 1.0), (0.0, 0.75)]
                            ) == pytest.approx([0.9, 0.7], rel=0.0, abs=1e-15)
     assert critical_levels(g, 0.0, float(_GRID), [(0.75, 0.85)]) == []
-
-
-def test_levels_near_a_known_root_are_the_scan_levels():
-    # roots on, one ulp either side of, and between grid points, and
-    # within half a step of either end, where the scan sees none
-    step = 1.0 / _GRID
-    points = [step * (i + 0.5) for i in (0, 700, _GRID - 1)]
-    roots = [0.25 * step, 1.0 - 0.25 * step, 700.2 * step]
-    roots += [f(x) for x in points
-              for f in (lambda x: x, lambda x: x - math.ulp(x),
-                        lambda x: x + math.ulp(x))]
-    for root in roots:
-        for g in (lambda x: math.cos(x) - math.cos(root), lambda x: root - x):
-            expected = critical_levels(g, 0.0, 1.0)
-            assert _levels_near(g, 0.0, 1.0, root) == expected
-        # a zero on the first point is no sign change, one on the last is
-        assert len(expected) == (0.5 * step < root <= 1.0 - 0.5 * step)
-    # a guess a few cells off misses the level; one off the grid reads none
-    assert _levels_near(lambda x: 0.5 - x, 0.0, 1.0, 0.5 + 3 * step) == []
-    assert _levels_near(lambda x: 0.5 - x, 0.0, 1.0, 2.0) == []
 
 
 def test_proxy_finds_every_root_of_a_sine():

@@ -6,9 +6,10 @@ each rest point to c times itself and leaves every count and stability
 tag unchanged, so find_equilibria must see the same chemostat in any
 unit.  The interval oracle of tests/_interval.py is exact in any unit
 and checks each scaled count.  The case, the uniqueness boundary and
-the buffer size are free of units too.  The same symmetry maps each
-capture box of basin_probe's certificate to c times itself, its
-contraction rate to tau times itself.
+the buffer size are free of units too, and so is the tangency fit's
+split.  The same symmetry maps each capture box of basin_probe's
+certificate to c times itself, its contraction rate to tau times
+itself.
 """
 import itertools
 import math
@@ -22,8 +23,9 @@ from conftest import draw_buffered_config
 from bufchem import (BRANCH_POSITIVE, BufferedConfig, CustomUnimodal,
                      Haldane, Monod, SingleParams, buffer_design,
                      classify_portrait, find_equilibria, simulate,
-                     split_threshold)
-from bufchem.multiplicity import CASE_PIVOT_ABOVE, CASE_PIVOT_BELOW
+                     split_threshold, split_threshold_crosscheck)
+from bufchem.multiplicity import (CASE_PIVOT_ABOVE, CASE_PIVOT_BELOW,
+                                  NoTangency)
 
 DRAWS = 500
 README_LAW = (12.0, 1.0, 0.08)
@@ -88,28 +90,37 @@ def test_rest_points_scale_with_the_units():
         if not undecided:
             assert count == positive, where
         counts.add(positive)
-        case, values = _unit_free(_law((mu_bar, K, K_I), wrapped),
-                                  S_in, D, alpha)
-        other_case, others = _unit_free(_law(scaled, wrapped), S_in * c,
-                                        D * tau, alpha)
+        case, values, fit = _unit_free(_law((mu_bar, K, K_I), wrapped),
+                                       S_in, D, alpha)
+        other_case, others, other_fit = _unit_free(
+            _law(scaled, wrapped), S_in * c, D * tau, alpha)
         assert other_case == case, where
         assert [v is None for v in others] == [v is None for v in values]
         for u, v in zip(values, others):
             if u is not None:
                 assert abs(v - u) <= 1e-12 * abs(u), where
+        assert (other_fit is None) == (fit is None), where
+        if fit is not None:
+            assert abs(other_fit - fit) <= 1e-9 * fit, where
     assert counts == {1, 3}
 
 
 def _unit_free(law, S_in: float, D: float, alpha: float) -> tuple:
-    """(case, [r_plus_min, band low, band high, r_bar, v2_inf]) with None
-    for an absent value, v2_inf absent where no buffer design applies."""
+    """(case, [r_plus_min, band low, band high, r_bar, v2_inf], the
+    tangency fit's split) with None for an absent value: v2_inf where no
+    buffer design applies, the fit where it finds no tangency."""
     report = split_threshold(law, S_in, D, alpha)
     band = report.r_minus_interval or (None, None)
     try:
         v2_inf = buffer_design(law, S_in, D).v2_inf
     except ValueError:
         v2_inf = None
-    return report.case, [report.r_plus_min, *band, report.r_bar, v2_inf]
+    try:
+        fit = split_threshold_crosscheck(law, S_in, D, alpha)
+    except NoTangency:
+        fit = None
+    return (report.case, [report.r_plus_min, *band, report.r_bar, v2_inf],
+            fit)
 
 
 def test_case_split_is_free_of_the_substrate_unit():
