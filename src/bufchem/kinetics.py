@@ -10,7 +10,9 @@ which growth outpaces dilution:
 
 Exact Monod and Haldane laws (CLOSED_FORMS, told apart by closed_form)
 carry closed forms for everything; every other law, a subclass of theirs
-included, falls back on guarded scans and bisection.
+included, falls back on guarded scans and bisection.  declared_peak
+names the laws whose peak is known to be their own: the exact closed
+forms and an exact CustomUnimodal.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from ._numerics import Record, bisect_root, finite_positive
 __all__ = [
     "CLOSED_FORMS",
     "closed_form",
+    "declared_peak",
     "BreakEvenInterval",
     "Peak",
     "GrowthModel",
@@ -339,3 +342,12 @@ class CustomUnimodal(GrowthModel, Record):
             return Peak(self.peak_abscissa, self.rate_fn(self.peak_abscissa))
         # supremum probe for increasing laws; exact value is not needed
         return Peak(math.inf, self.rate_fn(1e12 * self.sample_scale))
+
+
+def declared_peak(model: GrowthModel) -> Optional[float]:
+    """The peak abscissa of an exact Haldane, Monod or CustomUnimodal law
+    (math.inf for a law that rises for ever), else None: a subclass may
+    override the rate and keep a peak() that is not its law's."""
+    if type(model) is CustomUnimodal:
+        return model.peak_abscissa
+    return model.peak().abscissa if closed_form(model) else None

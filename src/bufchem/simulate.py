@@ -34,10 +34,12 @@ certified candidate or the dwell verdict.  The dwell rule: a run has
 settled on a candidate state when its last state is within eps
 (sup-norm) of it and every state of the last 10% of the run, by time,
 stayed within 2*eps.  The certificate: basin_probe gives each candidate
-that is a sink of an exact Haldane or Monod system a capture box, a box
-in each vessel's substrate and mass excess s + x - S_in from which the
-system provably ends within eps of it (_capture), and a run settles on
-the first state inside one.  The rule is written out too, per state size
+that is a sink of a certified system (a single vessel of an exact
+Haldane, Monod or CustomUnimodal law; a buffered system of an exact
+Haldane or Monod law) a capture box, a box in each vessel's substrate
+and mass excess s + x - S_in from which the system provably ends
+within eps of it (_capture), and a run settles on the first state
+inside one.  The rule is written out too, per state size
 and number of candidates: per candidate, the capture test (each
 vessel's |s - s*| and |s + x - S_in| against the box's bounds) and the
 dwell rule; the first candidate that passes wins.  detect_convergence
@@ -56,7 +58,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ._numerics import Record, bisect_root, finite_positive
 from .buffered import BufferedConfig
-from .kinetics import CLOSED_FORMS, closed_form
+from .kinetics import CLOSED_FORMS, closed_form, declared_peak
 from .single import SingleParams
 
 __all__ = [
@@ -405,18 +407,22 @@ class _Capture(Record):
     """A certified capture box of a candidate y*: the states with |s_i -
     s_i*| <= widths[i] and |s_i + x_i - feed| <= masses[i] for each vessel
     i of _VESSELS, feed the system's S_in.  Both bounds allow for the
-    rounding of their tests.  In the box, ds_i'/ds_i <= -rates[i], at
-    fixed mass excess s_i + x_i - feed."""
+    rounding of their tests.  rate is the main vessel's contraction in a
+    buffered system: in the box ds_1'/ds_1 <= -rate at fixed mass excess
+    s_1 + x_1 - feed; a single vessel, driven by the feed alone, has
+    none (None)."""
     feed: float
     widths: tuple
     masses: tuple
-    rates: tuple
+    rate: Optional[float]
 
 
-def _capture(n: int, constants: tuple, model, eps: float
+def _capture(n: int, constants: tuple, model, peak: float, eps: float
              ) -> Callable[[State], Optional[_Capture]]:
     """box(ref): the certified capture box of a candidate ref of one
-    basin_probe call, or None.  model is an exact Haldane or Monod law.
+    basin_probe call, or None.  peak is the law's peak abscissa (math.inf
+    for a law that rises for ever); over 4-component states model is an
+    exact Haldane or Monod law.
 
     In each vessel's substrate s and mass excess z = s + x - S_in both
     systems are a cascade (Smith and Waltman, The Theory of the Chemostat,
@@ -424,46 +430,148 @@ def _capture(n: int, constants: tuple, model, eps: float
         s' = g(s, z, u) = -mu(s) (S_in + z - s) + k (u - s),
     z' = -k z, with u = S_in and k = D (single vessel) or alpha D
     (buffer); in the main vessel k = D / r, u = c s_2 + (1 - c) S_in with
-    c = alpha (1 - r), and z_1' = k (c z_2 - z_1).  The box |s - s*| <=
-    sigma, |z| <= zeta (each vessel) is certified when, with _SLACK of
-    the size of its terms to spare in each inequality,
-      1. g < 0 on s = s* + sigma and g > 0 on s = s* - sigma, for every
+    c = alpha (1 - r), and z_1' = k (c z_2 - z_1).  Every certified
+    inequality below keeps _SLACK of the size of its terms to spare.
+
+    A vessel driven by the feed alone (the single vessel, the buffer)
+    reads only values of mu.  Its box |s - s*| <= sigma, |z| <= zeta, with
+    [a, b] = [max(s* - sigma, 0), s* + sigma], is certified when
+      1. [a, b] lies on one side of the peak, where mu is monotone;
+      2. g(b, -zeta) < 0 and g(a, zeta) > 0: g is affine in z, so mu(a)
+         and mu(b) decide (at a = 0, g = k S_in > 0);
+      3. G(s) = g(s, 0) = (S_in - s)(k - mu(s)) falls through 0 across
+         the bracket [s* - eps/4, s* + eps/4] (a saddle fails here, after
+         two values of mu), and |x* - (S_in - s*)| <= eps/4.
+    By 2 the box is forward invariant (Nagumo) and z -> 0.  On [a, b], mu
+    is strictly monotone by 1 (the law's class), so G has at most one
+    zero where mu = k and one at S_in, and two distinct zeros would give
+    G(a) and G(b) one sign: by 2, G has exactly one zero in [a, b], the
+    one 3 brackets, so the box holds S_in only when that zero is S_in.
+    The limit equation s' = G(s) drives all of [a, b] to it, and so does
+    the asymptotically autonomous one (Markus 1956; Thieme 1992): each
+    run ends within eps/4 of s* and, by 3, within eps/2 of y*.  For a
+    CustomUnimodal law the declared peak is an assumption of 1.
+
+    The main vessel of a buffered system (exact Haldane or Monod only)
+    keeps a contraction certificate: its box is certified when
+      4. g < 0 on s = s* + sigma and g > 0 on s = s* - sigma, for every
          |z| <= zeta and every u the buffer's box allows (g is affine in
          both: the worst corner decides); below s = 0 the face is s = 0,
          where g = k u > 0;
-      2. dg/ds = mu_bar R(s) / den(s)^2 - k - mu'(s) z <= -c < 0 on the
+      5. dg/ds = mu_bar R(s) / den(s)^2 - k - mu'(s) z <= -c < 0 on the
          box, with R / den^2 bounded in closed form (below) and |mu'| at
          the ends of the range of s;
-      3. zeta_1 >= c zeta_2, so that z_1' <= 0 on z_1 = zeta_1;
-      4. |x* - (S_in - s*)| <= eps/4, and the zero of g(., 0, u) lies
+      6. zeta_1 >= c zeta_2, so that z_1' <= 0 on z_1 = zeta_1;
+      7. |x* - (S_in - s*)| <= eps/4, and the zero of g(., 0, u) lies
          within eps/4 of s*: within (|g(s*, 0, u*)| + k c e_2) / c of it,
-         e_2 the buffer's own such bound.
-    By 1 and 3 the box is forward invariant (Nagumo).  In it z -> 0, and
-    by 1 and 2 g(., 0, u) has one zero s_eq(u) there.  w = s - s_eq(u_eq)
-    has w' = (dg/ds) w + g(s_eq, z, u) - g(s_eq, 0, u_eq), whose last part
-    vanishes as z -> 0 and the buffer settles, so w -> 0 (Gronwall): each
-    vessel ends at s_eq, x = S_in - s_eq, within eps/2 of y* by 4.
+         e_2 the distance from s_2* to the far end of the buffer's bracket
+         of 3, bisected down to a few units in the last place.
+    By 4 and 6 the box is forward invariant.  In it z -> 0, and by 4 and
+    5 g(., 0, u) has one zero s_eq(u) there.  w = s - s_eq(u_eq) has w' =
+    (dg/ds) w + g(s_eq, z, u) - g(s_eq, 0, u_eq), whose last part vanishes
+    as z -> 0 and the buffer settles, so w -> 0 (Gronwall): the vessel
+    ends at s_eq, x = S_in - s_eq, within eps/2 of y* by 7.
 
-    One rule sizes the box: zeta is 9/10 of the least |z| that uses up a
-    face's margin or the contraction at z = 0, and sigma the level S_in
-    2^-j, walking down from the first that fits, past which zeta stops
-    growing; first for the main (or single) vessel at a fixed input.  The
-    buffer's spread may take half the main vessel's least face margin;
-    the main vessel's zeta is taken again with it, and 3 caps the
-    buffer's.
+    One rule sizes each box: zeta is 9/10 of the least |z| that uses up a
+    face's margin (or, in the main vessel, the contraction at z = 0), and
+    sigma the level S_in 2^-j, walking down from the first that fits,
+    past which zeta stops growing.  The main vessel is sized first at a
+    fixed input.  The buffer's spread may take half its least face
+    margin; at each of the buffer's levels the main vessel's zeta is
+    taken again with that spread, and the zeta the rule compares is the
+    buffer's under the cap of 6, the z_2 a run may enter with.
     """
+    S_in = constants[0]
+    mu = model._rate_raw
+    quarter = 0.25 * eps
+    # [a, b] must end this far short of the peak, or start this far past it
+    below, above = peak * (1.0 - _SLACK), peak * (1.0 + _SLACK)
+
+    def ladder(fit: Callable[[float], Optional[tuple]], top: float
+               ) -> Optional[tuple[float, tuple]]:
+        # (sigma, fit(sigma)) of the level at most top past which zeta,
+        # fit's first entry, stops growing, walking down from the first
+        # level that fits
+        best = None
+        for level in _LADDER:
+            sigma = S_in * level
+            if sigma > top:
+                continue
+            if sigma < eps:
+                break
+            got = fit(sigma)
+            if got is not None and (best is None or got[0] > best[1][0]):
+                best = sigma, got
+            elif best is not None:
+                break
+        return best
+
+    def flow(s: float, k: float) -> float:
+        # G(s), or 0.0 where the rounding of mu could flip k - mu(s)
+        m = mu(s)
+        d = k - m
+        return (S_in - s) * d if abs(d) > _SLACK * (k + m) else 0.0
+
+    def bracket(s_: float, k: float) -> Optional[tuple[float, float]]:
+        # 3: the bracket of half-width eps/4 about s_ if G falls through
+        # 0 across it
+        lo, hi = (s_ - quarter if s_ > quarter else 0.0), s_ + quarter
+        return (lo, hi) if flow(lo, k) > 0.0 > flow(hi, k) else None
+
+    def fed(s_: float, k: float, sigma: float) -> Optional[tuple[float]]:
+        # (zeta,) of the box of half-width sigma about s_ of a vessel
+        # driven by the feed alone (1 and 2), or None
+        b, a = s_ + sigma, (s_ - sigma if s_ > sigma else 0.0)
+        if not (b <= below or a >= above):
+            return None
+        m_a, m_b = (mu(a) if a > 0.0 else 0.0), mu(b)
+        up = (m_b - k) * (S_in - b) - _SLACK * (m_b + k) * (S_in + b)
+        low = (k - m_a) * (S_in - a) - _SLACK * (k + m_a) * (S_in + a)
+        # a face where mu rounds to 0 (far past the peak) gets no box
+        if not (up > 0.0 and low > 0.0 and m_b > 0.0
+                and (m_a > 0.0 or a == 0.0)):
+            return None
+        zeta = up / m_b
+        if a > 0.0 and low < zeta * m_a:
+            zeta = low / m_a
+        return (0.9 * zeta,)
+
+    def balanced(ref: State, s: int, x: int) -> bool:
+        # the vessel's mass excess at the candidate is within eps/4 of 0
+        return (abs(ref[x] - (S_in - ref[s])) + _SLACK * (S_in + ref[x])
+                <= quarter)
+
+    def bounds(s_: float, sigma: float, zeta: float) -> tuple[float, float]:
+        # the tests' own rounding comes off each bound
+        return (sigma * (1.0 - _SLACK),
+                zeta - _SLACK * (2.0 * S_in + s_ + sigma + zeta))
+
+    if n == 2:
+        D = constants[1]
+
+        def box(ref: State) -> Optional[_Capture]:
+            if bracket(ref[0], D) is None or not balanced(ref, 0, 1):
+                return None
+            got = ladder(lambda sigma: fed(ref[0], D, sigma), S_in)
+            if got is None:
+                return None
+            width, mass = bounds(ref[0], got[0], got[1][0])
+            return _Capture(S_in, (width,), (mass,), None)
+
+        return box
+
+    _, d_r, cross, direct, a_d = constants
     mu_bar, K = model._values()[:2]
     q = 1.0 / getattr(model, "K_I", math.inf)  # a law without K_I: q = 0
-    S_in = constants[0]
     # R = A s^2 + 2 K s - K S_in with A = 1 + q S_in, den = K + s + q s^2
     # (the terms in s^3 cancel).  (R / den^2)' has the sign of
     #     p(s) = K (K + S_in) + 3 K q S_in s - 3 K q s^2 - A q s^3,
     # concave on s >= 0 with p(0) > 0, so it changes sign once on s > 0:
-    # at the peak, a simple root, whose rounding moves R / den^2 only at
+    # at the crest, a simple root, whose rounding moves R / den^2 only at
     # second order.  It is bisected in units of S_in, where p / S_in^2
     # does not depend on the unit of substrate, to full precision
     A = 1.0 + q * S_in
-    peak, crest = math.inf, 0.0  # a law without K_I rises for ever
+    crest_at, crest = math.inf, 0.0  # a law without K_I rises for ever
     if q > 0.0:
         p0, p1, p3 = K * (K + S_in), 3.0 * K * q * S_in ** 2, A * q * S_in ** 3
 
@@ -473,18 +581,20 @@ def _capture(n: int, constants: tuple, model, eps: float
         t_hi = 1.0
         while p(t_hi) >= 0.0:
             t_hi *= 2.0
-        peak = S_in * bisect_root(p, 0.0, t_hi, 0.0)
-        crest = mu_bar * (A * peak * peak + 2.0 * K * peak - K * S_in) / (
-            K + peak + q * peak * peak) ** 2
+        crest_at = S_in * bisect_root(p, 0.0, t_hi, 0.0)
+        crest = mu_bar * (A * crest_at * crest_at + 2.0 * K * crest_at
+                          - K * S_in) / (K + crest_at + q * crest_at ** 2) ** 2
 
-    def fit(s_: float, k: float, u: float, du: float, sigma: float
+    def fit(s_: float, u: float, du: float, sigma: float
             ) -> Optional[tuple[float, float, float]]:
-        # (zeta, c, margin) of the box of half-width sigma about s_, its
-        # input within du of u, or None; c0 is the contraction and margin
-        # g's least margin on the faces, both at z = 0
+        # (zeta, c, margin) of the main vessel's box of half-width sigma
+        # about s_, its input within du of u, or None; c0 is the
+        # contraction and margin g's least margin on the faces, both at
+        # z = 0
+        k = d_r
         b, a = s_ + sigma, (s_ - sigma if s_ > sigma else 0.0)
         # where R / den^2 is largest on [a, b]
-        v = a if peak < a else (b if peak > b else peak)
+        v = a if crest_at < a else (b if crest_at > b else crest_at)
         den_v = K + v + q * v * v
         c0 = k * (1.0 - _SLACK) - mu_bar * (
             A * v * v + 2.0 * K * v - K * S_in
@@ -511,84 +621,88 @@ def _capture(n: int, constants: tuple, model, eps: float
         zeta *= 0.9
         return zeta, c0 - slope * zeta, up if up < low else low
 
-    def widest(s_: float, k: float, u: float, du: float, top: float
-               ) -> Optional[tuple[float, tuple]]:
-        # (sigma, fit) of the level at most top past which zeta stops
-        # growing, walking down from the first that fits; a box that holds
-        # the peak does not contract where k <= the crest
-        if k <= crest:
-            top = min(top, abs(peak - s_))
-        best = None
-        for level in _LADDER:
-            sigma = S_in * level
-            if sigma > top:
-                continue
-            if sigma < eps:
-                break
-            got = fit(s_, k, u, du, sigma)
-            if got is not None and (best is None or got[0] > best[1][0]):
-                best = sigma, got
-            elif best is not None:
-                break
-        return best
+    def tightest(lo: float, hi: float) -> tuple[float, float]:
+        # the buffer's bracket with each end bisected toward the zero of G
+        # for as long as G's sign there is sure (e_2 of 7 reads it)
+        def walk(end: float, far: float, sign: float) -> float:
+            mid = 0.5 * (end + far)
+            while end != mid != far:
+                if sign * flow(mid, a_d) > 0.0:
+                    end = mid
+                else:
+                    far = mid
+                mid = 0.5 * (end + far)
+            return end
+
+        return walk(lo, hi, 1.0), walk(hi, lo, -1.0)
 
     def box(ref: State) -> Optional[_Capture]:
-        # (s index, x index, k, u at the candidate, c), the buffer first
-        if n == 2:
-            vessels = ((0, 1, constants[1], S_in, 0.0),)
-        else:
-            _, d_r, cross, direct, a_d = constants
-            vessels = ((2, 3, a_d, S_in, 0.0),
-                       (0, 1, d_r, cross * ref[2] + direct * S_in, cross))
-        for s, _, k, _, _ in vessels:
-            # dg/ds at the candidate: a vessel that does not contract there
-            # (a saddle's) has no box, and none is sized
-            if not (model._rate_raw(ref[s]) - k - model._rate_prime_raw(
-                    ref[s]) * (S_in - ref[s])) < 0.0:
-                return None
-        # (sigma, fit) of each vessel, the buffer first
-        s, _, k, u, share = vessels[-1]
-        main = widest(ref[s], k, u, 0.0, S_in)
-        sized = [main]
-        if n == 4 and main is not None:
-            cap = 0.5 * main[1][2] / (k * share) if share > 0.0 else S_in
-            spread = widest(ref[2], a_d, S_in, 0.0, min(S_in, cap))
-            sized = [spread, spread and (main[0], fit(
-                ref[s], k, u, share * spread[0], main[0]))]
-        if any(got is None or got[1] is None for got in sized):
+        s1, s2 = ref[0], ref[2]
+        u = cross * s2 + direct * S_in
+        # the saddle tests: the buffer's bracket (3), then dg/ds of the
+        # main vessel at the candidate; a vessel that fails has no box,
+        # and none is sized
+        found = bracket(s2, a_d)
+        if found is None or not (mu(s1) - d_r - model._rate_prime_raw(s1)
+                                 * (S_in - s1)) < 0.0:
             return None
-        reach = 0.0  # the buffer's bound on |s_eq - s*|, then the main's
-        for (s, x, k, u, share), (_, (_, c, _)) in zip(vessels, sized):
-            m = mu_bar * ref[s] / (K + ref[s] + q * ref[s] * ref[s])
-            reach = (abs(k * (u - ref[s]) - m * (S_in - ref[s]))
-                     + _SLACK * (k * (u + ref[s]) + m * (S_in + ref[s]))
-                     + share * k * reach) / c
-            if not (reach <= 0.25 * eps and abs(ref[x] - (S_in - ref[s]))
-                    + _SLACK * (S_in + ref[x]) <= 0.25 * eps):
+        if not (balanced(ref, 0, 1) and balanced(ref, 2, 3)):
+            return None
+        # the main vessel at a fixed input; a box that holds the crest
+        # does not contract where k <= the crest
+        top = min(S_in, abs(crest_at - s1)) if d_r <= crest else S_in
+        main = ladder(lambda sigma: fit(s1, u, 0.0, sigma), top)
+        if main is None:
+            return None
+        cap = 0.5 * main[1][2] / (d_r * cross) if cross > 0.0 else S_in
+
+        def pair(sigma: float) -> Optional[tuple]:
+            # (zeta_2 under 6's cap, the main vessel's fit) of the buffer's
+            # box of half-width sigma
+            spread, got = fed(s2, a_d, sigma), fit(s1, u, cross * sigma,
+                                                   main[0])
+            if spread is None or got is None:
                 return None
-        masses = [zeta for _, (zeta, _, _) in sized]
-        if share > 0.0:  # 3 caps the buffer's zeta
-            masses[0] = min(masses[0], masses[1] / share * (1.0 - _SLACK))
-        # the tests' own rounding comes off each bound
-        bounds = {s: (sigma * (1.0 - _SLACK),
-                      zeta - _SLACK * (2.0 * S_in + ref[s] + sigma + zeta), c)
-                  for (s, *_), (sigma, (_, c, _)), zeta in zip(
-                      vessels, sized, masses)}
-        return _Capture(S_in, *zip(*(bounds[s] for s, _ in _VESSELS[n])))
+            zeta_2 = spread[0]
+            if cross > 0.0:
+                zeta_2 = min(zeta_2, got[0] / cross * (1.0 - _SLACK))
+            return zeta_2, got
+
+        spread = ladder(pair, min(S_in, cap))
+        if spread is None:
+            return None
+        sigma_2, (zeta_2, (zeta, c, _)) = spread
+        lo, hi = tightest(*found)
+        m = mu(s1)
+        reach = (abs(d_r * (u - s1) - m * (S_in - s1))
+                 + _SLACK * (d_r * (u + s1) + m * (S_in + s1))
+                 + cross * d_r * max(s2 - lo, hi - s2)) / c
+        if not reach <= quarter:
+            return None
+        (w1, z1), (w2, z2) = (bounds(s1, main[0], zeta),
+                              bounds(s2, sigma_2, zeta_2))
+        return _Capture(S_in, (w1, w2), (z1, z2), c)
 
     return box
 
 
 def _captures(system, candidates: Sequence, eps: float
               ) -> list[Optional[_Capture]]:
-    """The capture box of each candidate of a basin_probe call, or None:
-    only a sink of an exact Haldane or Monod system has one."""
+    """The capture box of each candidate of a basin_probe call, or None.
+
+    A single vessel of an exact Haldane, Monod or CustomUnimodal law
+    (declared_peak) has boxes, and so has a buffered system of an exact
+    Haldane or Monod law; a subclass of any of them never does, nor a
+    callable law in the buffered system, whose main vessel needs the
+    closed form's contraction bound.
+    """
     sized = _constants(system)
     refs = list(map(_candidate_state, candidates))
-    if sized is None or closed_form(system.model) is None:
+    peak = declared_peak(system.model) if sized is not None else None
+    if peak is None or (sized[0] == 4 and closed_form(system.model) is None):
         return [None] * len(refs)
     n, constants = sized
-    box = _capture(n, constants, system.model, eps)
+    box = _capture(n, constants, system.model, peak, eps)
     return [box(tuple(map(float, ref)))
             if len(ref) == n and all(0.0 <= v < math.inf for v in ref)
             else None for ref in refs]
@@ -733,27 +847,40 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
                 grid: Sequence[Sequence[float]],
                 settings: Optional[IntegratorSettings] = None,
                 candidates: Sequence = (),
-                eps: float = 1e-6) -> list[Optional[int]]:
+                eps: Optional[float] = None) -> list[Optional[int]]:
     """Label each initial state with the candidate it converges to.
 
     A label is the certified candidate or the dwell verdict.  Once per
-    call, each candidate that is a sink of an exact Haldane or Monod
-    system gets a certified capture box (bounds on each vessel's |s - s*|
-    and mass excess |s + x - S_in| from which the system provably ends
-    within eps of it; see _capture).  Each run stops at the first
+    call, each candidate that is a sink gets a certified capture box
+    (bounds on each vessel's |s - s*| and mass excess |s + x - S_in| from
+    which the system provably ends within eps of it; see _capture) when
+    the system is a single vessel of an exact Haldane, Monod or
+    CustomUnimodal law, or a buffered system of an exact Haldane or
+    Monod law.  A vessel driven by the feed alone (the single vessel, the
+    buffer) is certified from values of mu on one side of the law's peak;
+    for a CustomUnimodal law that is its declared peak, which the box
+    takes as given.  The main vessel of a buffered system needs the
+    closed form's contraction bound.  Each run stops at the first
     accepted state that lies in a capture box or where
     detect_convergence's settling rule (the dwell rule) holds, and the
-    first candidate that passes either test wins.  Any other
-    candidate, law or system relies on the dwell rule alone.  None marks
-    unresolved runs (not settled by t_end, or stiffness failure).  Runs
-    execute sequentially in input order, so output ordering and
-    determinism hold regardless of environment.  A candidate of another
-    length than a start is a ValueError, raised before that start is
-    integrated; one with a non-finite coordinate is a ValueError raised
-    before the first start is.
+    first candidate that passes either test wins.  Any other candidate,
+    law or system (a subclass of any law above included) relies on the
+    dwell rule alone.  eps = None means 1e-6 S_in, resolved against the
+    system's feed, so the labels do not depend on the substrate unit.
+    None marks unresolved runs (not settled by t_end, or stiffness
+    failure).  Runs execute sequentially in input order, so output
+    ordering and determinism hold regardless of environment.  A
+    candidate of another length than a start is a ValueError, raised
+    before that start is integrated; one with a non-finite coordinate is
+    a ValueError raised before the first start is.
     """
     if not grid or not candidates:
         raise ValueError("basin_probe needs a non-empty grid and candidates")
+    if eps is None:
+        if _constants(system) is None:
+            raise TypeError(
+                f"unsupported system type {type(system).__name__}")
+        eps = 1e-6 * system.S_in
     if not finite_positive(eps):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     captures = _captures(system, candidates, eps)

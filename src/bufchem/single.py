@@ -47,8 +47,8 @@ TAG_WASHOUT_SADDLE = "washout_saddle"
 TAG_POSITIVE_ATTRACTING = "positive_attracting"
 TAG_POSITIVE_SADDLE = "positive_saddle"
 
-# feed levels closer than this to a break-even endpoint are refused:
-# the portrait is structurally ambiguous there
+# feed levels closer than this, relative to the feed, to a break-even
+# endpoint are refused: the portrait is structurally ambiguous there
 _BOUNDARY_TOL = 1e-9
 
 
@@ -61,7 +61,8 @@ class DegenerateBoundary(ValueError):
         self.endpoint = endpoint
         super().__init__(
             f"feed level {feed} sits on the {which} break-even endpoint "
-            f"{endpoint} within {_BOUNDARY_TOL}; classification is degenerate")
+            f"{endpoint} within {_BOUNDARY_TOL} relative; classification is "
+            f"degenerate")
 
 
 class SingleParams(Record):
@@ -95,15 +96,17 @@ def classify_portrait(params: SingleParams) -> Portrait:
     """Classify the planar portrait and list equilibria with their roles.
 
     Raises DegenerateBoundary when S_in falls on a break-even endpoint
-    within 1e-9 rather than silently binning the boundary case.
+    within 1e-9 S_in (a tolerance relative to the feed, so free of the
+    substrate unit) rather than silently binning the boundary case.
     """
     model, S_in, D = params.model, params.S_in, params.D
     window = model.break_even(D)
 
     if window is not None:
-        if abs(S_in - window.lower) <= _BOUNDARY_TOL:
+        if abs(S_in - window.lower) <= _BOUNDARY_TOL * S_in:
             raise DegenerateBoundary("lower", S_in, window.lower)
-        if window.has_finite_upper and abs(S_in - window.upper) <= _BOUNDARY_TOL:
+        if (window.has_finite_upper
+                and abs(S_in - window.upper) <= _BOUNDARY_TOL * S_in):
             raise DegenerateBoundary("upper", S_in, window.upper)
 
     washout = lambda tag: PortraitEquilibrium(S_in, 0.0, tag)

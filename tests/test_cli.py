@@ -277,23 +277,33 @@ def _in_substrate_unit(c: float, r: str) -> str:
 def test_readme_config_in_a_smaller_substrate_unit(tmp_path, r):
     # the same chemostat with concentrations in a unit 100x or 1e4x
     # smaller: the same rest points times c, the same eigenvalues and the
-    # same basin of every start
-    runs = {}
-    for c in (1.0, 1e-2, 1e-4):
+    # same basin of every start; in a unit 1e6x smaller, the same basin of
+    # every start, and in one 1e10x smaller the same single-vessel
+    # portrait
+    runs, maps, portraits = {}, {}, {}
+    for c in (1.0, 1e-2, 1e-4, 1e-6, 1e-10):
         out = tmp_path / repr(c)
         out.mkdir()
         (out / "run.ini").write_text(_in_substrate_unit(c, r))
-        for command in ("equilibria", "basin"):
+        commands = {1.0: ("equilibria", "basin", "classify"),
+                    1e-6: ("basin",), 1e-10: ("classify",)}.get(
+                        c, ("equilibria", "basin"))
+        for command in commands:
             result = run_cli(command, "--config", str(out / "run.ini"),
                              "--out", str(out))
             assert result.returncode == 0, result.stdout + result.stderr
-        runs[c] = (validate(out / "equilibria.json", "equilibria"),
-                   validate(out / "basin.json", "basin"),
-                   [b for _, _, b in basin_rows(out)])
-    base, base_basin, base_labels = runs.pop(1.0)
+        if "basin" in commands:
+            maps[c] = (validate(out / "basin.json", "basin"),
+                       [b for _, _, b in basin_rows(out)])
+        if "equilibria" in commands:
+            runs[c] = validate(out / "equilibria.json", "equilibria")
+        if "classify" in commands:
+            portraits[c] = validate(out / "classify.json", "classify")
+    base = runs.pop(1.0)
+    base_basin, base_labels = maps.pop(1.0)
     tol = 1e-10 * 1.4
-    for c, (payload, basin, labels) in runs.items():
-        assert payload["S_in"] == basin["S_in"] == pytest.approx(1.4 * c)
+    for c, payload in runs.items():
+        assert payload["S_in"] == pytest.approx(1.4 * c)
         assert payload["positive_count"] == base["positive_count"]
         assert abs(payload["pivot"] - c * base["pivot"]) <= tol * c
         for e, f in zip(base["equilibria"], payload["equilibria"],
@@ -303,8 +313,18 @@ def test_readme_config_in_a_smaller_substrate_unit(tmp_path, r):
                                                      rel=1e-10, abs=0.0)
             for key in ("s1", "x1", "s2", "x2"):
                 assert abs(f[key] - c * e[key]) <= tol * c, (c, key)
-        assert basin["counts"] == base_basin["counts"]
-        assert labels == base_labels
+    for c, (basin, labels) in maps.items():
+        assert basin["S_in"] == pytest.approx(1.4 * c)
+        assert basin["counts"] == base_basin["counts"], c
+        assert labels == base_labels, c
+    base_portrait = portraits.pop(1.0)
+    for c, portrait in portraits.items():
+        assert portrait["case"] == base_portrait["case"]
+        for e, f in zip(base_portrait["equilibria"], portrait["equilibria"],
+                        strict=True):
+            assert f["tag"] == e["tag"]
+            for key in ("S", "X"):
+                assert abs(f[key] - c * e[key]) <= tol * c, (c, key)
 
 
 def test_audit_artifact(tmp_path):

@@ -695,6 +695,39 @@ def _certified(unit: float = 1.0):
 UNITS = (1.0, 1e-3)
 
 
+def _single_sinks(params) -> list:
+    return [e for e in classify_portrait(params).equilibria
+            if e.tag in ("positive_attracting", "washout_attracting")]
+
+
+@functools.cache
+def _callable_cases(unit: float = 1.0) -> tuple:
+    """(system, candidates, captures) of bistable single vessels of
+    CustomUnimodal laws, with substrate in units 1 / unit of the
+    README's: the README law as callables, and an Andrews law."""
+    cases = []
+    for model, D in ((_haldane_callables(12.0, 1.0 * unit, 0.08 * unit), 1.0),
+                     (_andrews(12.0, 1.0 * unit, 0.3 * unit), 0.8)):
+        params = SingleParams(model, 1.4 * unit, D)
+        candidates = _single_sinks(params)
+        cases.append((params, candidates,
+                      simulate._captures(params, candidates, 1e-6 * unit)))
+    return tuple(cases)
+
+
+def _callable_certified(unit: float = 1.0):
+    """(system, candidates, index, capture) of each sink of
+    _callable_cases, every one of which is certified."""
+    for system, candidates, captures in _callable_cases(unit):
+        assert len(candidates) == 2 and None not in captures, system
+        for j, capture in enumerate(captures):
+            yield system, candidates, j, capture
+
+
+def _all_certified(unit: float = 1.0):
+    return itertools.chain(_certified(unit), _callable_certified(unit))
+
+
 def _jacobian(system, y):
     """J(y) from the model equations, apart from simulate's own."""
     mu, slope = system.model.rate, system.model.rate_prime
@@ -756,7 +789,9 @@ def test_capture_rejects_a_saddle_after_two_rate_evaluations(monkeypatch):
             return original(self, s)
         monkeypatch.setattr(Haldane, name, counting)
     assert simulate._captures(params, [saddle], 1e-6) == [None]
-    assert calls == ["_rate_raw", "_rate_prime_raw"]
+    # mu at the ends of the bracket about the saddle: k - mu does not
+    # fall through 0 across it
+    assert calls == ["_rate_raw", "_rate_raw"]
 
 
 def test_every_basin_sink_is_certified():
@@ -766,10 +801,10 @@ def test_every_basin_sink_is_certified():
         assert len(list(_certified(unit))) == 12
 
 
-def test_capture_refuses_a_candidate_off_its_rest_level():
+def _refuses_off_rest_level(certified) -> None:
     # 3e-7 along s + x = S_in: the mass balance holds, but the zero of s'
     # lies farther than eps/4 from the candidate
-    for system, candidates, j, capture in _certified():
+    for system, candidates, j, capture in certified:
         y = list(candidates[j].state)
         y[0] -= 3e-7
         y[1] += 3e-7
@@ -778,11 +813,19 @@ def test_capture_refuses_a_candidate_off_its_rest_level():
         assert simulate._captures(system, [y], 1e-4) != [None], system
 
 
+def test_capture_refuses_a_candidate_off_its_rest_level():
+    _refuses_off_rest_level(_certified())
+
+
+def test_capture_refuses_a_callable_candidate_off_its_rest_level():
+    _refuses_off_rest_level(_callable_certified())
+
+
 def test_capture_box_faces_point_inward():
     rng = random.Random(12)
     pick = _anywhere(rng)
     for system, candidates, j, capture in itertools.chain.from_iterable(
-            map(_certified, UNITS)):
+            map(_all_certified, UNITS)):
         ref = candidates[j].state
         for v, (s, _) in enumerate(_vessels(system)):
             for sign in (-1.0, 1.0):
@@ -799,26 +842,31 @@ def test_capture_box_faces_point_inward():
 
 
 def test_capture_contraction_bounds_a_dense_sample():
+    # only the main vessel of a buffered system has a contraction rate;
+    # a vessel driven by the feed alone is certified without one
     rng = random.Random(13)
     pick = _anywhere(rng)
     for system, candidates, j, capture in itertools.chain.from_iterable(
             map(_certified, UNITS)):
+        if isinstance(system, SingleParams):
+            assert capture.rate is None
+            continue
         ref = candidates[j].state
-        for v, (s, x) in enumerate(_vessels(system)):
-            least = math.inf
-            for _ in range(400):
-                J = _jacobian(system, _box_state(system, ref, capture, pick))
-                # ds'/ds at a fixed mass excess, where x moves against s
-                least = min(least, J[s][x] - J[s][s])
-            assert least >= capture.rates[v], (system, j, v)
-            # and the bound is not vacuous
-            assert capture.rates[v] >= 0.1 * least, (system, j, v)
+        least = math.inf
+        for _ in range(400):
+            J = _jacobian(system, _box_state(system, ref, capture, pick))
+            # ds_1'/ds_1 at a fixed mass excess, where x_1 moves against s_1
+            least = min(least, J[0][1] - J[0][0])
+        assert least >= capture.rate, (system, j)
+        # and the bound is not vacuous
+        assert capture.rate >= 0.1 * least, (system, j)
 
 
 def test_states_on_the_capture_boundary_settle_on_their_candidate():
     rng = random.Random(14)
     settings = IntegratorSettings(t_end=200.0)
-    for system, candidates, j, capture in _certified():
+    for system, candidates, j, capture in itertools.chain(
+            _certified(), *map(_callable_certified, UNITS)):
         ref = candidates[j].state
         # the box has one range per state component: every corner, then
         # random points of its faces
@@ -836,7 +884,10 @@ def test_states_on_the_capture_boundary_settle_on_their_candidate():
             if min(y) < 0.0:
                 continue  # outside the orthant the states live in
             traj = integrate(system, y, settings)
-            assert detect_convergence(traj, candidates) == j, (system, j, y)
+            # eps of 1e-6 in the README's unit
+            eps = 1e-6 * system.S_in / 1.4
+            assert detect_convergence(traj, candidates, eps) == j, (
+                system, j, y)
 
 
 def test_capture_stops_runs_earlier_with_the_same_labels(monkeypatch):
@@ -874,8 +925,9 @@ def _dwell_only(monkeypatch, *args) -> list:
 
 
 def _without_captures(monkeypatch, system, grid, candidates, uncertified):
-    """basin_probe's labels, after checking that the candidates at the
-    indices uncertified got no capture set, so the rule never tests one."""
+    """basin_probe's labels at eps 1e-6, after checking that the
+    candidates at the indices uncertified got no capture set, so the rule
+    never tests one."""
     seen = []
     original = simulate._captures
 
@@ -885,10 +937,11 @@ def _without_captures(monkeypatch, system, grid, candidates, uncertified):
 
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_captures", spy)
-        labels = basin_probe(system, grid, None, candidates)
+        labels = basin_probe(system, grid, None, candidates, 1e-6)
     assert len(seen) == 1
     assert all(seen[0][j] is None for j in uncertified)
-    assert labels == _dwell_only(monkeypatch, system, grid, None, candidates)
+    assert labels == _dwell_only(monkeypatch, system, grid, None, candidates,
+                                 1e-6)
     return labels
 
 
@@ -896,21 +949,115 @@ class _HaldaneKin(Haldane):
     """A subclass, which may override the law: never certified."""
 
 
-def test_callable_laws_and_subclasses_are_never_certified(monkeypatch):
+def test_callable_single_vessel_laws_are_certified(monkeypatch):
+    # the README law as callables and an Andrews law: the single vessel is
+    # driven by the feed alone, so values of mu certify both sinks
+    for system, candidates, captures in _callable_cases():
+        labels = basin_probe(system, BISTABLE_GRID, None, candidates)
+        assert None not in captures
+        assert set(labels) == {0, 1}
+        assert labels == _dwell_only(monkeypatch, system, BISTABLE_GRID,
+                                     None, candidates)
+
+
+def test_subclasses_and_callable_buffered_systems_are_never_certified(
+        monkeypatch):
     def refuse(*args):
         raise AssertionError("a capture box was built")
 
-    for model in (_haldane_callables(12.0, 1.0, 0.08),
-                  _HaldaneKin(12.0, 1.0, 0.08)):
-        params = SingleParams(model, 1.4, 1.0)
-        candidates = [e for e in classify_portrait(params).equilibria
-                      if e.tag in ("positive_attracting",
-                                   "washout_attracting")]
+    params = SingleParams(_HaldaneKin(12.0, 1.0, 0.08), 1.4, 1.0)
+    cfg = BufferedConfig(_haldane_callables(12.0, 1.0, 0.08), 1.4, 1.0,
+                         0.35, 0.65)
+    buffered = [e for e in find_equilibria(cfg) if e.tag == "stable"]
+    for system, grid, candidates in (
+            (params, BISTABLE_GRID, _single_sinks(params)),
+            (cfg, [(1.0, 0.2, 1.0, 0.2), (0.2, 1.2, 0.03, 1.37)],
+             buffered)):
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_capture", refuse)
-            labels = _without_captures(monkeypatch, params, BISTABLE_GRID,
+            labels = _without_captures(monkeypatch, system, grid,
                                        candidates, (0, 1))
         assert set(labels) == {0, 1}
+
+
+def test_capture_box_of_a_sink_near_the_peak_stays_on_its_side():
+    # the sink of the README law as callables at D = 0.99 mu(peak) lies
+    # 0.085 below the declared peak 0.283, within the ladder's step of
+    # 0.175: the box stops short of the peak, where mu turns
+    law = _haldane_callables(12.0, 1.0, 0.08)
+    peak = law.peak().abscissa
+    params = SingleParams(law, 1.4, 0.99 * law.rate(peak))
+    sink = next(e for e in classify_portrait(params).equilibria
+                if e.tag == "positive_attracting")
+    assert peak - 0.175 < sink.S < peak
+    capture, = simulate._captures(params, [sink], 1e-6)
+    assert capture is not None
+    assert sink.S + capture.widths[0] <= peak
+    # with the peak moved out of the way, the ladder takes a box across it
+    wide, = simulate._capture(2, (1.4, params.D), law, math.inf, 1e-6)(
+        sink.state),
+    assert wide is not None and sink.S + wide.widths[0] > peak
+
+
+def test_a_law_that_rounds_to_zero_past_its_peak_gets_no_box(monkeypatch):
+    # mu(10) = 12 * 10 / 11 * exp(-1000) rounds to 0: the washout's faces
+    # cannot be sized, and the dwell rule labels the runs
+    law = _andrews(12.0, 1.0, 0.01)
+    params = SingleParams(law, 10.0, 1.0)
+    assert law.rate(10.0) == 0.0
+    washout = classify_portrait(params).equilibria
+    labels = _without_captures(monkeypatch, params, [(1.0, 0.5), (9.0, 0.01)],
+                               washout, (0,))
+    assert labels == [0, 0]
+
+
+def _invasion_probes(seed: int, count: int) -> list:
+    """(system, start, targets, settings) of count invasion probes drawn
+    as the benchmark's generic workload draws them: a buffer alone at
+    dilution alpha D <= 0.6 mu(S_in), of an Andrews law or the Haldane
+    law as callables, from (U(0, S_in), 10^U(-8, -2)) towards its positive
+    rest point or its washout."""
+    rng = random.Random(seed)
+    probes = []
+    while len(probes) < count:
+        params = (rng.uniform(2.0, 20.0), rng.uniform(0.1, 1.5),
+                  rng.uniform(0.05, 4.0))
+        S_in, D, alpha = (rng.uniform(0.3, 4.0), rng.uniform(0.1, 2.0),
+                          rng.uniform(0.05, 1.0))
+        law = (_andrews, _haldane_callables)[len(probes) % 2](*params)
+        a_d = alpha * D
+        if not (law.peak().abscissa < 0.95 * S_in
+                and 0.5 <= a_d <= 0.6 * law.rate(S_in)):
+            continue
+        s_buf = law.break_even(a_d).lower
+        probes.append((SingleParams(law, S_in, a_d),
+                       (rng.uniform(0.0, S_in), 10.0 ** rng.uniform(-8, -2)),
+                       [(s_buf, S_in - s_buf), (S_in, 0.0)],
+                       IntegratorSettings(t_end=200.0 / a_d)))
+    return probes
+
+
+def test_invasion_probes_of_callable_laws_stop_in_their_boxes(monkeypatch):
+    steps = []
+    original = simulate.integrate
+
+    def counting(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        steps.append(traj.accepted_steps)
+        return traj
+
+    monkeypatch.setattr(simulate, "integrate", counting)
+    probes = _invasion_probes(101, 512)
+    certified = [basin_probe(system, [start], settings, targets, 1e-6)[0]
+                 for system, start, targets, settings in probes]
+    captured = sum(steps)
+    del steps[:]
+    dwell = [_dwell_only(monkeypatch, system, [start], settings, targets,
+                         1e-6)[0]
+             for system, start, targets, settings in probes]
+    assert certified == dwell and None not in certified
+    # the boxes stop these runs at about 0.38 of the dwell rule's steps
+    assert captured <= 0.5 * sum(steps)
 
 
 def test_saddles_and_inexact_rest_points_are_never_certified(monkeypatch):

@@ -8,8 +8,8 @@ unit.  The interval oracle of tests/_interval.py is exact in any unit
 and checks each scaled count.  The case, the uniqueness boundary and
 the buffer size are free of units too, and so is the tangency fit's
 split.  The same symmetry maps each capture box of basin_probe's
-certificate to c times itself, its contraction rate to tau times
-itself.
+certificate to c times itself, the main vessel's contraction rate to
+tau times itself.
 """
 import itertools
 import math
@@ -152,6 +152,7 @@ def test_capture_boxes_scale_with_the_units():
     # powers of two scale every float exactly, so a certificate with no
     # floor fixed in some unit gives each box exactly scaled
     systems = [SingleParams(Haldane(*README_LAW), 1.4, 1.0),
+               SingleParams(_law(README_LAW, True), 1.4, 1.0),
                BufferedConfig(Haldane(*README_LAW), 1.4, 1.0, 0.35, 0.65),
                BufferedConfig(Haldane(*README_LAW), 1.4, 1.0, 0.25, 0.3),
                BufferedConfig(Monod(2.0, 0.3), 1.4, 1.0, 0.35, 0.6)]
@@ -162,9 +163,12 @@ def test_capture_boxes_scale_with_the_units():
         assert all(box is not None for box in base), system
         for c, tau in itertools.product(scales, repeat=2):
             law = system.model
-            law = (Monod(law.mu_max * tau, law.K_s * c)
-                   if isinstance(law, Monod) else
-                   Haldane(law.mu_bar * tau, law.K * c, law.K_I * c))
+            if isinstance(law, Monod):
+                law = Monod(law.mu_max * tau, law.K_s * c)
+            else:
+                mu_bar, K, K_I = README_LAW
+                law = _law((mu_bar * tau, K * c, K_I * c),
+                           isinstance(law, CustomUnimodal))
             if isinstance(system, SingleParams):
                 other = SingleParams(law, system.S_in * c, system.D * tau)
             else:
@@ -176,4 +180,5 @@ def test_capture_boxes_scale_with_the_units():
                 assert scaled == simulate._Capture(
                     box.feed * c, tuple(c * w for w in box.widths),
                     tuple(c * m for m in box.masses),
-                    tuple(tau * k for k in box.rates)), (system, c, tau)
+                    None if box.rate is None else tau * box.rate), (
+                        system, c, tau)
