@@ -3,6 +3,9 @@
 critical_levels is the sign-change scan: it samples a function on the
 _GRID-point midpoint grid, or on the pieces of it a caller reads, and
 bisects each sign change.  The function need not be a derivative.
+critical_levels_above starts the same scan at the last grid point at or
+below a level where the caller knows the sign cannot change: a rate
+law's peak, for the scans of the split map and the growth deficit.
 Every extremum the analysis layer needs, save the closed forms a law
 declares, is a zero of a closed-form derivative found this way.
 proxy_levels finds the same levels from a Chebyshev proxy of a few
@@ -209,6 +212,38 @@ def critical_levels(g: Callable[[float], float], lo: float, hi: float,
     return levels
 
 
+def critical_levels_above(g: Callable[[float], float], lo: float, hi: float,
+                          x: Optional[float], pieces: Optional[Sequence] = None
+                          ) -> list[float]:
+    """critical_levels(g, lo, hi, pieces) for a g that keeps one scan
+    sign, v > 0 or not, at every point at or below x that the scan would
+    sample: the scan starts at the last grid point at or below x.  With
+    x None it is critical_levels.
+
+    The whole grid is read from that point on, and not at all when it is
+    the last.  A piece that ends at or below x is dropped, and one that
+    starts before that point starts there instead.  Either way the
+    samples kept are the whole scan's from that point on, and those left
+    out hold no sign change, so the levels are bit for bit the whole
+    scan's; cutting at x itself would add a sample and could move a
+    bracket.  With no grid point at or below x nothing is cut.  A rate
+    law's slope scans use it with x at the law's declared peak, below
+    which mu' >= 0 fixes the sign of what they scan."""
+    if x is None:
+        return critical_levels(g, lo, hi, pieces)
+    step = (hi - lo) / _GRID
+    at = lambda i: lo + step * (i + 0.5)
+    first = bisect_right(range(_GRID), x, key=at) - 1
+    if pieces is not None:
+        cut = at(first) if first >= 0 else lo
+        return critical_levels(g, lo, hi, [(max(a, cut), b)
+                                           for a, b in pieces if b > x])
+    if first >= _GRID - 1:
+        return []
+    xs = _grid(lo, step, range(max(first, 0), _GRID))
+    return _bisected_sign_changes(g, xs, [g(v) for v in xs])
+
+
 def _grid(lo: float, step: float, indices) -> list[float]:
     """The scan's grid points lo + step * (i + 0.5) at indices."""
     return [lo + step * (i + 0.5) for i in indices]
@@ -313,7 +348,9 @@ def real_cubic_roots(a3: float, a2: float, a1: float, a0: float) -> list[float]:
     """All real roots of a3 x^3 + a2 x^2 + a1 x + a0, a3 != 0.
 
     Trigonometric branch for three real roots, Cardano otherwise; the
-    usual depressed-cubic substitution x = t - a2/(3 a3).
+    usual depressed-cubic substitution x = t - a2/(3 a3).  Every caller
+    passes coefficients in units of S_in, so the roots are O(1) and the
+    max(1.0, ...) floor of the double-root test is unit-free.
     """
     if a3 == 0.0:
         raise ValueError("real_cubic_roots: leading coefficient is zero")

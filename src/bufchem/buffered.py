@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ._numerics import (Record, bisect_root, critical_levels, finite_positive,
-                        newton_polish, real_cubic_roots)
-from .kinetics import GrowthModel, closed_form
+from ._numerics import (Record, bisect_root, critical_levels_above,
+                        finite_positive, newton_polish, real_cubic_roots)
+from .kinetics import GrowthModel, closed_form, declared_peak
 
 __all__ = [
     "InfeasibleBufferError",
@@ -206,16 +206,21 @@ def pivot_level(model: GrowthModel, S_in: float, D: float,
     return alpha * s2 + (1.0 - alpha) * S_in
 
 
-def _deficit_fn(config: BufferedConfig):
-    """(ratio, ratio', deficit, deficit') of the level s, as closures.
+def _buffer_level(config: BufferedConfig) -> float:
+    """buffer_substrate at config's operating point."""
+    return buffer_substrate(config.model, config.S_in, config.D, config.alpha)
+
+
+def _deficit_fn(config: BufferedConfig, s2: float):
+    """(ratio, ratio', deficit, deficit') of the level s, as closures,
+    with the buffer at its level s2.
 
     ratio is the required growth ratio and deficit = D * ratio - mu.
-    deficit' keeps the rest-level scan's rounding; growth_deficit_prime
-    keeps D * ratio' - mu' for the eigenvalues (they differ in the last bit).
+    deficit' keeps the rest-level scan's rounding; _deficit_prime keeps
+    D * ratio' - mu' for the eigenvalues (they differ in the last bit).
     """
     model, S_in, D, alpha, r = (config.model, config.S_in, config.D,
                                 config.alpha, config.r)
-    s2 = buffer_substrate(model, S_in, D, alpha)
     mu, mu_p = model._rate_raw, model._rate_prime_raw
     k = (1.0 - r) / r
     a_gap = alpha * (S_in - s2)
@@ -247,7 +252,7 @@ def required_growth_ratio(config: BufferedConfig, s: float) -> float:
     the pivot level regardless of r.
     """
     _check_level(config, s)
-    return _deficit_fn(config)[0](s)
+    return _deficit_fn(config, _buffer_level(config))[0](s)
 
 
 def growth_deficit(config: BufferedConfig, s: float) -> float:
@@ -259,12 +264,17 @@ def growth_deficit(config: BufferedConfig, s: float) -> float:
     vessel.
     """
     _check_level(config, s)
-    return _deficit_fn(config)[2](s)
+    return _deficit_fn(config, _buffer_level(config))[2](s)
 
 
 def growth_deficit_prime(config: BufferedConfig, s: float) -> float:
+    return _deficit_prime(config, _buffer_level(config), s)
+
+
+def _deficit_prime(config: BufferedConfig, s2: float, s: float) -> float:
+    """growth_deficit_prime with the buffer at its level s2."""
     _check_level(config, s)
-    return config.D * _deficit_fn(config)[1](s) - config.model.rate_prime(s)
+    return config.D * _deficit_fn(config, s2)[1](s) - config.model.rate_prime(s)
 
 
 def equilibrium_split(config: BufferedConfig, s: float) -> float:
@@ -330,25 +340,32 @@ def _pivot_split_map(model: GrowthModel, S_in: float, D: float, pv: float):
 # ---------------------------------------------------------------------------
 # rest-point enumeration
 
-def _positive_levels(config: BufferedConfig) -> list[float]:
-    """Sorted rest levels of the main vessel on (0, S_in): the closed-form
-    cubic for Haldane kinetics, the critical-point pass for every other law."""
+def _positive_levels(config: BufferedConfig, s2: float) -> list[float]:
+    """Sorted rest levels of the main vessel on (0, S_in), with the buffer
+    at its level s2: the closed-form cubic for Haldane kinetics, the
+    critical-point pass for every other law."""
     if closed_form(config.model) == "haldane":
-        return _haldane_levels(config)
-    return _scan_levels(config)
+        return _haldane_levels(config, s2)
+    return _scan_levels(config, s2)
 
 
-def _scan_levels(config: BufferedConfig) -> list[float]:
-    """Rest levels of any rate law.  The zeros of the deficit's slope cut
-    (0, S_in) into monotone pieces; each piece whose ends differ in sign
-    holds one root, and a critical point where the deficit vanishes is a
-    double root.  The pieces beside a double root are not bisected: a
-    deficit within the tolerance of zero may still change sign there,
-    and would split the one root into three.  It shares nothing with the
-    Haldane cubic but the final polish."""
+def _scan_levels(config: BufferedConfig, s2: float) -> list[float]:
+    """Rest levels of any rate law, with the buffer at its level s2.  The
+    zeros of the deficit's slope cut (0, S_in) into monotone pieces; each
+    piece whose ends differ in sign holds one root, and a critical point
+    where the deficit vanishes is a double root.  The pieces beside a
+    double root are not bisected: a deficit within the tolerance of zero
+    may still change sign there, and would split the one root into
+    three.  It shares nothing with the Haldane cubic but the final polish.
+
+    The slope -D k a_gap / (S_in - s)^2 - mu'(s), k a_gap > 0, is < 0
+    wherever mu' >= 0: below a declared peak.  So its scan reads the grid
+    from the last point at or below the peak on (critical_levels_above),
+    with the whole grid's levels, and nothing for a peak at or past the
+    grid's last point."""
     S_in = config.S_in
-    _, _, f, fp = _deficit_fn(config)
-    crit = critical_levels(fp, 0.0, S_in)
+    _, _, f, fp = _deficit_fn(config, s2)
+    crit = critical_levels_above(fp, 0.0, S_in, declared_peak(config.model))
     cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
     vals = [f(c) for c in cuts]
     tol = _TANGENCY_TOL * config.D
@@ -361,11 +378,11 @@ def _scan_levels(config: BufferedConfig) -> list[float]:
     return _polished(config, f, fp, roots)
 
 
-def _haldane_levels(config: BufferedConfig) -> list[float]:
-    """Rest levels via the equivalent cubic, exact for Haldane kinetics."""
+def _haldane_levels(config: BufferedConfig, s2: float) -> list[float]:
+    """Rest levels via the equivalent cubic, exact for Haldane kinetics,
+    with the buffer at its level s2."""
     model = config.model
     S_in, D, alpha, r = config.S_in, config.D, config.alpha, config.r
-    s2 = buffer_substrate(model, S_in, D, alpha)
     K, K_I, mu_bar = model.K, model.K_I, model.mu_bar
     a_cap = S_in - alpha * (1.0 - r) * (S_in - s2)
     a3 = -D / K_I
@@ -373,7 +390,7 @@ def _haldane_levels(config: BufferedConfig) -> list[float]:
     a1 = D * (a_cap - K) - r * mu_bar * S_in
     a0 = D * a_cap * K
     tol = _EDGE_PAD * S_in
-    _, _, f, fp = _deficit_fn(config)
+    _, _, f, fp = _deficit_fn(config, s2)
     # in units of S_in, so the cubic's double-root test is unit-free
     return _polished(config, f, fp,
                      [t * S_in for t in real_cubic_roots(
@@ -401,16 +418,16 @@ def find_equilibria(config: BufferedConfig) -> list[Equilibrium]:
     Buffer-washout branch: a sterile buffer at the feed level combined
     with each single-vessel rest point of the main vessel at dilution
     D / r, plus total washout.  Every returned state satisfies the
-    rest-point equations to within 1e-10.
+    rest-point equations to within 1e-10; the buffer's break-even level
+    is solved once.
     """
     from . import stability
 
-    model, S_in, D, alpha, r = (config.model, config.S_in, config.D,
-                                config.alpha, config.r)
-    s2 = buffer_substrate(model, S_in, D, alpha)
+    model, S_in, D, r = config.model, config.S_in, config.D, config.r
+    s2 = _buffer_level(config)
     out: list[Equilibrium] = []
 
-    for s1 in _positive_levels(config):
+    for s1 in _positive_levels(config, s2):
         report = stability.positive_eigenvalues(config, s1, s2)
         out.append(Equilibrium(s1, S_in - s1, s2, S_in - s2, BRANCH_POSITIVE,
                                report.values, report.tag, report.unstable))
@@ -437,9 +454,10 @@ def surplus_region(config: BufferedConfig) -> IntervalSet:
     feed level, so the region always reaches up to S_in.  Left endpoints
     of its components are the attracting rest levels.
     """
-    f = _deficit_fn(config)[2]
+    s2 = _buffer_level(config)
+    f = _deficit_fn(config, s2)[2]
     S_in = config.S_in
-    roots = _positive_levels(config)
+    roots = _positive_levels(config, s2)
     cuts = [0.0] + roots + [S_in]
     comps: list[tuple[float, float]] = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):

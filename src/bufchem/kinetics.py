@@ -261,7 +261,10 @@ class CustomUnimodal(GrowthModel, Record):
     (0, inf) and increasing below the declared peak, decreasing above it
     (peak_abscissa = math.inf declares a strictly increasing law).  The
     shape is spot-checked on a sample grid at construction, and so is
-    rate_prime_fn against one-sided differences of rate_fn.
+    rate_prime_fn against one-sided differences of rate_fn.  The
+    declared peak also bounds two scans, for the critical levels of the
+    split map and of the growth deficit: below it mu' >= 0 is taken as
+    given, and neither scan samples there.
     """
     rate_fn: Callable[[float], float]
     rate_prime_fn: Callable[[float], float]

@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ._numerics import Record, bisect_root, critical_levels, golden_min
+from ._numerics import (Record, bisect_root, critical_levels,
+                        critical_levels_above, golden_min)
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
                        _check_feed, _pivot_split_map, buffer_substrate,
                        pivot_level, split_map)
-from .kinetics import GrowthModel, closed_form
+from .kinetics import GrowthModel, closed_form, declared_peak
 
 __all__ = [
     "CASE_NO_UPPER",
@@ -203,11 +204,29 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
     bisection.  r_plus_min is the smallest of those values inside the
     plus interval and the value 1 at its ends, and the band spans the
     values inside the extrema interval.
+
+    For a law with a declared peak the scan reads only what lies above
+    it, from the last grid point at or below it (critical_levels_above),
+    with the same levels.  The numerator times -D is
+
+        (S_in - pv)(mu(s) - D) + (pv - s)(S_in - s) mu'(s),
+
+    S_in - pv = alpha (S_in - s2) > 0, and mu' >= 0 below the peak.  On
+    (lambda-, min(pv, peak)) the first term is > 0 and the second >= 0;
+    without a growth window below the feed, and for s > pv, both are
+    <= 0.  Below the peak every interval _operating_point gives lies in
+    one of these, so no critical level lies there; only the pivot_at
+    case's plus interval may reach past a pivot a hair below the peak,
+    and there the scan starts below the pivot instead.
     """
     pv, case, plus, extrema = _operating_point(model, S_in, D, alpha)
     gamma = _pivot_split_map(model, S_in, D, pv)
     pieces = [iv for iv in (plus, extrema) if iv is not None and iv[0] < iv[1]]
-    levels = critical_levels(gamma.prime_numerator, 0.0, S_in, pieces)
+    rising = declared_peak(model)
+    if rising is not None and case == CASE_PIVOT_AT:
+        rising = min(rising, pv)
+    levels = critical_levels_above(gamma.prime_numerator, 0.0, S_in, rising,
+                                   pieces)
 
     def values_inside(iv):
         return [gamma(s) for s in levels if iv and iv[0] < s < iv[1]]

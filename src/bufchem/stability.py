@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from ._numerics import Record
-from .buffered import BufferedConfig, growth_deficit_prime
+from .buffered import BufferedConfig, _deficit_prime
 from .simulate import _VESSELS, _constants
 
 __all__ = [
@@ -66,11 +66,12 @@ def positive_eigenvalues(config: BufferedConfig, s1: float,
 
     Two water-clock eigenvalues -D/r and -alpha*D, the buffer's own
     -mu'(s2) (S_in - s2), and the main vessel's deficit-slope eigenvalue
-    f'(s1) (S_in - s1): the rest point is attracting exactly when the
-    growth deficit crosses downward through zero at s1.
+    f'(s1) (S_in - s1), f taken with the buffer at s2: the rest point is
+    attracting exactly when the growth deficit crosses downward through
+    zero at s1.
     """
     model, D, r = config.model, config.D, config.r
-    e_main = growth_deficit_prime(config, s1) * (config.S_in - s1)
+    e_main = _deficit_prime(config, s2, s1) * (config.S_in - s1)
     e_buf = -model.rate_prime(s2) * (config.S_in - s2)
     return classify((-D / r, -config.alpha * D, e_main, e_buf), D)
 

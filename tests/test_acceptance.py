@@ -37,7 +37,7 @@ from bufchem import (
     surplus_region,
     washout_audit,
 )
-from bufchem.buffered import _haldane_levels, _scan_levels
+from bufchem.buffered import _buffer_level, _haldane_levels, _scan_levels
 from bufchem.simulate import _rhs_and_step
 from bufchem.single import TAG_POSITIVE_ATTRACTING, TAG_WASHOUT_ATTRACTING
 from conftest import (
@@ -125,8 +125,9 @@ def test_criterion_03_equilibrium_residuals_and_root_routes():
             worst_residual = max(worst_residual,
                                  max(abs(v) for v in rhs(0.0, eq.state)))
             count += 1
-        cubic = _haldane_levels(cfg)
-        scanned = _scan_levels(cfg)
+        s2 = _buffer_level(cfg)
+        cubic = _haldane_levels(cfg, s2)
+        scanned = _scan_levels(cfg, s2)
         if len(cubic) != len(scanned):
             mismatched += 1
             continue

@@ -23,8 +23,8 @@ from bufchem import (
     surplus_region,
 )
 from bufchem import simulate
-from bufchem.buffered import (SingularSplitPoint, _deficit_fn, _scan_levels,
-                              split_map)
+from bufchem.buffered import (SingularSplitPoint, _buffer_level, _deficit_fn,
+                              _scan_levels, split_map)
 from bufchem.kinetics import GrowthModel
 from bufchem.simulate import _rhs_and_step
 from conftest import draw_buffered_config
@@ -142,7 +142,7 @@ def test_public_maps_equal_their_closures():
     for _ in range(40):
         cfg = draw_buffered_config(rng, monod_share=0.3)
         gamma = split_map(cfg.model, cfg.S_in, cfg.D, cfg.alpha)
-        deficit = _deficit_fn(cfg)[2]
+        deficit = _deficit_fn(cfg, _buffer_level(cfg))[2]
         for k in range(1, 200):
             s = cfg.S_in * k / 200
             assert growth_deficit(cfg, s) == deficit(s)
@@ -190,7 +190,7 @@ def test_haldane_rest_levels_take_the_cubic_route_alone(reference_model,
 
     cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
     want = (find_equilibria(cfg), surplus_region(cfg))
-    monkeypatch.setattr("bufchem.buffered.critical_levels", no_scan)
+    monkeypatch.setattr("bufchem.buffered.critical_levels_above", no_scan)
     assert (find_equilibria(cfg), surplus_region(cfg)) == want
     # the same law behind callables has no closed form and is scanned
     wrapped = CustomUnimodal(reference_model.rate, reference_model.rate_prime,
@@ -199,6 +199,23 @@ def test_haldane_rest_levels_take_the_cubic_route_alone(reference_model,
     for analysis in (find_equilibria, surplus_region):
         with pytest.raises(_ScanCalled):
             analysis(generic)
+
+
+def test_find_equilibria_solves_the_buffer_break_even_once(reference_model,
+                                                          monkeypatch):
+    # three buffer-active rest points, by the cubic and by the scan: the
+    # buffer's level alpha D is solved once, not again per route or level
+    solved = []
+    break_even = GrowthModel.break_even
+    monkeypatch.setattr(GrowthModel, "break_even", lambda self, dilution:
+                        solved.append(dilution) or break_even(self, dilution))
+    wrapped = CustomUnimodal(reference_model.rate, reference_model.rate_prime,
+                             math.sqrt(0.08))
+    for model in (reference_model, wrapped):
+        solved.clear()
+        equilibria = find_equilibria(BufferedConfig(model, 1.4, 1.0, 0.35, 0.6))
+        assert sum(e.branch == BRANCH_POSITIVE for e in equilibria) == 3
+        assert solved.count(0.35) == 1
 
 
 @pytest.mark.parametrize("r", [0.5378392632703208, 0.5378388867832131])
@@ -258,10 +275,11 @@ def test_subclass_of_a_closed_form_law_takes_the_general_route(monkeypatch):
     # of them far from rest; the scaled law has one, near 1.09826
     config = BufferedConfig(_ScaledHaldane(12.0, 1.0, 0.08), 1.4, 1.0, 0.35,
                             0.6)
-    deficit = _deficit_fn(config)[2]
+    s2 = _buffer_level(config)
+    deficit = _deficit_fn(config, s2)[2]
     levels = [e.s1 for e in find_equilibria(config)
               if e.branch == BRANCH_POSITIVE]
-    assert levels == _scan_levels(config)
+    assert levels == _scan_levels(config, s2)
     assert levels == pytest.approx([1.09826], abs=1e-5)
     assert all(abs(deficit(s)) <= 1e-10 for s in levels)
     laws = []

@@ -13,13 +13,16 @@ import random
 import pytest
 from conftest import draw_buffered_config
 
+import bufchem.buffered
 import bufchem.design
 import bufchem.multiplicity
-from bufchem import (CustomUnimodal, Haldane, buffer_design, split_threshold,
-                     uptake_capacity, washout_surplus)
+from bufchem import (BufferedConfig, CustomUnimodal, Haldane, Monod,
+                     buffer_design, find_equilibria, split_threshold,
+                     surplus_region, uptake_capacity, washout_surplus)
 from bufchem._numerics import (_GRID, _bisected_sign_changes, bisect_root,
-                               critical_levels, proxy_levels)
-from bufchem.buffered import pivot_level, split_map
+                               critical_levels, critical_levels_above,
+                               proxy_levels)
+from bufchem.buffered import _buffer_level, pivot_level, split_map
 from bufchem.multiplicity import (CASE_NO_UPPER, CASE_PIVOT_ABOVE,
                                   CASE_PIVOT_AT, CASE_PIVOT_BELOW,
                                   _operating_point)
@@ -251,8 +254,9 @@ def _report(*point):
 
 
 def test_threshold_on_its_intervals_equals_the_whole_grid(monkeypatch):
-    # split_threshold's reports on the whole grid, then critical_levels
-    # on its pieces against the whole grid for functions of our own.
+    # split_threshold's reports on the whole grid, below the law's peak
+    # too, then critical_levels on its pieces against the whole grid for
+    # functions of our own.
     # 1000 Haldane points and 500 CustomUnimodal ones in all four cases,
     # every third one at the alpha where the pivot meets the upper
     # break-even, and 300 buffered draws, mostly without an upper one
@@ -271,7 +275,8 @@ def test_threshold_on_its_intervals_equals_the_whole_grid(monkeypatch):
     assert {r.case for r in reports if not isinstance(r, tuple)} == {
         CASE_NO_UPPER, CASE_PIVOT_BELOW, CASE_PIVOT_AT, CASE_PIVOT_ABOVE}
     with monkeypatch.context() as m:
-        m.setattr(bufchem.multiplicity, "critical_levels", _whole_grid)
+        m.setattr(bufchem.multiplicity, "critical_levels_above",
+                  lambda g, lo, hi, x, pieces: _whole_grid(g, lo, hi, pieces))
         assert [_report(*point) for point in points] == reports
 
     def inside(g, lo, hi, pieces):
@@ -303,3 +308,147 @@ def test_threshold_on_its_intervals_equals_the_whole_grid(monkeypatch):
             assert g(piece[0]) == 0.0 or g(piece[1]) == 0.0
             assert critical_levels(g, 0.0, float(_GRID), [piece]) == inside(
                 g, 0.0, float(_GRID), [piece])
+
+
+
+def _recorded(fn, calls: list):
+    """fn, appending each argument it is called at to calls."""
+    def wrapped(s):
+        calls.append(s)
+        return fn(s)
+    return wrapped
+
+
+class _CheckedCut:
+    """critical_levels_above as the two rate-law scans call it, held to
+    the scan it cuts: the same levels as critical_levels on the whole
+    grid, or on the whole pieces.  calls is the list the law under test
+    records its arguments in; the law must not be called on a grid point
+    below the cut, the last one at or below the level x (None: no cut),
+    while the cut scan runs.  sampled and skipped count the cut scan's samples and
+    those it saved against the whole scan, per case."""
+
+    def __init__(self, calls: list, case: str = ""):
+        self.calls, self.case = calls, case
+        self.sampled, self.skipped = 0, {}
+
+    def __call__(self, g, lo, hi, x, pieces=None):
+        step = (hi - lo) / _GRID
+        grid = [lo + step * (i + 0.5) for i in range(_GRID)]
+        cut = -math.inf if x is None else max([p for p in grid if p <= x],
+                                               default=-math.inf)
+        mark = len(self.calls)
+        cut_samples, whole_samples = [], []
+        levels = critical_levels_above(_recorded(g, cut_samples), lo, hi,
+                                       x, pieces)
+        assert not {p for p in grid if p < cut} & set(self.calls[mark:])
+        args = () if pieces is None else (pieces,)
+        assert levels == critical_levels(_recorded(g, whole_samples), lo, hi,
+                                         *args)
+        self.sampled += len(cut_samples)
+        self.skipped[self.case] = (self.skipped.get(self.case, 0)
+                                   + len(whole_samples) - len(cut_samples))
+        return levels
+
+
+def _draws_in_every_case(n: int, seed: int, calls: list):
+    """n points of each law, Haldane, Andrews and Haldane as callables,
+    with a viable buffer and any window of D; every third one with an
+    upper break-even below the feed sits at the alpha where the pivot
+    meets it.  The callables append each argument they are called at to
+    calls; Haldane's calls need _record_raw_calls."""
+    rng = random.Random(seed)
+    for kind in ("haldane", "andrews", "wrapped"):
+        drawn = 0
+        while drawn < n:
+            params = (rng.uniform(2.0, 20.0), rng.uniform(0.1, 1.5),
+                      rng.uniform(0.05, 4.0))
+            S_in, D = rng.uniform(0.3, 4.0), rng.uniform(0.1, 2.0)
+            alpha = rng.uniform(0.05, 1.0)
+            model = Haldane(*params)
+            if kind != "haldane":
+                law = _andrews(*params) if kind == "andrews" else model
+                model = CustomUnimodal(_recorded(law.rate, calls),
+                                       _recorded(law.rate_prime, calls),
+                                       law.peak().abscissa)
+            buffer_window = model.break_even(alpha * D)
+            if buffer_window is None or buffer_window.lower >= 0.9 * S_in:
+                continue
+            window = model.break_even(D)
+            if (drawn % 3 == 0 and window is not None
+                    and window.upper < 0.95 * S_in):
+                alpha = _at_crossing(model, S_in, D, alpha)
+            drawn += 1
+            yield model, S_in, D, alpha
+
+
+def _record_raw_calls(monkeypatch, law: type, calls: list) -> None:
+    """Make every _rate_raw and _rate_prime_raw call of law's instances
+    append its argument to calls."""
+    for name in ("_rate_raw", "_rate_prime_raw"):
+        raw = getattr(law, name)
+        monkeypatch.setattr(law, name, lambda self, s, raw=raw:
+                            calls.append(s) or raw(self, s))
+
+
+def test_rate_law_scans_skip_the_grid_below_the_peak(monkeypatch):
+    # below a declared peak mu' >= 0 fixes the sign of both the split
+    # map's derivative numerator and the deficit's slope: each scan
+    # starts at the last grid point at or below the peak, with the whole
+    # scan's levels, and never calls the law on a grid point below it
+    calls = []
+    _record_raw_calls(monkeypatch, Haldane, calls)
+    split_scan, deficit_scan = _CheckedCut(calls), _CheckedCut(calls,
+                                                               "deficit")
+    monkeypatch.setattr(bufchem.multiplicity, "critical_levels_above",
+                        split_scan)
+    monkeypatch.setattr(bufchem.buffered, "critical_levels_above",
+                        deficit_scan)
+    points = 0
+    for model, S_in, D, alpha in _draws_in_every_case(200, 33, calls):
+        split_scan.case = _operating_point(model, S_in, D, alpha)[1]
+        report = _report(model, S_in, D, alpha)
+        r = 0.5 if isinstance(report, tuple) else 0.9 * report.r_bar
+        config = BufferedConfig(model, S_in, D, alpha,
+                                r if alpha * (1.0 - r) <= 1.0 else 0.5)
+        bufchem.buffered._scan_levels(config, _buffer_level(config))
+        points += 1
+    assert points == 600
+    # every case, and the deficit, had grid points below the peak to skip
+    assert set(split_scan.skipped) == {CASE_NO_UPPER, CASE_PIVOT_BELOW,
+                                       CASE_PIVOT_AT, CASE_PIVOT_ABOVE}
+    assert min(split_scan.skipped.values()) > 0
+    assert deficit_scan.skipped["deficit"] > 0
+
+
+def test_rising_laws_make_no_grid_call(monkeypatch):
+    # a law that rises up to the feed has no critical level in either
+    # scan: neither samples its grid, and every answer is the one the
+    # whole scans give
+    calls = []
+    _record_raw_calls(monkeypatch, Monod, calls)
+    monod = Monod(2.0, 1.0)
+    rising = CustomUnimodal(_recorded(monod.rate, calls),
+                            _recorded(monod.rate_prime, calls), math.inf)
+    # growth windows of D below the feed and above it
+    points = [(1.4, 1.0, 0.35, 0.6), (3.0, 0.5, 1.2, 0.5),
+              (0.5, 1.9, 0.3, 0.3), (2.0, 1.5, 0.6, 0.8)]
+
+    def answers():
+        out = []
+        for model in (monod, rising):
+            for S_in, D, alpha, r in points:
+                config = BufferedConfig(model, S_in, D, alpha, r)
+                out.append((split_threshold(model, S_in, D, alpha),
+                            find_equilibria(config), surplus_region(config)))
+        return out
+
+    with monkeypatch.context() as m:
+        for module in (bufchem.multiplicity, bufchem.buffered):
+            m.setattr(module, "declared_peak", lambda model: None)
+        whole = answers()
+    scans = _CheckedCut(calls)
+    for module in (bufchem.multiplicity, bufchem.buffered):
+        monkeypatch.setattr(module, "critical_levels_above", scans)
+    assert answers() == whole
+    assert scans.sampled == 0 and scans.skipped[""] > 0

@@ -21,6 +21,7 @@ from bufchem._numerics import (
     _GRID,
     bisect_root,
     critical_levels,
+    critical_levels_above,
     golden_min,
     newton_polish,
     proxy_levels,
@@ -100,6 +101,39 @@ def test_critical_level_touching_zero_on_a_grid_point_is_no_sign_change():
 def test_critical_levels_without_a_sign_change_are_empty():
     assert critical_levels(lambda x: x * x + 1.0, -1.0, 1.0) == []
     assert critical_levels(math.exp, 0.0, 5.0) == []
+
+
+def test_scan_above_a_level_of_fixed_sign_keeps_the_whole_scans_levels():
+    # cos > 0 below pi/2: a scan started at the last grid point at or
+    # below x, for x below the grid, on it or between its points, reads
+    # the whole scan's levels from fewer samples; a piece ending at or
+    # below x is not read at all
+    lo, hi = 0.0, 4.0 * math.pi
+    step = (hi - lo) / _GRID
+    grid = [lo + step * (i + 0.5) for i in range(_GRID)]
+    pieces = [(0.5, 1.2), (1.3, 5.0), (6.0, 11.0)]
+    for x in (-1.0, 0.0, 0.4 * step, 0.5 * step, 1.0, 1.3, 1.5):
+        calls = []
+        g = lambda s: calls.append(s) or math.cos(s)
+        assert critical_levels_above(g, lo, hi, x) == critical_levels(
+            math.cos, lo, hi)
+        assert min(calls) == max([p for p in grid if p <= x],
+                                 default=grid[0])
+        assert critical_levels_above(math.cos, lo, hi, x, pieces) == (
+            critical_levels(math.cos, lo, hi, pieces))
+    # with no level given it is the whole scan, samples and all
+    cut, whole = [], []
+    assert critical_levels_above(lambda s: cut.append(s) or math.cos(s),
+                                 lo, hi, None, pieces) == critical_levels(
+        lambda s: whole.append(s) or math.cos(s), lo, hi, pieces)
+    assert cut == whole
+    # with no grid point past x nothing is sampled
+    calls = []
+    assert critical_levels_above(lambda s: calls.append(s) or s, 0.0, 1.0,
+                                 1.0 - 0.5 / _GRID) == []
+    assert critical_levels_above(lambda s: calls.append(s) or s, 0.0, 1.0,
+                                 2.0, [(0.2, 0.9)]) == []
+    assert calls == []
 
 
 def test_pieces_narrower_than_a_grid_step_keep_their_sign_changes():
