@@ -29,6 +29,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .design import (
     DesignReport,
     buffer_design,
+    design_sweep,
     min_enlargement_ratio,
     uptake_capacity,
     washout_surplus,
@@ -117,6 +118,7 @@ __all__ = [
     "buffer_substrate",
     "classify_case",
     "classify_portrait",
+    "design_sweep",
     "detect_convergence",
     "equilibrium_split",
     "find_equilibria",

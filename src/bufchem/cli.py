@@ -145,16 +145,16 @@ def _cmd_design(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     json_path = os.path.join(out, "design.json")
     io.write_json(json_path, payload)
 
-    # sweep the feed over (upper break-even, max(S_in, 3)] and compare
-    # the two cures at each level
+    # sweep the feed over (upper break-even, 15/7 S_in], a range in the
+    # feed's own unit that ends at 3 for the README's S_in = 1.4, and
+    # compare the two cures at each level
     window = cfg.model.break_even(cfg.D)
     assert window is not None and window.has_finite_upper
-    lo, hi = window.upper, max(cfg.S_in, 3.0)
-    rows = []
-    for k in range(1, _COMPARISON_POINTS + 1):
-        feed = lo + k * (hi - lo) / _COMPARISON_POINTS
-        row = design.buffer_design(cfg.model, feed, cfg.D)
-        rows.append((feed, row.delta_v_inf, row.v2_inf, row.d2_star))
+    lo, hi = window.upper, cfg.S_in * 15.0 / 7.0
+    feeds = [lo + k * (hi - lo) / _COMPARISON_POINTS
+             for k in range(1, _COMPARISON_POINTS + 1)]
+    rows = [(feed, row.delta_v_inf, row.v2_inf, row.d2_star) for feed, row
+            in zip(feeds, design.design_sweep(cfg.model, cfg.D, feeds))]
     csv_path = os.path.join(out, "design_comparison.csv")
     io.write_csv(csv_path, ["S_in", "delta_v_inf", "v2_inf", "d2_star"],
                  rows)

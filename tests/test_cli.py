@@ -262,12 +262,16 @@ def test_basin_buffered_map(tmp_path, r, names):
     assert {b for _, _, b in basin_rows(tmp_path)} == names
 
 
-def _in_substrate_unit(c: float, r: str) -> str:
-    """The README config at split r, every concentration times c."""
+def _in_substrate_unit(c: float, r: str, tau: float = 1.0) -> str:
+    """The README config at split r, every concentration times c and
+    every rate over tau (every time times tau)."""
     text = REFERENCE_INI.replace("r = 0.48", f"r = {r}")
-    for name, value in (("K", "1"), ("K_I", "0.08"), ("S_in", "1.4"),
-                        ("state", "1.4 0.1 1.4 0.01")):
-        scaled = " ".join(repr(float(v) * c) for v in value.split())
+    for name, value, scale in (("K", "1", c), ("K_I", "0.08", c),
+                               ("S_in", "1.4", c),
+                               ("state", "1.4 0.1 1.4 0.01", c),
+                               ("mu_bar", "12", 1.0 / tau),
+                               ("D", "1", 1.0 / tau)):
+        scaled = " ".join(repr(float(v) * scale) for v in value.split())
         text = text.replace(f"\n{name} = {value}\n",
                             f"\n{name} = {scaled}\n")
     return text
@@ -325,6 +329,41 @@ def test_readme_config_in_a_smaller_substrate_unit(tmp_path, r):
             assert f["tag"] == e["tag"]
             for key in ("S", "X"):
                 assert abs(f[key] - c * e[key]) <= tol * c, (c, key)
+
+
+def test_design_in_other_substrate_and_time_units(tmp_path):
+    # the README design with concentrations times c, or every time times
+    # tau: the feeds, levels and surplus scale by c (the surplus by c /
+    # tau), the two volume ratios stay, and the buffer's dilution rate
+    # scales by 1 / tau
+    def run(c: float, tau: float) -> tuple[dict, list[list[float]]]:
+        out = tmp_path / f"{c!r}-{tau!r}"
+        out.mkdir()
+        (out / "run.ini").write_text(_in_substrate_unit(c, "0.48", tau))
+        result = run_cli("design", "--config", str(out / "run.ini"),
+                         "--out", str(out))
+        assert result.returncode == 0, result.stdout + result.stderr
+        lines = (out / "design_comparison.csv").read_text().splitlines()
+        return (validate(out / "design.json", "design"),
+                [list(map(float, line.split(","))) for line in lines[1:]])
+
+    def close(value: float, want: float) -> bool:
+        return abs(value - want) <= 1e-10 * abs(want)
+
+    base, base_rows = run(1.0, 1.0)
+    assert base_rows[-1][0] == 3.0
+    for c, tau in ((1e-2, 1.0), (1e-6, 1.0), (1.0, 1e-5), (1.0, 1e3)):
+        payload, rows = run(c, tau)
+        scales = {"S_in": c, "D": 1.0 / tau, "delta_v_inf": 1.0,
+                  "v2_inf": 1.0, "d2_star": 1.0 / tau, "s_bar": c,
+                  "surplus_max": c / tau}
+        for key, scale in scales.items():
+            assert close(payload[key], scale * base[key]), (c, tau, key)
+        assert len(rows) == len(base_rows) == 30
+        for row, base_row in zip(rows, base_rows):
+            for value, want, scale in zip(row, base_row,
+                                          (c, 1.0, 1.0, 1.0 / tau)):
+                assert close(value, scale * want), (c, tau, row)
 
 
 def test_audit_artifact(tmp_path):

@@ -375,11 +375,11 @@ _STATES = ((1.0, 0.0, 1.0, 0.0), (0.5, 0.5, 0.5, 0.5))
      "buffered=None, integrator=IntegratorSettings(rel_tol=1e-08, "
      "abs_tol=1e-10, max_step=inf, t_end=None), initial=None, sweep=None, "
      "audit_topology=None)"),
-    (DesignReport, (0.5, 0.125, 0.75, 0.9, 0.0625, _HAL, 1.4),
-     (0.5, 0.125, 0.75, 0.9, 0.0625, _HAL, 1.5),
+    (DesignReport, (0.5, 0.125, 0.75, 0.9, 0.0625, _HAL, 1.4, 1.0),
+     (0.5, 0.125, 0.75, 0.9, 0.0625, _HAL, 1.5, 1.0),
      "DesignReport(delta_v_inf=0.5, v2_inf=0.125, d2_star=0.75, s_bar=0.9, "
      "surplus_max=0.0625, _model=Haldane(mu_bar=2.0, K=1.0, K_I=0.08), "
-     "_S_in=1.4)"),
+     "_S_in=1.4, _D=1.0)"),
     (MultiplicityReport,
      (0.75, (0.25, 0.5), 0.75, "pivot_below_upper_break_even"),
      (0.75, None, 0.75, "pivot_below_upper_break_even"),
