@@ -132,7 +132,17 @@ def _cmd_domain(cfg: RunConfig, out: str, fmt: str) -> list[str]:
 
 
 def _cmd_design(cfg: RunConfig, out: str, fmt: str) -> list[str]:
-    report = design.buffer_design(cfg.model, cfg.S_in, cfg.D)
+    # the configured feed, then the feed swept over (upper break-even,
+    # 15/7 S_in], a range in the feed's own unit that ends at 3 for the
+    # README's S_in = 1.4, to compare the two cures at each level; with
+    # no upper break-even the sweep refuses S_in itself
+    window = cfg.model.break_even(cfg.D)
+    feeds = []
+    if window is not None and window.has_finite_upper:
+        lo, hi = window.upper, cfg.S_in * 15.0 / 7.0
+        feeds = [lo + k * (hi - lo) / _COMPARISON_POINTS
+                 for k in range(1, _COMPARISON_POINTS + 1)]
+    report, *rows = design.design_sweep(cfg.model, cfg.D, [cfg.S_in, *feeds])
     payload = {
         "S_in": cfg.S_in,
         "D": cfg.D,
@@ -144,20 +154,10 @@ def _cmd_design(cfg: RunConfig, out: str, fmt: str) -> list[str]:
     }
     json_path = os.path.join(out, "design.json")
     io.write_json(json_path, payload)
-
-    # sweep the feed over (upper break-even, 15/7 S_in], a range in the
-    # feed's own unit that ends at 3 for the README's S_in = 1.4, and
-    # compare the two cures at each level
-    window = cfg.model.break_even(cfg.D)
-    assert window is not None and window.has_finite_upper
-    lo, hi = window.upper, cfg.S_in * 15.0 / 7.0
-    feeds = [lo + k * (hi - lo) / _COMPARISON_POINTS
-             for k in range(1, _COMPARISON_POINTS + 1)]
-    rows = [(feed, row.delta_v_inf, row.v2_inf, row.d2_star) for feed, row
-            in zip(feeds, design.design_sweep(cfg.model, cfg.D, feeds))]
     csv_path = os.path.join(out, "design_comparison.csv")
     io.write_csv(csv_path, ["S_in", "delta_v_inf", "v2_inf", "d2_star"],
-                 rows)
+                 [(feed, row.delta_v_inf, row.v2_inf, row.d2_star)
+                  for feed, row in zip(feeds, rows)])
     return [json_path, csv_path]
 
 

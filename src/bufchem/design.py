@@ -19,37 +19,34 @@ design_sweep is buffer_design at many feeds for one law and dilution
 rate, bit for bit.  The surplus's slope at feed F factors as
 
     -(D - mu(s)) - (F - s) mu'(s)  =  mu'(s) (T(s) - F),
-    T(s) = s + (mu(s) - D) / mu'(s),
+    T(s) = s + (mu(s) - D) / mu'(s).
 
-and T does not depend on the feed.  Where buffer_design scans the slope
-(a law with closed forms), one table of T on the scan's grid over
-(upper break-even, largest feed) serves every feed.  For Haldane, the
-one such law with an upper break-even, T is strictly increasing on
-(upper, inf): with h = K/s + 1 + s/K_I and c = D/mu_bar, T' > 0 reduces
-to c s^3 - 3 c K K_I s + (1 - c) K K_I^2 > 0, a cubic that increases
-past the peak sqrt(K K_I) and is positive there exactly when the window
-at D exists.  So T crosses each feed once, with T(upper) = upper below
-it, and mu' < 0 makes the slope positive before the crossing and
-negative after.  The table only chooses where to look: the feed's own
-2048-point grid is binary-searched with the true slope between the two
-samples around the crossing, and the bracket found is the scan's own,
-bisected as critical_levels bisects it.  So every sign the route acts
-on is the true slope's at the feed's own grid points.  Where the table
-cannot vouch for a feed, it takes its whole scan: a bracket whose ends
-do not change sign, an exact zero read by the search, and a bracket
-over which the slope changes by no more than its rounding noise, as
-for a feed a hair above the upper break-even, where rounding may flip
-signs the search does not read; and every feed, when the table's
-samples have mu' >= 0 or are not finite and strictly increasing, as
-rounding can make them for D a hair below the peak rate.
+For Haldane, the one law with closed forms and an upper break-even, T
+is strictly increasing on (upper, inf): with h = K/s + 1 + s/K_I and
+c = D/mu_bar, T' > 0 reduces to c s^3 - 3 c K K_I s + (1 - c) K K_I^2
+> 0, a cubic that increases past the peak sqrt(K K_I) and is positive
+there exactly when the window at D exists.  So T crosses each feed
+once, with T(upper) = upper below it, and mu' < 0 makes the slope
+positive before the crossing and negative after.  On the feed's own
+2048-point scan grid over (upper, F) the slope's signs are then one
+run of positives and one of negatives, so a binary search of that grid
+with the true slope, started from its two end samples, ends at the one
+pair of neighbours whose signs differ: the scan's one bracket, which
+is bisected as critical_levels bisects it.  Every sign the route acts
+on is the true slope's at the feed's own grid points.  Where rounding
+may break the single sign change, the feed takes its whole scan: the
+end samples do not change sign, as for a feed whose level lies within
+half a grid step of an end; the search reads an exact zero; or the
+slope changes by no more than its rounding noise over the bracket
+found, as for a feed a hair above the upper break-even or D a hair
+below the peak rate, where rounding may flip signs the search does not
+read.
 """
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional
 
-from ._numerics import (_GRID, Record, _grid, bisect_root, critical_levels,
+from ._numerics import (_GRID, Record, bisect_root, critical_levels,
                         finite_positive, proxy_levels)
 from .kinetics import GrowthModel, closed_form
 
@@ -214,6 +211,11 @@ def _report(model: GrowthModel, S_in: float, D: float,
     """The design at S_in from _checked's values and the critical levels
     of the surplus on (upper, S_in)."""
     delta_v_inf, _, mu_feed, s_bar = checked
+    if not levels:
+        raise ValueError("surplus slope shows no sign change on the scan "
+                         "grid over (upper break-even, S_in): its level lies "
+                         "within half a grid step of an end, or the slope "
+                         "there is rounding noise")
     # each maximum is the largest value at the critical levels of its
     # curve's closed-form slope.  The surplus vanishes at both ends of
     # (upper, S_in); the capacity at the end s_bar is mu(S_in) (S_in - s_bar).
@@ -241,8 +243,9 @@ def buffer_design(model: GrowthModel, S_in: float, D: float) -> DesignReport:
     clause otherwise.
     """
     checked = _checked(model, S_in, D)
-    # Haldane keeps the surplus scan: on the proxy, the benchmark's faster
-    # sweep records more items per run and its peak memory rises past 5%
+    # Haldane keeps the surplus scan: design_sweep's search here makes the
+    # benchmark's sweep 2.04x faster, but it then records more items per
+    # run and its peak memory rises by 16%, past the 5% bound
     levels = (critical_levels if closed_form(model) else proxy_levels)(
         _surplus_slope(model, S_in, D), checked[1], S_in)
     return _report(model, S_in, D, checked, levels)
@@ -252,65 +255,36 @@ def design_sweep(model: GrowthModel, D: float,
                  feeds: Iterable[float]) -> list[DesignReport]:
     """[buffer_design(model, F, D) for F in feeds], bit for bit.
 
-    A law with closed forms reads every feed's surplus level from one
-    table of T(s) = s + (mu(s) - D) / mu'(s): the surplus's slope at
-    feed F is mu'(s) (T(s) - F), and T crosses F once.  The table picks
-    the two samples around the crossing, the feed's own grid is
-    binary-searched between them with the true slope, and the bracket
-    found, the scan's own, is bisected as the scan bisects it.  A feed
-    the table cannot vouch for takes its whole scan (see the module
+    A law with closed forms reads each feed's surplus level by binary
+    search of the feed's own scan grid with the true slope, and bisects
+    the bracket found, the scan's own, as the scan bisects it.  A feed
+    the search cannot vouch for takes its whole scan (see the module
     docstring).  Every other law calls buffer_design once per feed.
-    Every feed is checked first, with buffer_design's named errors.
     """
-    feeds = list(feeds)
-    if not (closed_form(model) and feeds):
+    if not closed_form(model):
         return [buffer_design(model, F, D) for F in feeds]
-    checks = [_checked(model, F, D) for F in feeds]
-    upper = checks[0][1]
-    table = _slope_table(model, D, upper, max(feeds))
     reports = []
-    for F, checked in zip(feeds, checks):
+    for F in feeds:
+        checked = _checked(model, F, D)
         g = _surplus_slope(model, F, D)
-        levels = None if table is None else _table_levels(g, table, F, D)
+        levels = _searched_levels(g, checked[1], F, D)
         if levels is None:
-            levels = critical_levels(g, upper, F)
+            levels = critical_levels(g, checked[1], F)
         reports.append(_report(model, F, D, checked, levels))
     return reports
 
 
-def _slope_table(model: GrowthModel, D: float, upper: float, top: float):
-    """T on the scan's grid over (upper, top), led by T(upper) = upper:
-    (levels, values), or None unless mu' < 0 and T is finite and
-    strictly increasing over the samples."""
-    mu, mu_p = model._rate_raw, model._rate_prime_raw
-    levels = [upper, *_grid(upper, (top - upper) / _GRID, range(_GRID))]
-    values = [upper]
-    for s in levels[1:]:
-        slope = mu_p(s)
-        t = s + (mu(s) - D) / slope if slope < 0.0 else math.nan
-        if not values[-1] < t < math.inf:
-            return None
-        values.append(t)
-    return levels, values
-
-
-def _table_levels(g, table, S_in: float, D: float) -> Optional[list[float]]:
+def _searched_levels(g, upper: float, S_in: float,
+                     D: float) -> Optional[list[float]]:
     """critical_levels(g, upper, S_in) for the surplus slope g at feed
-    S_in, from _slope_table's table: T crosses S_in once, and the feed's
-    grid is searched around the crossing.  None where the table cannot
-    vouch for it: the bracket's ends, one grid point past the table's
-    samples on each side, do not change sign, the search reads an exact
-    zero, or the slope changes by at most _SLOPE_NOISE D over the bracket
-    found, where its rounding may flip signs the search does not read."""
-    levels, values = table
-    upper = levels[0]
-    j = bisect_right(values, S_in)
-    if j == len(values):
-        return None
+    S_in, by binary search of the scan's grid from its two end samples.
+    None where the search cannot vouch for it: the ends do not change
+    sign, the search reads an exact zero, or the slope changes by at most
+    _SLOPE_NOISE D over the bracket found, where its rounding may flip
+    signs the search does not read."""
     step = (S_in - upper) / _GRID
     at = lambda i: upper + step * (i + 0.5)
-    lo = max(bisect_right(range(_GRID), levels[j - 1], key=at) - 2, 0)
-    hi = min(bisect_left(range(_GRID), levels[j], key=at) + 1, _GRID - 1)
+    lo, hi = 0, _GRID - 1
     v_lo, v_hi = g(at(lo)), g(at(hi))
     if v_lo == 0.0 or v_hi == 0.0 or (v_lo > 0.0) == (v_hi > 0.0):
         return None

@@ -1,5 +1,4 @@
 """Volume sizing: enlargement ratio versus a dedicated side tank."""
-import bisect
 import math
 import random
 
@@ -647,43 +646,63 @@ def _outcome(call):
         return str(error)
 
 
-def test_design_sweep_scans_every_feed_when_the_table_is_not_increasing():
-    # D a hair below the peak rate: T is strictly increasing, but rounding
-    # puts its table's first sample below T(upper) = upper, so the table
-    # vouches for nothing and every feed takes its whole scan.  A feed
-    # within one table step of upper finds no level there, and both routes
-    # raise alike
+def test_design_sweep_scans_every_feed_a_hair_below_the_peak_rate():
+    # D a hair below the peak rate: over each feed's grid the slope is
+    # below 1e-12 D, rounding noise, so the search vouches for no bracket
+    # and every feed takes its whole scan.  A feed (top - upper) / 4096
+    # above upper finds no level there, and both routes raise alike
     model, D = Haldane(1.0, 0.0009630061764936394,
                        7571.714491977344), 0.9992872491162669
     upper = model.break_even(D).upper
     top = 2.7005304583989256
-    assert design._slope_table(model, D, upper, top) is None
     feeds = [upper + (top - upper) * k / 8 for k in range(1, 9)]
+    for feed in feeds:
+        g = design._surplus_slope(model, feed, D)
+        assert design._searched_levels(g, upper, feed, D) is None
     assert design_sweep(model, D, feeds) == _loop(model, D, feeds)
     near = upper + (top - upper) / 4096
     assert _outcome(lambda: design_sweep(model, D, [near, top])) == (
         _outcome(lambda: _loop(model, D, [near, top])))
 
 
-def test_table_levels_hand_back_a_bracket_without_a_clean_sign_change(
+def test_surplus_slope_without_a_sign_change_raises_a_named_error(
+        reference_model):
+    # the README law at S_in 2e7, whose level lies below its grid's first
+    # point, and the feed (top - upper) / 4096 above upper of the test
+    # above, whose slope is rounding noise: the scan finds no level, and
+    # both routes name the cause
+    model = Haldane(1.0, 0.0009630061764936394, 7571.714491977344)
+    D = 0.9992872491162669
+    upper = model.break_even(D).upper
+    near = upper + (2.7005304583989256 - upper) / 4096
+    for law, D, feed in [(reference_model, 1.0, 2e7), (model, D, near)]:
+        g = design._surplus_slope(law, feed, D)
+        assert critical_levels(g, law.break_even(D).upper, feed) == []
+        message = _outcome(lambda: buffer_design(law, feed, D))
+        assert message.startswith("surplus slope shows no sign change")
+        assert _outcome(lambda: design_sweep(law, D, [feed])) == message
+
+
+def test_searched_levels_hand_back_a_bracket_without_a_clean_sign_change(
         reference_model):
     # the search gives a feed back to its scan when the slope shows no
-    # sign change across the table's bracket, when it reads an exact zero
-    # there, and when T never reaches the feed on the table
-    feeds = _readme_feeds(reference_model)
+    # sign change across its grid's ends, when it reads an exact zero
+    # between them, when the slope changes by at most _SLOPE_NOISE D over
+    # the bracket found, and when the level lies below the grid's first
+    # point
     upper = reference_model.break_even(1.0).upper
-    table = design._slope_table(reference_model, 1.0, upper, feeds[-1])
-    levels, values = table
-    feed = feeds[10]
-    j = bisect.bisect_right(values, feed)
-    a, b = levels[j - 1], levels[j]
+    feed = _readme_feeds(reference_model)[10]
+    step = (feed - upper) / _GRID
+    a, b = upper + step * 0.5, upper + step * (_GRID - 0.5)
+    noise = 0.5 * design._SLOPE_NOISE
     for g in (lambda s: 1.0, lambda s: -1.0, lambda s: 0.0,
-              lambda s: 1.0 if s <= a else -1.0 if s >= b else 0.0):
-        assert design._table_levels(g, table, feed, 1.0) is None
+              lambda s: 1.0 if s <= a else -1.0 if s >= b else 0.0,
+              lambda s: noise if s < 0.5 * (a + b) else -noise):
+        assert design._searched_levels(g, upper, feed, 1.0) is None
     true_slope = design._surplus_slope(reference_model, feed, 1.0)
-    assert design._table_levels(true_slope, table, feed, 1.0) is not None
-    assert design._table_levels(true_slope, table, 2.0 * values[-1],
-                                1.0) is None
+    assert design._searched_levels(true_slope, upper, feed, 1.0) is not None
+    far = design._surplus_slope(reference_model, 2e7, 1.0)
+    assert design._searched_levels(far, upper, 2e7, 1.0) is None
 
 
 def test_design_sweep_bisects_the_scans_own_brackets(reference_model,
@@ -715,9 +734,8 @@ def test_design_sweep_bisects_the_scans_own_brackets(reference_model,
             critical_levels(g, upper, feed)
         scanned = brackets[:]
         brackets.clear()
-        table = design._slope_table(model, D, upper, max(feeds))
         for feed, g in zip(feeds, levels):
-            assert design._table_levels(g, table, feed, D) is not None
+            assert design._searched_levels(g, upper, feed, D) is not None
         assert brackets == scanned
 
 
@@ -738,7 +756,7 @@ def test_design_sweep_raises_the_named_errors(reference_model):
     assert design_sweep(reference_model, 1.0, []) == []
 
 
-def test_design_sweep_takes_a_fifth_of_the_loops_rate_calls(
+def test_design_sweep_takes_a_25th_of_the_loops_rate_calls(
         reference_model, monkeypatch):
     # mu and mu' counted on the class, so the law stays an exact Haldane
     calls = []
@@ -755,4 +773,4 @@ def test_design_sweep_takes_a_fifth_of_the_loops_rate_calls(
     loop_calls = len(calls)
     calls.clear()
     design_sweep(reference_model, 1.0, feeds)
-    assert len(calls) <= loop_calls / 5
+    assert len(calls) <= loop_calls / 25
