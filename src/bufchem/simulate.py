@@ -34,15 +34,15 @@ certified candidate or the dwell verdict.  The dwell rule: a run has
 settled on a candidate state when its last state is within eps
 (sup-norm) of it and every state of the last 10% of the run, by time,
 stayed within 2*eps.  The certificate: basin_probe gives each candidate
-that is a sink of a certified system (a single vessel of an exact
-Haldane, Monod or CustomUnimodal law; a buffered system of an exact
-Haldane or Monod law) a capture box, a box in each vessel's substrate
-and mass excess s + x - S_in from which the system provably ends
-within eps of it (_capture), and a run settles on the first state
-inside one.  The rule is written out too, per state size
-and number of candidates: per candidate, the capture test (each
-vessel's |s - s*| and |s + x - S_in| against the box's bounds) and the
-dwell rule; the first candidate that passes wins.  detect_convergence
+that is a sink of a system of an exact Haldane, Monod or CustomUnimodal
+law, single or buffered, a capture region, ranges of each vessel's
+substrate and mass excess s + x - S_in from which the system provably
+ends within eps of it, certified from values of mu (_capture), and a
+run settles on the first state inside one.  The rule is written out
+too, per state size and number of candidates: per candidate, the
+capture test (a <= s <= b and z_lo <= s + x - S_in <= z_hi for each
+vessel, an end no face needs being infinite) and the dwell rule; the
+first candidate that passes wins.  detect_convergence
 applies the dwell rule alone to a stored trajectory; basin_probe hands
 the whole rule to integrate as the stop condition, checked after each
 accepted step, and resets it between runs.
@@ -56,7 +56,7 @@ import operator
 from itertools import chain, repeat
 from typing import Callable, Optional, Sequence, Union
 
-from ._numerics import Record, bisect_root, finite_positive
+from ._numerics import Record, finite_positive
 from .buffered import BufferedConfig
 from .kinetics import CLOSED_FORMS, closed_form, declared_peak
 from .single import SingleParams
@@ -399,30 +399,31 @@ _VESSELS = {2: ((0, 1),), 4: ((0, 1), (2, 3))}
 # last place of the size of each quantity it bounds, which is some ten
 # times the rounding of the few operations behind any of them
 _SLACK = 2.0 ** -44
-# the capture box's ladder of half-widths, in units of S_in: 2^-j
+# the capture region's ladder of steps from the candidate, in units of
+# S_in: 2^-j
 _LADDER = tuple(2.0 ** -j for j in range(1, 64))
+# the halvings the sign certificate of one stretch of the main vessel's
+# range may take before that stretch is given up
+_HALVINGS = 64
+# a capture test that no state passes: the empty ranges (+inf, -inf)
+_EMPTY = (math.inf, -math.inf) * 2
 
 
 class _Capture(Record):
-    """A certified capture box of a candidate y*: the states with |s_i -
-    s_i*| <= widths[i] and |s_i + x_i - feed| <= masses[i] for each vessel
-    i of _VESSELS, feed the system's S_in.  Both bounds allow for the
-    rounding of their tests.  rate is the main vessel's contraction in a
-    buffered system: in the box ds_1'/ds_1 <= -rate at fixed mass excess
-    s_1 + x_1 - feed; a single vessel, driven by the feed alone, has
-    none (None)."""
+    """A certified capture region of a candidate y*: the states with a_i
+    <= s_i <= b_i and z_lo_i <= s_i + x_i - feed <= z_hi_i, with (a_i,
+    b_i, z_lo_i, z_hi_i) = regions[i], for each vessel i of _VESSELS,
+    feed the system's S_in.  An end of z that no face needs is infinite;
+    each finite one allows for the rounding of its test."""
     feed: float
-    widths: tuple
-    masses: tuple
-    rate: Optional[float]
+    regions: tuple
 
 
 def _capture(n: int, constants: tuple, model, peak: float, eps: float
              ) -> Callable[[State], Optional[_Capture]]:
-    """box(ref): the certified capture box of a candidate ref of one
+    """box(ref): the certified capture region of a candidate ref of one
     basin_probe call, or None.  peak is the law's peak abscissa (math.inf
-    for a law that rises for ever); over 4-component states model is an
-    exact Haldane or Monod law.
+    for a law that rises for ever).
 
     In each vessel's substrate s and mass excess z = s + x - S_in both
     systems are a cascade (Smith and Waltman, The Theory of the Chemostat,
@@ -430,56 +431,72 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
         s' = g(s, z, u) = -mu(s) (S_in + z - s) + k (u - s),
     z' = -k z, with u = S_in and k = D (single vessel) or alpha D
     (buffer); in the main vessel k = D / r, u = c s_2 + (1 - c) S_in with
-    c = alpha (1 - r), and z_1' = k (c z_2 - z_1).  Every certified
+    c = alpha (1 - r), and z_1' = k (c z_2 - z_1).  A region is s in [a,
+    b], z in [z_lo, z_hi] for each vessel.  g is affine in z and in u, and
+    its z term is -mu(s) x with x = S_in + z - s >= 0, so one value of mu
+    and the worst corner decide each face: s = b needs z >= z_lo, s = a
+    needs z <= z_hi.  At a = 0 there is no face, since g = k u > 0 there,
+    and z_hi = +inf; where b exceeds every u the region allows, g <= k (u
+    - b) < 0 on s = b whatever x, and z_lo = -inf.  Every certified
     inequality below keeps _SLACK of the size of its terms to spare.
 
-    A vessel driven by the feed alone (the single vessel, the buffer)
-    reads only values of mu.  Its box |s - s*| <= sigma, |z| <= zeta, with
-    [a, b] = [max(s* - sigma, 0), s* + sigma], is certified when
+    A vessel driven by the feed alone (the single vessel, the buffer),
+    with [a, b] = [max(s* - sigma, 0), s* + sigma], is certified when
       1. [a, b] lies on one side of the peak, where mu is monotone;
-      2. g(b, -zeta) < 0 and g(a, zeta) > 0: g is affine in z, so mu(a)
-         and mu(b) decide (at a = 0, g = k S_in > 0);
+      2. g(b, z_lo) < 0 and g(a, z_hi) > 0 for z_lo = -0.9 margin(b) /
+         mu(b) and z_hi = 0.9 margin(a) / mu(a) (+inf at a = 0), margin
+         the face's |g| at z = 0: mu(a) and mu(b) decide;
       3. G(s) = g(s, 0) = (S_in - s)(k - mu(s)) falls through 0 across
          the bracket [s* - eps/4, s* + eps/4] (a saddle fails here, after
          two values of mu), and |x* - (S_in - s*)| <= eps/4.
-    By 2 the box is forward invariant (Nagumo) and z -> 0.  On [a, b], mu
-    is strictly monotone by 1 (the law's class), so G has at most one
-    zero where mu = k and one at S_in, and two distinct zeros would give
-    G(a) and G(b) one sign: by 2, G has exactly one zero in [a, b], the
-    one 3 brackets, so the box holds S_in only when that zero is S_in.
-    The limit equation s' = G(s) drives all of [a, b] to it, and so does
-    the asymptotically autonomous one (Markus 1956; Thieme 1992): each
-    run ends within eps/4 of s* and, by 3, within eps/2 of y*.  For a
-    CustomUnimodal law the declared peak is an assumption of 1.
+    On [a, b], mu is strictly monotone by 1 (the law's class), so G has
+    at most one zero where mu = k and one at S_in, and two distinct zeros
+    would give G(a) and G(b) one sign: by 2, G has exactly one zero in [a,
+    b], the one 3 brackets, so the region holds S_in only when that zero
+    is S_in.  For a CustomUnimodal law the declared peak is an assumption
+    of 1.
 
-    The main vessel of a buffered system (exact Haldane or Monod only)
-    keeps a contraction certificate: its box is certified when
-      4. g < 0 on s = s* + sigma and g > 0 on s = s* - sigma, for every
-         |z| <= zeta and every u the buffer's box allows (g is affine in
-         both: the worst corner decides); below s = 0 the face is s = 0,
-         where g = k u > 0;
-      5. dg/ds = mu_bar R(s) / den(s)^2 - k - mu'(s) z <= -c < 0 on the
-         box, with R / den^2 bounded in closed form (below) and |mu'| at
-         the ends of the range of s;
-      6. zeta_1 >= c zeta_2, so that z_1' <= 0 on z_1 = zeta_1;
-      7. |x* - (S_in - s*)| <= eps/4, and the zero of g(., 0, u) lies
-         within eps/4 of s*: within (|g(s*, 0, u*)| + k c e_2) / c of it,
-         e_2 the distance from s_2* to the far end of the buffer's bracket
-         of 3, bisected down to a few units in the last place.
-    By 4 and 6 the box is forward invariant.  In it z -> 0, and by 4 and
-    5 g(., 0, u) has one zero s_eq(u) there.  w = s - s_eq(u_eq) has w' =
-    (dg/ds) w + g(s_eq, z, u) - g(s_eq, 0, u_eq), whose last part vanishes
-    as z -> 0 and the buffer settles, so w -> 0 (Gronwall): the vessel
-    ends at s_eq, x = S_in - s_eq, within eps/2 of y* by 7.
+    The main vessel of a buffered system, with the buffer's region and
+    the bracket [lo_2, hi_2] about s_2* of 3 bisected to where G's sign
+    stops being sure, is certified when
+      4. s = b and, unless a = 0, s = a point inward at their worst
+         corners: z = z_lo (z_hi) and u at the end of the buffer's range
+         of s_2;
+      5. c z_2_hi <= z_1_hi and c z_2_lo >= z_1_lo, so z_1 stays in its
+         range;
+      6. g(., 0, u) > 0 on [a, s* - eps/4] for u >= u(lo_2), and < 0 on
+         [s* + eps/4, b] for u <= u(hi_2) (affine in u: the end decides),
+         and |x* - (S_in - s*)| <= eps/4.
+    6 takes pieces on one side of the peak, where mu lies between its
+    values at the ends, so that k (u - d) - mu(s) (S_in - s) at its worst
+    bounds g on the piece [e, d]; a piece whose bound leaves the sign
+    unsure is halved, and a value of mu with the wrong sign ends the
+    stretch.  So the region may cross the peak, start at 0 and end past
+    the feed.
 
-    One rule sizes each box: zeta is 9/10 of the least |z| that uses up a
-    face's margin (or, in the main vessel, the contraction at z = 0), and
-    sigma the level S_in 2^-j, walking down from the first that fits,
-    past which zeta stops growing.  The main vessel is sized first at a
-    fixed input.  The buffer's spread may take half its least face
-    margin; at each of the buffer's levels the main vessel's zeta is
-    taken again with that spread, and the zeta the rule compares is the
-    buffer's under the cap of 6, the z_2 a run may enter with.
+    Proof.  By 2, 4 and 5 each face of the closed region, and of x >= 0,
+    points inward, so the region is forward invariant (Nagumo), and in it
+    z -> 0.  A vessel driven by the feed alone ends at its zero of G, so
+    within eps/4 of s*: the limit equation s' = G(s) drives all of [a, b]
+    there, and so does the asymptotically autonomous one (Markus 1956;
+    Thieme 1992).  The buffer's zero lies in [lo_2, hi_2], so u tends to
+    some u* in [u(lo_2), u(hi_2)], and s_1 is asymptotically autonomous
+    with limit flow s' = g(s, 0, u*).  Its omega-limit set in [a, b] is
+    compact, connected, invariant and internally chain transitive for the
+    limit flow (Mischaikow, Smith and Thieme, Trans. AMS 347 (1995)
+    1669): an interval whose ends are zeros of g(., 0, u*), which by 6 lie
+    in [s* - eps/4, s* + eps/4].  Each run ends within eps/4 of s* and,
+    as x -> S_in - s, within eps/2 of y*, with no contraction rate.
+
+    Sizing.  A single vessel takes the level sigma = S_in 2^-j past which
+    the lesser of |z_lo| and z_hi stops growing, walking down from the
+    first that fits.  The main vessel's ends walk out the ladders s* -
+    S_in 2^-j, then 0, and s* + 2 S_in 2^-j while 6 reaches them, one
+    value of mu each; walking back from the farthest, each side takes
+    the end past which its face's z end at the bracket's u stops growing
+    (0, or a b past that u, at once).  The buffer takes the level of its
+    ladder whose lesser z end under 5's caps is largest, the main
+    vessel's z ends taken from 4 at each level.
     """
     S_in = constants[0]
     mu = model._rate_raw
@@ -487,18 +504,14 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
     # [a, b] must end this far short of the peak, or start this far past it
     below, above = peak * (1.0 - _SLACK), peak * (1.0 + _SLACK)
 
-    def ladder(fit: Callable[[float], Optional[tuple]], top: float
+    sigmas = [S_in * level for level in _LADDER if S_in * level >= eps]
+
+    def ladder(fit: Callable[[float], Optional[tuple]]
                ) -> Optional[tuple[float, tuple]]:
-        # (sigma, fit(sigma)) of the level at most top past which zeta,
-        # fit's first entry, stops growing, walking down from the first
-        # level that fits
+        # (sigma, fit(sigma)) of the level past which zeta, fit's first
+        # entry, stops growing, walking down from the first level that fits
         best = None
-        for level in _LADDER:
-            sigma = S_in * level
-            if sigma > top:
-                continue
-            if sigma < eps:
-                break
+        for sigma in sigmas:
             got = fit(sigma)
             if got is not None and (best is None or got[0] > best[1][0]):
                 best = sigma, got
@@ -518,33 +531,33 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
         lo, hi = (s_ - quarter if s_ > quarter else 0.0), s_ + quarter
         return (lo, hi) if flow(lo, k) > 0.0 > flow(hi, k) else None
 
-    def fed(s_: float, k: float, sigma: float) -> Optional[tuple[float]]:
-        # (zeta,) of the box of half-width sigma about s_ of a vessel
-        # driven by the feed alone (1 and 2), or None
+    def fed(s_: float, k: float, sigma: float) -> Optional[tuple]:
+        # (zeta, region) of the region about s_ of a vessel driven by the
+        # feed alone, zeta the lesser size of its z ends (1 and 2), or None
         b, a = s_ + sigma, (s_ - sigma if s_ > sigma else 0.0)
         if not (b <= below or a >= above):
             return None
         m_a, m_b = (mu(a) if a > 0.0 else 0.0), mu(b)
         up = (m_b - k) * (S_in - b) - _SLACK * (m_b + k) * (S_in + b)
         low = (k - m_a) * (S_in - a) - _SLACK * (k + m_a) * (S_in + a)
-        # a face where mu rounds to 0 (far past the peak) gets no box
+        # a face where mu rounds to 0 (far past the peak) gets no region
         if not (up > 0.0 and low > 0.0 and m_b > 0.0
                 and (m_a > 0.0 or a == 0.0)):
             return None
-        zeta = up / m_b
-        if a > 0.0 and low < zeta * m_a:
-            zeta = low / m_a
-        return (0.9 * zeta,)
+        z_lo, z_hi = up / m_b, (low / m_a if a > 0.0 else math.inf)
+        return (z_lo if z_lo < z_hi else z_hi,
+                (a, b, -0.9 * z_lo, 0.9 * z_hi))
 
     def balanced(ref: State, s: int, x: int) -> bool:
         # the vessel's mass excess at the candidate is within eps/4 of 0
         return (abs(ref[x] - (S_in - ref[s])) + _SLACK * (S_in + ref[x])
                 <= quarter)
 
-    def bounds(s_: float, sigma: float, zeta: float) -> tuple[float, float]:
-        # the tests' own rounding comes off each bound
-        return (sigma * (1.0 - _SLACK),
-                zeta - _SLACK * (2.0 * S_in + s_ + sigma + zeta))
+    def tested(region: tuple) -> tuple:
+        # the mass test's own rounding comes off each z end
+        a, b, z_lo, z_hi = region
+        pad = _SLACK * (2.0 * S_in + b)
+        return a, b, z_lo * (1.0 - _SLACK) + pad, z_hi * (1.0 - _SLACK) - pad
 
     if n == 2:
         D = constants[1]
@@ -552,78 +565,71 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
         def box(ref: State) -> Optional[_Capture]:
             if bracket(ref[0], D) is None or not balanced(ref, 0, 1):
                 return None
-            got = ladder(lambda sigma: fed(ref[0], D, sigma), S_in)
+            got = ladder(lambda sigma: fed(ref[0], D, sigma))
             if got is None:
                 return None
-            width, mass = bounds(ref[0], got[0], got[1][0])
-            return _Capture(S_in, (width,), (mass,), None)
+            return _Capture(S_in, (tested(got[1][1]),))
 
         return box
 
-    _, d_r, cross, direct, a_d = constants
-    mu_bar, K = model._values()[:2]
-    q = 1.0 / getattr(model, "K_I", math.inf)  # a law without K_I: q = 0
-    # R = A s^2 + 2 K s - K S_in with A = 1 + q S_in, den = K + s + q s^2
-    # (the terms in s^3 cancel).  (R / den^2)' has the sign of
-    #     p(s) = K (K + S_in) + 3 K q S_in s - 3 K q s^2 - A q s^3,
-    # concave on s >= 0 with p(0) > 0, so it changes sign once on s > 0:
-    # at the crest, a simple root, whose rounding moves R / den^2 only at
-    # second order.  It is bisected in units of S_in, where p / S_in^2
-    # does not depend on the unit of substrate, to full precision
-    A = 1.0 + q * S_in
-    crest_at, crest = math.inf, 0.0  # a law without K_I rises for ever
-    if q > 0.0:
-        p0, p1, p3 = K * (K + S_in), 3.0 * K * q * S_in ** 2, A * q * S_in ** 3
+    _, k, cross, direct, a_d = constants
+    m_peak = mu(peak) if peak < math.inf else 0.0
 
-        def p(t: float) -> float:
-            return p0 + t * (p1 - t * (p1 + p3 * t))
+    def g(s: float, m: float, u: float) -> float:
+        # g(s, 0, u) of the main vessel, m = mu(s)
+        return k * (u - s) - m * (S_in - s)
 
-        t_hi = 1.0
-        while p(t_hi) >= 0.0:
-            t_hi *= 2.0
-        crest_at = S_in * bisect_root(p, 0.0, t_hi, 0.0)
-        crest = mu_bar * (A * crest_at * crest_at + 2.0 * K * crest_at
-                          - K * S_in) / (K + crest_at + q * crest_at ** 2) ** 2
+    def signed(p: float, q: float, m_p: float, m_q: float, u: float,
+               sign: float) -> bool:
+        # 6 on the piece between p and q, on one side of the peak: sign g(.,
+        # 0, u) > 0 there, halving the piece nearest p first
+        pieces = [(p, q, m_p, m_q)]
+        left = _HALVINGS
+        while pieces:
+            p, q, m_p, m_q = pieces.pop()
+            lo, hi = (p, q) if p < q else (q, p)
+            least, most = (m_p, m_q) if m_p < m_q else (m_q, m_p)
+            # mu(s) (S_in - s) at its largest (sign > 0) or least
+            if sign > 0.0:
+                worst = k * (u - hi) - (most if S_in >= lo else least) * (
+                    S_in - lo)
+            else:
+                worst = (least if S_in >= hi else most) * (S_in - hi) - k * (
+                    u - lo)
+            if worst > _SLACK * (k * (u + hi) + most * (S_in + hi)):
+                continue
+            mid = 0.5 * (p + q)
+            left -= 1
+            if left < 0 or mid == p or mid == q:
+                return False
+            m = mu(mid)
+            if not sign * g(mid, m, u) > 0.0:
+                return False
+            pieces += ((mid, q, m, m_q), (p, mid, m_p, m))
+        return True
 
-    def fit(s_: float, u: float, du: float, sigma: float
-            ) -> Optional[tuple[float, float, float]]:
-        # (zeta, c, margin) of the main vessel's box of half-width sigma
-        # about s_, its input within du of u, or None; c0 is the
-        # contraction and margin g's least margin on the faces, both at
-        # z = 0
-        k = d_r
-        b, a = s_ + sigma, (s_ - sigma if s_ > sigma else 0.0)
-        # where R / den^2 is largest on [a, b]
-        v = a if crest_at < a else (b if crest_at > b else crest_at)
-        den_v = K + v + q * v * v
-        c0 = k * (1.0 - _SLACK) - mu_bar * (
-            A * v * v + 2.0 * K * v - K * S_in
-            + _SLACK * (A * b * b + 2.0 * K * b + K * S_in)) / (den_v * den_v)
-        if not c0 > 0.0:
-            return None
-        den_a, den_b = K + a + q * a * a, K + b + q * b * b
-        m_a, m_b = mu_bar * a / den_a, mu_bar * b / den_b
-        up = m_b * (S_in - b) - k * (u + du - b) - _SLACK * (
-            m_b * (S_in + b) + k * (u + du + b))
-        low = k * (u - du - a) - m_a * (S_in - a) - _SLACK * (
-            k * (u + du + a) + m_a * (S_in + a))
-        if not (up > 0.0 and low > 0.0):
-            return None
-        # |mu'| = mu_bar |K - q s^2| / den^2, and K - q s^2 falls on s >= 0
-        n_a, n_b = K - q * a * a, q * b * b - K
-        slope = mu_bar * (n_a if n_a > n_b else n_b) * (
-            1.0 + _SLACK) / (den_a * den_a)
-        zeta = c0 / slope
-        if up < zeta * m_b:
-            zeta = up / m_b
-        if a > 0.0 and low < zeta * m_a:
-            zeta = low / m_a
-        zeta *= 0.9
-        return zeta, c0 - slope * zeta, up if up < low else low
+    def reach(start: float, m_start: float, ends: list, u: float,
+              sign: float) -> list:
+        # the (end, mu(end)) of ends, in order away from start, up to
+        # which 6 holds from start on
+        got = []
+        for end in ends:
+            m_end = mu(end)
+            if not sign * g(end, m_end, u) > 0.0:
+                break
+            cuts = [(start, m_start), (end, m_end)]
+            if (start - peak) * (end - peak) < 0.0:
+                cuts.insert(1, (peak, m_peak))
+            if not all(signed(p, q, m_p, m_q, u, sign) for (p, m_p), (q, m_q)
+                       in zip(cuts, cuts[1:])):
+                break
+            got.append((end, m_end))
+            start, m_start = end, m_end
+        return got
 
     def tightest(lo: float, hi: float) -> tuple[float, float]:
         # the buffer's bracket with each end bisected toward the zero of G
-        # for as long as G's sign there is sure (e_2 of 7 reads it)
+        # for as long as G's sign there is sure
         def walk(end: float, far: float, sign: float) -> float:
             mid = 0.5 * (end + far)
             while end != mid != far:
@@ -636,70 +642,100 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
 
         return walk(lo, hi, 1.0), walk(hi, lo, -1.0)
 
+    def widest(ends: list, u: float, sign: float) -> tuple:
+        # the end of ends (in order away from the candidate) past which
+        # the face's z end, sign g(e, 0, u) / mu(e), stops growing, walking
+        # back from the farthest; infinite where the face needs no z end
+        best, size = None, -1.0
+        for e, m in reversed(ends):
+            if e == 0.0 or (sign < 0.0 and e > u):
+                return e, m
+            got = sign * g(e, m, u) / m if m > 0.0 else 0.0
+            if got <= size:
+                break
+            best, size = (e, m), got
+        return best
+
+    offsets = [S_in * level for level in reversed((2.0, 1.0) + _LADDER)
+               if S_in * level >= eps]
+
     def box(ref: State) -> Optional[_Capture]:
         s1, s2 = ref[0], ref[2]
         u = cross * s2 + direct * S_in
-        # the saddle tests: the buffer's bracket (3), then dg/ds of the
-        # main vessel at the candidate; a vessel that fails has no box,
-        # and none is sized
+        # the saddle tests: the buffer's bracket (3), then g's sign at the
+        # main vessel's bracket ends with the buffer at rest; a vessel
+        # that fails has no region, and none is sized
         found = bracket(s2, a_d)
-        if found is None or not (mu(s1) - d_r - model._rate_prime_raw(s1)
-                                 * (S_in - s1)) < 0.0:
+        if found is None:
             return None
-        if not (balanced(ref, 0, 1) and balanced(ref, 2, 3)):
+        a_in, b_in = (s1 - quarter if s1 > quarter else 0.0), s1 + quarter
+        m_in, m_out = mu(a_in), mu(b_in)
+        if not (g(a_in, m_in, u) > 0.0 > g(b_in, m_out, u)
+                and balanced(ref, 0, 1) and balanced(ref, 2, 3)):
             return None
-        # the main vessel at a fixed input; a box that holds the crest
-        # does not contract where k <= the crest
-        top = min(S_in, abs(crest_at - s1)) if d_r <= crest else S_in
-        main = ladder(lambda sigma: fit(s1, u, 0.0, sigma), top)
-        if main is None:
+        lo, hi = tightest(*found)
+        u_lo, u_hi = cross * lo + direct * S_in, cross * hi + direct * S_in
+        upper = reach(b_in, m_out, [s1 + d for d in offsets], u_hi, -1.0)
+        if a_in > 0.0:
+            lower = reach(a_in, m_in, [s1 - d for d in offsets if d < s1]
+                          + [0.0], u_lo, 1.0)
+        else:
+            lower = [(0.0, 0.0)]
+        if not (upper and lower):
             return None
-        cap = 0.5 * main[1][2] / (d_r * cross) if cross > 0.0 else S_in
+        a, m_a = widest(lower, u_lo, 1.0)
+        b, m_b = widest(upper, u_hi, -1.0)
 
         def pair(sigma: float) -> Optional[tuple]:
-            # (zeta_2 under 6's cap, the main vessel's fit) of the buffer's
-            # box of half-width sigma
-            spread, got = fed(s2, a_d, sigma), fit(s1, u, cross * sigma,
-                                                   main[0])
-            if spread is None or got is None:
+            # (the buffer's least z end under 5's caps, (the main vessel's
+            # region, the buffer's)) with the buffer's region about s2 at
+            # sigma, or None
+            got = fed(s2, a_d, sigma)
+            if got is None:
                 return None
-            zeta_2 = spread[0]
+            a2, b2, lo_2, hi_2 = got[1]
+            # 4: the main vessel's faces at the buffer's worst corners
+            v_lo, v_hi = cross * a2 + direct * S_in, cross * b2 + direct * S_in
+            z_lo = z_hi = math.inf
+            if b - v_hi <= _SLACK * (b + v_hi):
+                up = m_b * (S_in - b) - k * (v_hi - b) - _SLACK * (
+                    m_b * (S_in + b) + k * (v_hi + b))
+                if not (up > 0.0 and m_b > 0.0):
+                    return None
+                z_lo = 0.9 * up / m_b
+            if a > 0.0:
+                low = k * (v_lo - a) - m_a * (S_in - a) - _SLACK * (
+                    k * (v_lo + a) + m_a * (S_in + a))
+                if not (low > 0.0 and m_a > 0.0):
+                    return None
+                z_hi = 0.9 * low / m_a
             if cross > 0.0:
-                zeta_2 = min(zeta_2, got[0] / cross * (1.0 - _SLACK))
-            return zeta_2, got
+                scale = (1.0 - _SLACK) / cross
+                hi_2, lo_2 = min(hi_2, z_hi * scale), max(lo_2, -z_lo * scale)
+            return (-lo_2 if -lo_2 < hi_2 else hi_2,
+                    ((a, b, -z_lo, z_hi), (a2, b2, lo_2, hi_2)))
 
-        spread = ladder(pair, min(S_in, cap))
-        if spread is None:
+        fits = [got for got in map(pair, sigmas) if got is not None]
+        if not fits:
             return None
-        sigma_2, (zeta_2, (zeta, c, _)) = spread
-        lo, hi = tightest(*found)
-        m = mu(s1)
-        reach = (abs(d_r * (u - s1) - m * (S_in - s1))
-                 + _SLACK * (d_r * (u + s1) + m * (S_in + s1))
-                 + cross * d_r * max(s2 - lo, hi - s2)) / c
-        if not reach <= quarter:
-            return None
-        (w1, z1), (w2, z2) = (bounds(s1, main[0], zeta),
-                              bounds(s2, sigma_2, zeta_2))
-        return _Capture(S_in, (w1, w2), (z1, z2), c)
+        best = max(fits, key=operator.itemgetter(0))
+        return _Capture(S_in, tuple(map(tested, best[1])))
 
     return box
 
 
 def _captures(system, candidates: Sequence, eps: float
               ) -> list[Optional[_Capture]]:
-    """The capture box of each candidate of a basin_probe call, or None.
+    """The capture region of each candidate of a basin_probe call, or None.
 
-    A single vessel of an exact Haldane, Monod or CustomUnimodal law
-    (declared_peak) has boxes, and so has a buffered system of an exact
-    Haldane or Monod law; a subclass of any of them never does, nor a
-    callable law in the buffered system, whose main vessel needs the
-    closed form's contraction bound.
+    A system of an exact Haldane, Monod or CustomUnimodal law
+    (declared_peak), single or buffered, has regions; a subclass of any of
+    them never does.
     """
     sized = _constants(system)
     refs = list(map(_candidate_state, candidates))
     peak = declared_peak(system.model) if sized is not None else None
-    if peak is None or (sized[0] == 4 and closed_form(system.model) is None):
+    if peak is None:
         return [None] * len(refs)
     n, constants = sized
     box = _capture(n, constants, system.model, peak, eps)
@@ -710,12 +746,12 @@ def _captures(system, candidates: Sequence, eps: float
 
 def _capture_arguments(capture: Optional[_Capture], n: int) -> tuple:
     """A candidate's capture test in _settling_rule over n-component
-    states: the feed, then each vessel's width and mass bound.  Without a
-    capture box every width is -1, so the test never passes."""
+    states: the feed, then each vessel's a, b, z_lo and z_hi.  Without a
+    capture region every range is empty (+inf, -inf), so the test never
+    passes."""
     if capture is None:
-        return (0.0,) + (-1.0, -1.0) * len(_VESSELS.get(n, ()))
-    return (capture.feed,) + tuple(chain.from_iterable(
-        zip(capture.widths, capture.masses)))
+        return (0.0,) + _EMPTY * len(_VESSELS.get(n, ()))
+    return (capture.feed,) + tuple(chain.from_iterable(capture.regions))
 
 
 @functools.cache
@@ -725,17 +761,18 @@ def _settling_rule(n: int, m: int) -> Callable:
 
     _settling_rule(n, m)(*coordinates, *tests, eps, eps2, t0), given
     the candidates' coordinates, then each candidate's capture test (the
-    feed, then each vessel's width and mass bound: _capture_arguments)
+    feed, then each vessel's a, b, z_lo and z_hi: _capture_arguments)
     and eps2 = 2 * eps, returns (settled, label, reset) as _settling
     describes.  settled works on the state's components y_0, ... as
     locals and closes over the coordinates r{j}_{i} and the tests f_{j},
-    w{j}_{v}, z{j}_{v}; the far times far_{j} and the label are cells.
+    a{j}_{v}, b{j}_{v}, l{j}_{v}, h{j}_{v}; the far times far_{j} and the
+    label are cells.
     """
     coordinates = [f"r{j}_{i}" for j in range(m) for i in range(n)]
     vessels = _VESSELS.get(n, ())
     tests = [name for j in range(m) for name in (
         [f"f_{j}"] + [f"{v}{j}_{i}" for i in range(len(vessels))
-                      for v in ("w", "z")])]
+                      for v in ("a", "b", "l", "h")])]
     fars = [f"far_{j}" for j in range(m)]
     lines = [f"def factory("
              f"{', '.join(coordinates + tests + ['eps', 'eps2', 't0'])}):"]
@@ -749,10 +786,11 @@ def _settling_rule(n: int, m: int) -> Callable:
               "        t_cut = t - 0.1 * (t - t0)",
               "        hit = None"]
     for j in range(m):
-        # the capture box: each vessel's substrate, then its mass excess
+        # the capture region: each vessel's substrate, then its mass
+        # excess
         inside = " and ".join(
-            f"abs(y_{s} - r{j}_{s}) <= w{j}_{i} and"
-            f" abs(y_{s} + y_{x} - f_{j}) <= z{j}_{i}"
+            f"a{j}_{i} <= y_{s} <= b{j}_{i} and"
+            f" l{j}_{i} <= y_{s} + y_{x} - f_{j} <= h{j}_{i}"
             for i, (s, x) in enumerate(vessels)) or "False"
         lines += [f"        if hit is None and {inside}:",
                   f"            hit = {j}"]
@@ -794,7 +832,7 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
 
     settled(t, y) is fed the states of the run in time order.  It keeps
     the last time the run was over 2*eps from each candidate, records as
-    the label the first candidate that y lies in the capture box of
+    the label the first candidate that y lies in the capture region of
     (tests, parallel to candidates, holds their _capture_arguments; when
     empty, no candidate has one) or that is within eps of y with its
     last far time before t_cut = t - 0.1 * (t - t0), else None, and
@@ -851,21 +889,21 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     """Label each initial state with the candidate it converges to.
 
     A label is the certified candidate or the dwell verdict.  Once per
-    call, each candidate that is a sink gets a certified capture box
-    (bounds on each vessel's |s - s*| and mass excess |s + x - S_in| from
-    which the system provably ends within eps of it; see _capture) when
-    the system is a single vessel of an exact Haldane, Monod or
-    CustomUnimodal law, or a buffered system of an exact Haldane or
-    Monod law.  A vessel driven by the feed alone (the single vessel, the
-    buffer) is certified from values of mu on one side of the law's peak;
-    for a CustomUnimodal law that is its declared peak, which the box
-    takes as given.  The main vessel of a buffered system needs the
-    closed form's contraction bound.  Each run stops at the first
-    accepted state that lies in a capture box or where
-    detect_convergence's settling rule (the dwell rule) holds, and the
-    first candidate that passes either test wins.  Any other candidate,
-    law or system (a subclass of any law above included) relies on the
-    dwell rule alone.  eps = None means 1e-6 S_in, resolved against the
+    call, each candidate that is a sink gets a certified capture region
+    (ranges of each vessel's substrate s and mass excess s + x - S_in,
+    one-sided where a face needs only one end, from which the system
+    provably ends within eps of it; see _capture) when the system, single
+    or buffered, has an exact Haldane, Monod or CustomUnimodal law.  Each
+    region is certified from values of mu alone: a vessel driven by the
+    feed alone (the single vessel, the buffer) on one side of the law's
+    peak, and the main vessel of a buffered system by the sign of its
+    flow at rest, on pieces on one side of the peak; for a CustomUnimodal
+    law that is its declared peak, which the region takes as given.  Each
+    run stops at the first accepted state that lies in a capture region
+    or where detect_convergence's settling rule (the dwell rule) holds,
+    and the first candidate that passes either test wins.  Any other
+    candidate, law or system (a subclass of any law above included)
+    relies on the dwell rule alone.  eps = None means 1e-6 S_in, resolved against the
     system's feed, so the labels do not depend on the substrate unit.
     None marks unresolved runs (not settled by t_end, or stiffness
     failure).  Runs execute sequentially in input order, so output

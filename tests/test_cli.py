@@ -281,17 +281,17 @@ def _in_substrate_unit(c: float, r: str, tau: float = 1.0) -> str:
 def test_readme_config_in_a_smaller_substrate_unit(tmp_path, r):
     # the same chemostat with concentrations in a unit 100x or 1e4x
     # smaller: the same rest points times c, the same eigenvalues and the
-    # same basin of every start; in a unit 1e6x smaller, the same basin of
-    # every start, and in one 1e10x smaller the same single-vessel
-    # portrait
+    # same basin of every start; in a unit 1e6x or 1e8x smaller, the same
+    # basin of every start, and in one 1e10x smaller the same
+    # single-vessel portrait
     runs, maps, portraits = {}, {}, {}
-    for c in (1.0, 1e-2, 1e-4, 1e-6, 1e-10):
+    for c in (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
         out = tmp_path / repr(c)
         out.mkdir()
         (out / "run.ini").write_text(_in_substrate_unit(c, r))
         commands = {1.0: ("equilibria", "basin", "classify"),
-                    1e-6: ("basin",), 1e-10: ("classify",)}.get(
-                        c, ("equilibria", "basin"))
+                    1e-6: ("basin",), 1e-8: ("basin",),
+                    1e-10: ("classify",)}.get(c, ("equilibria", "basin"))
         for command in commands:
             result = run_cli(command, "--config", str(out / "run.ini"),
                              "--out", str(out))

@@ -724,24 +724,31 @@ def _callable_certified(unit: float = 1.0):
             yield system, candidates, j, capture
 
 
+@functools.cache
+def _callable_buffered_cases(unit: float = 1.0) -> tuple:
+    """(system, candidates, captures) of the README's buffered chemostat
+    at r 0.65, with the law as callables and substrate in units 1 / unit
+    of the README's: two stable rest points."""
+    cfg = BufferedConfig(_haldane_callables(12.0, 1.0 * unit, 0.08 * unit),
+                         1.4 * unit, 1.0, 0.35, 0.65)
+    candidates = [e for e in find_equilibria(cfg)
+                  if e.branch == BRANCH_POSITIVE and e.tag == "stable"]
+    return ((cfg, candidates,
+             simulate._captures(cfg, candidates, 1e-6 * unit)),)
+
+
+def _callable_buffered_certified(unit: float = 1.0):
+    """(system, candidates, index, capture) of each sink of
+    _callable_buffered_cases, every one of which is certified."""
+    for system, candidates, captures in _callable_buffered_cases(unit):
+        assert len(candidates) == 2 and None not in captures, system
+        for j, capture in enumerate(captures):
+            yield system, candidates, j, capture
+
+
 def _all_certified(unit: float = 1.0):
-    return itertools.chain(_certified(unit), _callable_certified(unit))
-
-
-def _jacobian(system, y):
-    """J(y) from the model equations, apart from simulate's own."""
-    mu, slope = system.model.rate, system.model.rate_prime
-    if isinstance(system, SingleParams):
-        s, x = y
-        D = system.D
-        return [[-slope(s) * x - D, -mu(s)], [slope(s) * x, mu(s) - D]]
-    s1, x1, s2, x2 = y
-    d_r, a_d = system.D / system.r, system.alpha * system.D
-    cross = system.alpha * (1.0 - system.r)
-    return [[-slope(s1) * x1 - d_r, -mu(s1), d_r * cross, 0.0],
-            [slope(s1) * x1, mu(s1) - d_r, 0.0, d_r * cross],
-            [0.0, 0.0, -slope(s2) * x2 - a_d, -mu(s2)],
-            [0.0, 0.0, slope(s2) * x2, mu(s2) - a_d]]
+    return itertools.chain(_certified(unit), _callable_certified(unit),
+                           _callable_buffered_certified(unit))
 
 
 def _vessels(system) -> tuple:
@@ -761,20 +768,35 @@ def _substrate_rate(system, y, s: int) -> float:
         cross * (y[2] - y[0]) + (1.0 - cross) * (S_in - y[0]))
 
 
-def _box_state(system, ref, capture, pick) -> list:
-    """The state whose vessel v has substrate pick(lo, hi) in its range
-    [max(s* - width, 0), s* + width] and mass excess pick(-mass, mass)."""
-    y = list(ref)
-    for v, (s, x) in enumerate(_vessels(system)):
-        w, m = capture.widths[v], capture.masses[v]
-        y[s] = pick(max(ref[s] - w, 0.0), ref[s] + w)
-        y[x] = system.S_in + pick(-m, m) - y[s]
+def _mass_rate(system, y, v: int) -> float:
+    """z' of vessel v, z = s + x - S_in, from the model equations."""
+    S_in = system.S_in
+    if isinstance(system, SingleParams):
+        return system.D * (S_in - y[0] - y[1])
+    if v == 1:
+        return system.alpha * system.D * (S_in - y[2] - y[3])
+    cross = system.alpha * (1.0 - system.r)
+    return system.D / system.r * (cross * (y[2] + y[3])
+                                  + (1.0 - cross) * S_in - y[0] - y[1])
+
+
+def _region_state(system, capture, pick) -> list:
+    """A state of the capture region: vessel v's substrate pick(a, b') and
+    mass excess pick(max(z_lo, s - S_in), z_hi'), where an open z end is
+    cut at z_hi' = 2 S_in, b' keeps x = S_in + z - s >= 0 reachable, and
+    the least z is the one with x = 0."""
+    y = [0.0] * 2 * len(capture.regions)
+    for (s, x), (a, b, z_lo, z_hi) in zip(_vessels(system), capture.regions):
+        z_hi = min(z_hi, 2.0 * system.S_in)
+        y[s] = pick(a, min(b, system.S_in + z_hi))
+        y[x] = max(system.S_in + pick(max(z_lo, y[s] - system.S_in), z_hi)
+                   - y[s], 0.0)
     return y
 
 
 def _anywhere(rng: random.Random):
     """A pick of an end or of a uniform point of a range, so that samples
-    cover the box's corners, faces and interior."""
+    cover the region's corners, faces and interior."""
     return lambda lo, hi: rng.choice((lo, hi, rng.uniform(lo, hi)))
 
 
@@ -818,71 +840,93 @@ def test_capture_refuses_a_candidate_off_its_rest_level():
 
 
 def test_capture_refuses_a_callable_candidate_off_its_rest_level():
-    _refuses_off_rest_level(_callable_certified())
+    _refuses_off_rest_level(itertools.chain(_callable_certified(),
+                                            _callable_buffered_certified()))
 
 
 def test_capture_box_faces_point_inward():
+    # every finite face: s = a > 0 and s = b, where s' points inward, and
+    # each finite z end, where z' does (up to the rounding allowance the
+    # stored ends take off); open sides are sampled up to 2 S_in
     rng = random.Random(12)
     pick = _anywhere(rng)
     for system, candidates, j, capture in itertools.chain.from_iterable(
             map(_all_certified, UNITS)):
-        ref = candidates[j].state
-        for v, (s, _) in enumerate(_vessels(system)):
-            for sign in (-1.0, 1.0):
-                face = ref[s] + sign * capture.widths[v]
-                if face <= 0.0:
-                    continue  # the face is s = 0, where s' = k u > 0
+        S_in = system.S_in
+        for v, (s, x) in enumerate(_vessels(system)):
+            a, b, z_lo, z_hi = capture.regions[v]
+            assert a <= candidates[j].state[s] <= b and z_lo < 0.0 < z_hi
+            faces = [(s, a, 1.0)] if a > 0.0 else []
+            faces += [(s, b, -1.0)]
+            faces += [(x, z, sign) for z, sign in ((z_lo, 1.0), (z_hi, -1.0))
+                      if math.isfinite(z)]
+            for at, end, sign in faces:
                 for _ in range(300):
-                    y = _box_state(system, ref, capture, pick)
-                    x = _vessels(system)[v][1]
-                    y[x] += y[s] - face  # the same mass excess, on the face
-                    y[s] = face
-                    assert sign * _substrate_rate(system, y, s) < 0.0, (
-                        system, j, v, y)
+                    y = _region_state(system, capture, pick)
+                    if at == s:
+                        # the same mass excess, on the face
+                        y[x] += y[s] - end
+                        y[s] = end
+                        if y[x] < 0.0:
+                            continue  # no state of the orthant there
+                        assert sign * _substrate_rate(system, y, s) > 0.0, (
+                            system, j, v, y)
+                    else:
+                        y[x] = S_in + end - y[s]
+                        if y[x] < 0.0:
+                            continue
+                        assert sign * _mass_rate(system, y, v) >= (
+                            -1e-12 * S_in * system.D), (system, j, v, y)
 
 
-def test_capture_contraction_bounds_a_dense_sample():
-    # only the main vessel of a buffered system has a contraction rate;
-    # a vessel driven by the feed alone is certified without one
-    rng = random.Random(13)
-    pick = _anywhere(rng)
-    for system, candidates, j, capture in itertools.chain.from_iterable(
-            map(_certified, UNITS)):
-        if isinstance(system, SingleParams):
-            assert capture.rate is None
-            continue
-        ref = candidates[j].state
-        least = math.inf
-        for _ in range(400):
-            J = _jacobian(system, _box_state(system, ref, capture, pick))
-            # ds_1'/ds_1 at a fixed mass excess, where x_1 moves against s_1
-            least = min(least, J[0][1] - J[0][0])
-        assert least >= capture.rate, (system, j)
-        # and the bound is not vacuous
-        assert capture.rate >= 0.1 * least, (system, j)
+def test_capture_limit_flow_has_the_certified_sign():
+    # at z = 0, with the buffer at rest, s' of each certified vessel is > 0
+    # on [a, s* - eps/4] and < 0 on [s* + eps/4, b]: ends, a dense grid
+    # and points closing in on each end of the bracket
+    for unit in UNITS:
+        quarter = 0.25e-6 * unit
+        for system, candidates, j, capture in _all_certified(unit):
+            ref = candidates[j].state
+            S_in = system.S_in
+            for v, (s, x) in enumerate(_vessels(system)):
+                a, b = capture.regions[v][:2]
+                for lo, hi, sign in ((a, ref[s] - quarter, 1.0),
+                                     (ref[s] + quarter, b, -1.0)):
+                    if not lo < hi:
+                        continue
+                    near = hi if sign > 0.0 else lo
+                    points = [lo + (hi - lo) * i / 2000 for i in range(2001)]
+                    points += [near - sign * (hi - lo) * 2.0 ** -k
+                               for k in range(1, 50)]
+                    for p in points:
+                        y = list(ref)
+                        for si, xi in _vessels(system):
+                            y[xi] = S_in - y[si]
+                        y[s], y[x] = p, S_in - p
+                        assert sign * _substrate_rate(system, y, s) > 0.0, (
+                            system, j, v, p)
 
 
 def test_states_on_the_capture_boundary_settle_on_their_candidate():
     rng = random.Random(14)
     settings = IntegratorSettings(t_end=200.0)
     for system, candidates, j, capture in itertools.chain(
-            _certified(), *map(_callable_certified, UNITS)):
+            _certified(), _callable_buffered_certified(),
+            *map(_callable_certified, UNITS)):
         ref = candidates[j].state
-        # the box has one range per state component: every corner, then
-        # random points of its faces
+        # the region has one range per state component, open ones cut at
+        # 2 S_in: every corner, then random points of its faces
         starts = []
         for corner in itertools.product((0, 1), repeat=len(ref)):
             ends = iter(corner)
-            starts.append(_box_state(system, ref, capture,
-                                     lambda lo, hi: (lo, hi)[next(ends)]))
+            starts.append(_region_state(system, capture,
+                                        lambda lo, hi: (lo, hi)[next(ends)]))
         for _ in range(4):
             face, ranges = rng.randrange(len(ref)), itertools.count()
-            starts.append(_box_state(system, ref, capture, lambda lo, hi: (
+            starts.append(_region_state(system, capture, lambda lo, hi: (
                 rng.choice((lo, hi)) if next(ranges) == face
                 else rng.uniform(lo, hi))))
         for y in starts:
-            if min(y) < 0.0:
-                continue  # outside the orthant the states live in
             traj = integrate(system, y, settings)
             # eps of 1e-6 in the README's unit
             eps = 1e-6 * system.S_in / 1.4
@@ -912,8 +956,8 @@ def test_capture_stops_runs_earlier_with_the_same_labels(monkeypatch):
     del steps[:]
     assert certified == _dwell_only(monkeypatch, cfg, starts, settings,
                                     candidates)
-    # the box stops these runs at 0.36 of the dwell rule's steps
-    assert captured < 0.4 * sum(steps)
+    # the regions stop these runs at 0.28 of the dwell rule's steps
+    assert captured < 0.3 * sum(steps)
 
 
 def _dwell_only(monkeypatch, *args) -> list:
@@ -960,14 +1004,12 @@ def test_callable_single_vessel_laws_are_certified(monkeypatch):
                                      None, candidates)
 
 
-def test_subclasses_and_callable_buffered_systems_are_never_certified(
-        monkeypatch):
+def test_subclasses_are_never_certified(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a capture box was built")
+        raise AssertionError("a capture region was built")
 
     params = SingleParams(_HaldaneKin(12.0, 1.0, 0.08), 1.4, 1.0)
-    cfg = BufferedConfig(_haldane_callables(12.0, 1.0, 0.08), 1.4, 1.0,
-                         0.35, 0.65)
+    cfg = BufferedConfig(_HaldaneKin(12.0, 1.0, 0.08), 1.4, 1.0, 0.35, 0.65)
     buffered = [e for e in find_equilibria(cfg) if e.tag == "stable"]
     for system, grid, candidates in (
             (params, BISTABLE_GRID, _single_sinks(params)),
@@ -980,10 +1022,79 @@ def test_subclasses_and_callable_buffered_systems_are_never_certified(
         assert set(labels) == {0, 1}
 
 
+# the accepted steps of the benchmark's six buffered basin maps of seed 1
+# (below) when the main vessel's box took Haldane's contraction bound and
+# a law as callables got none
+CONTRACTION_BOX_STEPS = 95053
+
+
+@functools.cache
+def _benchmark_maps(callable_law: bool) -> tuple:
+    """(maps, labels, accepted steps) of the six buffered maps of the
+    basin benchmark on seed 1, each map a (system, starts, candidates):
+    the reference law (as callables, or not) at alpha 0.25, 0.35 and 0.45
+    and r 0.9 and 1.2 r_bar, 100 starts each, drawn as
+    perfbench/worker.py draws them."""
+    rng = random.Random("basin:1")
+    starts = [[tuple(rng.uniform(0.05, 2.8) for _ in range(4))
+               for _ in range(100)] for _ in range(6)]
+    law = (_haldane_callables if callable_law else Haldane)(12.0, 1.0, 0.08)
+    maps = []
+    for alpha in (0.25, 0.35, 0.45):
+        r_bar = split_threshold(Haldane(12.0, 1.0, 0.08), 1.4, 1.0,
+                                alpha).r_bar
+        for r in (0.9 * r_bar, 1.2 * r_bar):
+            cfg = BufferedConfig(law, 1.4, 1.0, alpha, r)
+            maps.append((cfg, starts[len(maps)], [
+                e for e in find_equilibria(cfg)
+                if e.branch == BRANCH_POSITIVE and e.tag == "stable"]))
+    steps = []
+    original = simulate.integrate
+
+    def counting(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        steps.append(traj.accepted_steps)
+        return traj
+
+    settings = IntegratorSettings(t_end=200.0)
+    simulate.integrate = counting
+    try:
+        labels = [basin_probe(cfg, grid, settings, candidates, 1e-6)
+                  for cfg, grid, candidates in maps]
+    finally:
+        simulate.integrate = original
+    return maps, labels, sum(steps)
+
+
+def test_capture_regions_halve_the_steps_of_the_benchmark_maps():
+    maps, labels, steps = _benchmark_maps(False)
+    assert all(None not in simulate._captures(cfg, candidates, 1e-6)
+               for cfg, _, candidates in maps)
+    assert all(None not in row for row in labels)
+    # 38,632 at the time of writing
+    assert steps <= 0.5 * CONTRACTION_BOX_STEPS
+
+
+def test_callable_buffered_maps_are_certified(monkeypatch):
+    # the README law as callables: the same labels as the exact law and as
+    # the dwell rule alone, within 1.2x the exact law's steps (the same
+    # count at the time of writing)
+    maps, labels, steps = _benchmark_maps(True)
+    exact_labels, exact_steps = _benchmark_maps(False)[1:]
+    assert all(None not in simulate._captures(cfg, candidates, 1e-6)
+               for cfg, _, candidates in maps)
+    assert labels == exact_labels
+    assert steps <= 1.2 * exact_steps
+    settings = IntegratorSettings(t_end=200.0)
+    assert labels == [_dwell_only(monkeypatch, cfg, grid, settings,
+                                  candidates, 1e-6)
+                      for cfg, grid, candidates in maps]
+
+
 def test_capture_box_of_a_sink_near_the_peak_stays_on_its_side():
     # the sink of the README law as callables at D = 0.99 mu(peak) lies
     # 0.085 below the declared peak 0.283, within the ladder's step of
-    # 0.175: the box stops short of the peak, where mu turns
+    # 0.175: the region stops short of the peak, where mu turns
     law = _haldane_callables(12.0, 1.0, 0.08)
     peak = law.peak().abscissa
     params = SingleParams(law, 1.4, 0.99 * law.rate(peak))
@@ -992,11 +1103,12 @@ def test_capture_box_of_a_sink_near_the_peak_stays_on_its_side():
     assert peak - 0.175 < sink.S < peak
     capture, = simulate._captures(params, [sink], 1e-6)
     assert capture is not None
-    assert sink.S + capture.widths[0] <= peak
-    # with the peak moved out of the way, the ladder takes a box across it
+    assert capture.regions[0][1] <= peak
+    # with the peak moved out of the way, the ladder takes a region across
+    # it
     wide, = simulate._capture(2, (1.4, params.D), law, math.inf, 1e-6)(
         sink.state),
-    assert wide is not None and sink.S + wide.widths[0] > peak
+    assert wide is not None and wide.regions[0][1] > peak
 
 
 def test_a_law_that_rounds_to_zero_past_its_peak_gets_no_box(monkeypatch):
@@ -1058,6 +1170,43 @@ def test_invasion_probes_of_callable_laws_stop_in_their_boxes(monkeypatch):
     assert certified == dwell and None not in certified
     # the boxes stop these runs at about 0.38 of the dwell rule's steps
     assert captured <= 0.5 * sum(steps)
+
+
+def _counted(law, calls: list):
+    """law, a CustomUnimodal, with each substrate its rate is taken at
+    appended to calls."""
+    def mu(s):
+        calls.append(s)
+        return law.rate_fn(s)
+
+    return CustomUnimodal(mu, law.rate_prime_fn, law.peak_abscissa)
+
+
+def test_capture_certificates_keep_to_their_rate_law_budget():
+    # a vessel driven by the feed alone makes as many calls as its box did
+    # (sizing it by halving once cost the generic benchmark's one-start
+    # invasion probes nearly half their speed); a buffered candidate's
+    # region stays within 250 calls
+    calls = []
+
+    def count(system, candidates, eps) -> int:
+        law = _counted(system.model, calls)
+        if isinstance(system, SingleParams):
+            system = SingleParams(law, system.S_in, system.D)
+        else:
+            system = BufferedConfig(law, system.S_in, system.D, system.alpha,
+                                    system.r)
+        calls.clear()
+        simulate._captures(system, candidates, eps)
+        return len(calls)
+
+    assert sum(count(system, targets, 1e-6) for system, _, targets, _
+               in _invasion_probes(101, 64)) == 397
+    assert [count(system, candidates, 1e-6) for system, candidates, _
+            in _callable_cases()] == [13, 14]
+    # 361 calls for the two at the time of writing
+    (cfg, candidates, _), = _callable_buffered_cases()
+    assert count(cfg, candidates, 1e-6) <= 250 * len(candidates)
 
 
 def test_saddles_and_inexact_rest_points_are_never_certified(monkeypatch):

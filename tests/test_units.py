@@ -7,9 +7,8 @@ tag unchanged, so find_equilibria must see the same chemostat in any
 unit.  The interval oracle of tests/_interval.py is exact in any unit
 and checks each scaled count.  The case, the uniqueness boundary and
 the buffer size are free of units too, and so is the tangency fit's
-split.  The same symmetry maps each capture box of basin_probe's
-certificate to c times itself, the main vessel's contraction rate to
-tau times itself.
+split.  The same symmetry maps each capture region of basin_probe's
+certificate to c times itself, its open ends staying infinite.
 """
 import itertools
 import math
@@ -150,12 +149,15 @@ def _sinks(system) -> list:
 
 def test_capture_boxes_scale_with_the_units():
     # powers of two scale every float exactly, so a certificate with no
-    # floor fixed in some unit gives each box exactly scaled
+    # floor fixed in some unit gives each region exactly scaled, and an
+    # end no face needs stays infinite
     systems = [SingleParams(Haldane(*README_LAW), 1.4, 1.0),
                SingleParams(_law(README_LAW, True), 1.4, 1.0),
                BufferedConfig(Haldane(*README_LAW), 1.4, 1.0, 0.35, 0.65),
+               BufferedConfig(_law(README_LAW, True), 1.4, 1.0, 0.35, 0.65),
                BufferedConfig(Haldane(*README_LAW), 1.4, 1.0, 0.25, 0.3),
                BufferedConfig(Monod(2.0, 0.3), 1.4, 1.0, 0.35, 0.6)]
+    open_ends = 0
     scales = [2.0 ** k for k in (-30, -10, 10, 30)]
     for system in systems:
         sinks = _sinks(system)
@@ -178,7 +180,9 @@ def test_capture_boxes_scale_with_the_units():
                 other, [[c * v for v in y] for y in sinks], 1e-6 * c)
             for box, scaled in zip(base, got):
                 assert scaled == simulate._Capture(
-                    box.feed * c, tuple(c * w for w in box.widths),
-                    tuple(c * m for m in box.masses),
-                    None if box.rate is None else tau * box.rate), (
+                    box.feed * c, tuple(tuple(c * v for v in region)
+                                        for region in box.regions)), (
                         system, c, tau)
+                open_ends += sum(map(math.isinf, itertools.chain(
+                    *scaled.regions)))
+    assert open_ends > 0
