@@ -24,10 +24,12 @@ multiplicity analysis builds on.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Optional
 
-from ._numerics import (Record, bisect_root, critical_levels_above,
-                        finite_positive, newton_polish, real_cubic_roots)
+from ._numerics import (_GRID, Record, _grid, bisect_root,
+                        critical_levels_above, finite_positive, newton_polish,
+                        real_cubic_roots)
 from .kinetics import GrowthModel, closed_form, declared_peak
 
 __all__ = [
@@ -56,6 +58,10 @@ BRANCH_WASHOUT = "buffer_washout"
 _TANGENCY_TOL = 1e-8           # |deficit| / D of a double root at a critical point
 _EDGE_PAD = 1e-12              # both routes' margin inside (0, S_in)
 _SINGULAR_TOL = 1e-14
+# grid steps per cell of _enclosed, and the share of the size of its
+# terms that each bound of a cell keeps to spare for rounding
+_CELL = 32
+_ROUNDING = 2.0 ** -44
 
 
 class InfeasibleBufferError(ValueError):
@@ -361,14 +367,23 @@ def _scan_levels(config: BufferedConfig, s2: float) -> list[float]:
     The slope -D k a_gap / (S_in - s)^2 - mu'(s), k a_gap > 0, is < 0
     wherever mu' >= 0: below a declared peak.  So its scan reads the grid
     from the last point at or below the peak on (critical_levels_above),
-    with the whole grid's levels, and nothing for a peak at or past the
-    grid's last point."""
-    S_in = config.S_in
-    _, _, f, fp = _deficit_fn(config, s2)
-    crit = critical_levels_above(fp, 0.0, S_in, declared_peak(config.model))
+    and nothing for a peak at or past the grid's last point.  Above the
+    peak it reads only the cells _enclosed leaves open: on the others
+    the deficit keeps one sign, farther than the tolerance from zero, so
+    they hold no rest level and no double root.  Their critical levels
+    go, and each end of an open run beside them becomes a cut, with
+    |deficit| > tolerance; the critical levels inside the open runs are
+    the whole grid's, bit for bit.  A law with no declared peak, or
+    whose sampled mu rises above it, is read on the whole grid."""
+    S_in, D = config.S_in, config.D
+    ratio, _, f, fp = _deficit_fn(config, s2)
+    tol = _TANGENCY_TOL * D
+    peak = declared_peak(config.model)
+    runs, known = _enclosed(config, ratio, peak, tol)
+    crit = sorted([*critical_levels_above(fp, 0.0, S_in, peak, runs),
+                   *known])
     cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
-    vals = [f(c) for c in cuts]
-    tol = _TANGENCY_TOL * config.D
+    vals = [known[c] if c in known else f(c) for c in cuts]
     double = [False, *(abs(v) <= tol for v in vals[1:-1]), False]
     roots = [c for c, d in zip(cuts, double) if d]
     roots += [bisect_root(f, a, b, 0.0)
@@ -376,6 +391,48 @@ def _scan_levels(config: BufferedConfig, s2: float) -> list[float]:
                                               double, double[1:])
               if not (da or db) and (fa > 0.0) != (fb > 0.0)]
     return _polished(config, f, fp, roots)
+
+
+def _enclosed(config: BufferedConfig, ratio, peak: Optional[float],
+              tol: float) -> tuple[Optional[list], dict]:
+    """The open runs of the deficit's scan above the peak, and the deficit
+    at each run end beside a certified cell; (None, {}) for the whole
+    scan: a law with no declared peak, a peak below the grid's first
+    point or at or past its last, or a sampled mu that rises above it.
+
+    Cells of _CELL grid steps tile the grid from the first point past
+    the peak up to its last.  On each, mu falls (the law's class) and
+    so does the required rate D ratio, so the deficit D ratio - mu lies
+    between D ratio(e) - mu(d) and D ratio(d) - mu(e) at its ends d < e
+    (Moore, Kearfott and Cloud, Introduction to Interval Analysis, 2009,
+    ch. 6).  A cell whose bounds clear the tolerance, with _ROUNDING of
+    the size of their terms to spare, is certified.  The rest, and the
+    grid step across the peak, merge into runs, the first of them from 0.
+    A run end's deficit is D ratio - mu as the scan's closure rounds it."""
+    D, step = config.D, config.S_in / _GRID
+    at = lambda i: step * (i + 0.5)
+    first = (-1 if peak is None
+             else bisect_right(range(_GRID), peak, key=at) - 1)
+    if not 0 <= first < _GRID - 1:
+        return None, {}
+    xs = _grid(0.0, step, [*range(first + 1, _GRID - 1, _CELL), _GRID - 1])
+    mu = config.model._rate_raw
+    ms = [mu(x) for x in xs]
+    if any(m_e > m_d for m_d, m_e in zip(ms, ms[1:])):
+        return None, {}
+    rs = [D * ratio(x) for x in xs]
+    runs, known, start = [], {}, 0.0
+    for d, e, r_d, r_e, m_d, m_e in zip(xs, xs[1:], rs, rs[1:], ms, ms[1:]):
+        spare = tol + _ROUNDING * (abs(r_d) + abs(r_e) + m_d)
+        if r_e - m_d > spare or r_d - m_e < -spare:
+            if start is not None:
+                runs.append((start, d))
+                known[d], start = r_d - m_d, None
+        elif start is None:
+            known[d], start = r_d - m_d, d
+    if start is not None:
+        runs.append((start, xs[-1]))
+    return runs, known
 
 
 def _haldane_levels(config: BufferedConfig, s2: float) -> list[float]:

@@ -402,6 +402,9 @@ _SLACK = 2.0 ** -44
 # the capture region's ladder of steps from the candidate, in units of
 # S_in: 2^-j
 _LADDER = tuple(2.0 ** -j for j in range(1, 64))
+# the width, in units of eps/4, at which the buffer's bracket in the main
+# vessel's certificate stops being bisected
+_TIGHT = 2.0 ** -16
 # the halvings the sign certificate of one stretch of the main vessel's
 # range may take before that stretch is given up
 _HALVINGS = 64
@@ -457,8 +460,9 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
     of 1.
 
     The main vessel of a buffered system, with the buffer's region and
-    the bracket [lo_2, hi_2] about s_2* of 3 bisected to where G's sign
-    stops being sure, is certified when
+    the bracket [lo_2, hi_2] about s_2* of 3, each end bisected toward
+    G's zero while G's sign there is sure and the bracket's part left
+    on that side is wider than _TIGHT eps/4, is certified when
       4. s = b and, unless a = 0, s = a point inward at their worst
          corners: z = z_lo (z_hi) and u at the end of the buffer's range
          of s_2;
@@ -472,7 +476,14 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
     bounds g on the piece [e, d]; a piece whose bound leaves the sign
     unsure is halved, and a value of mu with the wrong sign ends the
     stretch.  So the region may cross the peak, start at 0 and end past
-    the feed.
+    the feed.  The proof below needs only some bracket of the buffer's
+    zero; a narrower one narrows the range of u that 6 must hold for.
+    Stopped at _TIGHT eps/4 a side, u spans at most c 2 _TIGHT eps/4
+    (plus the stretch where G's sign is unsure), which moves g(s* +-
+    eps/4, 0, u) by k times that, against a margin of about |dg/ds|
+    eps/4 at a simple rest level.  So the stop costs a region only where
+    |dg/ds| at rest is below some 2 _TIGHT k c, next to a tangency, and
+    each end takes 17 halvings from eps/2, not some 38 to the last ulp.
 
     Proof.  By 2, 4 and 5 each face of the closed region, and of x >= 0,
     points inward, so the region is forward invariant (Nagumo), and in it
@@ -501,6 +512,7 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
     S_in = constants[0]
     mu = model._rate_raw
     quarter = 0.25 * eps
+    tight = _TIGHT * quarter
     # [a, b] must end this far short of the peak, or start this far past it
     below, above = peak * (1.0 - _SLACK), peak * (1.0 + _SLACK)
 
@@ -629,10 +641,10 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
 
     def tightest(lo: float, hi: float) -> tuple[float, float]:
         # the buffer's bracket with each end bisected toward the zero of G
-        # for as long as G's sign there is sure
+        # while G's sign there is sure, down to _TIGHT of eps/4
         def walk(end: float, far: float, sign: float) -> float:
             mid = 0.5 * (end + far)
-            while end != mid != far:
+            while end != mid != far and abs(far - end) > tight:
                 if sign * flow(mid, a_d) > 0.0:
                     end = mid
                 else:

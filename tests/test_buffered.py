@@ -22,6 +22,7 @@ from bufchem import (
     split_threshold,
     surplus_region,
 )
+import bufchem.buffered
 from bufchem import simulate
 from bufchem.buffered import (SingularSplitPoint, _buffer_level, _deficit_fn,
                               _scan_levels, split_map)
@@ -179,26 +180,46 @@ def test_single_root_above_window():
     assert len(positives) == 1
 
 
-class _ScanCalled(Exception):
-    pass
-
-
 def test_haldane_rest_levels_take_the_cubic_route_alone(reference_model,
                                                         monkeypatch):
-    def no_scan(*args, **kwargs):
-        raise _ScanCalled
-
+    # exact Haldane reads neither the deficit's enclosure nor its slope
+    # scan; the same law behind callables has no closed form and reads
+    # both, the enclosure first
+    scans = []
+    for name in ("_enclosed", "critical_levels_above"):
+        original = getattr(bufchem.buffered, name)
+        monkeypatch.setattr(bufchem.buffered, name,
+                            lambda *args, name=name, original=original:
+                            scans.append(name) or original(*args))
     cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
-    want = (find_equilibria(cfg), surplus_region(cfg))
-    monkeypatch.setattr("bufchem.buffered.critical_levels_above", no_scan)
-    assert (find_equilibria(cfg), surplus_region(cfg)) == want
-    # the same law behind callables has no closed form and is scanned
+    find_equilibria(cfg)
+    surplus_region(cfg)
+    assert scans == []
     wrapped = CustomUnimodal(reference_model.rate, reference_model.rate_prime,
                              reference_model.peak().abscissa)
     generic = BufferedConfig(wrapped, 1.4, 1.0, 0.35, 0.48)
     for analysis in (find_equilibria, surplus_region):
-        with pytest.raises(_ScanCalled):
-            analysis(generic)
+        scans.clear()
+        analysis(generic)
+        assert scans == ["_enclosed", "critical_levels_above"]
+
+
+def test_general_rest_levels_keep_to_their_rate_law_budget(reference_model):
+    # the README law as callables: find_equilibria's calls of mu and mu'
+    # at three splits, against 1881, 2017 and 1999 with the whole scan of
+    # the deficit's slope above the peak
+    calls = []
+    counted = CustomUnimodal(
+        lambda s: calls.append(s) or reference_model.rate(s),
+        lambda s: calls.append(s) or reference_model.rate_prime(s),
+        math.sqrt(0.08))
+    budget = []
+    for r in (0.48, 0.6, 0.65):
+        config = BufferedConfig(counted, 1.4, 1.0, 0.35, r)
+        calls.clear()
+        find_equilibria(config)
+        budget.append(len(calls))
+    assert budget == [267, 465, 448]
 
 
 def test_find_equilibria_solves_the_buffer_break_even_once(reference_model,

@@ -16,13 +16,16 @@ from conftest import draw_buffered_config
 import bufchem.buffered
 import bufchem.design
 import bufchem.multiplicity
-from bufchem import (BufferedConfig, CustomUnimodal, Haldane, Monod,
-                     buffer_design, find_equilibria, split_threshold,
+from bufchem import (BRANCH_POSITIVE, BufferedConfig, CustomUnimodal, Haldane,
+                     Monod, buffer_design, find_equilibria, split_threshold,
                      surplus_region, uptake_capacity, washout_surplus)
 from bufchem._numerics import (_GRID, _bisected_sign_changes, bisect_root,
                                critical_levels, critical_levels_above,
                                proxy_levels)
-from bufchem.buffered import _buffer_level, pivot_level, split_map
+from bufchem.buffered import (_CELL, _EDGE_PAD, _TANGENCY_TOL, _buffer_level,
+                              _deficit_fn, _polished, _scan_levels,
+                              pivot_level, split_map)
+from bufchem.kinetics import declared_peak
 from bufchem.multiplicity import (CASE_NO_UPPER, CASE_PIVOT_ABOVE,
                                   CASE_PIVOT_AT, CASE_PIVOT_BELOW,
                                   _operating_point)
@@ -452,3 +455,142 @@ def test_rising_laws_make_no_grid_call(monkeypatch):
         monkeypatch.setattr(module, "critical_levels_above", scans)
     assert answers() == whole
     assert scans.sampled == 0 and scans.skipped[""] > 0
+
+
+def _whole_scan_levels(config, s2):
+    """_scan_levels on the whole grid above the declared peak: every
+    critical level of the deficit's slope a cut, with the same rule for
+    double roots and the same polish."""
+    S_in = config.S_in
+    _, _, f, fp = _deficit_fn(config, s2)
+    crit = critical_levels_above(fp, 0.0, S_in, declared_peak(config.model))
+    cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
+    vals = [f(c) for c in cuts]
+    tol = _TANGENCY_TOL * config.D
+    double = [False, *(abs(v) <= tol for v in vals[1:-1]), False]
+    roots = [c for c, d in zip(cuts, double) if d]
+    roots += [bisect_root(f, a, b, 0.0)
+              for a, b, fa, fb, da, db in zip(cuts, cuts[1:], vals, vals[1:],
+                                              double, double[1:])
+              if not (da or db) and (fa > 0.0) != (fb > 0.0)]
+    return _polished(config, f, fp, roots)
+
+
+def _double_root_by_the_peak(config) -> bool:
+    """Whether the whole scan has a double root within one grid step
+    above the law's declared peak."""
+    _, _, f, fp = _deficit_fn(config, _buffer_level(config))
+    peak, step = declared_peak(config.model), config.S_in / _GRID
+    return any(peak < c <= peak + step
+               and abs(f(c)) <= _TANGENCY_TOL * config.D
+               for c in critical_levels_above(fp, 0.0, config.S_in, peak))
+
+
+# (law, (mu_bar, K, K_I), S_in, D, alpha) whose deficit at r = r_bar has
+# its double root within one grid step above the peak; a scan that
+# skipped the grid step across the peak lost the second level on each
+_DOUBLE_ROOTS_BY_THE_PEAK = [
+    ("wrapped", (5.1773010630207015, 0.927983857578606, 1.2349740519182226),
+     3.5969051191725194, 1.8884197866314552, 0.3031136916900526),
+    ("wrapped", (3.5319333947012943, 0.5833446593869159, 1.4763990425598867),
+     3.0217965535327522, 1.5634747580195922, 0.3968969001206502),
+    ("wrapped", (4.994538956877266, 0.8203494064950181, 0.8557487682598722),
+     2.860475978216391, 1.685758689615939, 0.3325803295872686),
+    ("andrews", (3.4579820037934565, 0.5073942251958902, 3.7301061701393574),
+     3.0390772403841373, 1.7625129398785775, 0.34393119227742475),
+    ("andrews", (4.641125180407172, 0.6109802627569488, 2.4820280762632847),
+     1.6555941089708792, 1.92606679471721, 0.298845805580336),
+    ("andrews", (7.8925394649396985, 1.035497800422939, 1.3139452304285957),
+     2.285516226383719, 1.8709697443023339, 0.29110448595573923),
+]
+
+# Andrews laws at 1.1 r_bar whose upper two rest levels only the ends of
+# the open runs keep apart: the deficit's maximum between them lies in a
+# certified cell
+_LEVELS_ACROSS_CERTIFIED_CELLS = [
+    ((6.4639290678854735, 0.3069057929758612, 1.8818180036402927),
+     3.0632831598271792, 1.6693196083864035, 0.35335137873592726),
+    ((7.560785269406031, 1.4875647489376995, 2.227639579717318),
+     3.1903806653950713, 1.8683335551851592, 0.2895591824983049),
+]
+
+
+def _at_r_bar(model, S_in: float, D: float, alpha: float, c: float):
+    return BufferedConfig(model, S_in, D, alpha,
+                          c * split_threshold(model, S_in, D, alpha).r_bar)
+
+
+def test_enclosed_deficit_scan_equals_the_whole_scan(monkeypatch):
+    # the deficit's scan reads only the cells above the peak that its
+    # enclosure leaves open: the same rest points as the whole scan's,
+    # count and tags, with levels within 1e-12, at five splits around
+    # r_bar on drawn Andrews and wrapped Haldane laws, on two laws whose
+    # levels only the runs' ends keep apart, and at r_bar where the double
+    # root sits in the grid step past the peak
+    configs = []
+    for kind, seed in (("andrews", 37), ("wrapped", 38)):
+        for model, S_in, D, alpha in _draws(kind, 50, seed):
+            r_bar = split_threshold(model, S_in, D, alpha).r_bar
+            configs += [BufferedConfig(model, S_in, D, alpha, r)
+                        for r in (c * r_bar for c in (0.5, 0.9, 1.0, 1.1, 1.5))
+                        if r < 1.0 and alpha * (1.0 - r) <= 1.0]
+    assert len(configs) > 350
+    for params, S_in, D, alpha in _LEVELS_ACROSS_CERTIFIED_CELLS:
+        configs.append(_at_r_bar(_andrews(*params), S_in, D, alpha, 1.1))
+    for kind, params, S_in, D, alpha in _DOUBLE_ROOTS_BY_THE_PEAK:
+        if kind == "andrews":
+            model = _andrews(*params)
+        else:
+            law = Haldane(*params)
+            model = CustomUnimodal(law.rate, law.rate_prime,
+                                   law.peak().abscissa)
+        configs.append(_at_r_bar(model, S_in, D, alpha, 1.0))
+        assert _double_root_by_the_peak(configs[-1])
+    got = [find_equilibria(config) for config in configs]
+    monkeypatch.setattr(bufchem.buffered, "_scan_levels", _whole_scan_levels)
+    want = [find_equilibria(config) for config in configs]
+    for config, a, b in zip(configs, got, want):
+        assert [(e.branch, e.tag) for e in a] == [(e.branch, e.tag)
+                                                  for e in b], config
+        assert [e.s1 for e in a] == pytest.approx([e.s1 for e in b],
+                                                  rel=1e-12, abs=0.0)
+    # three levels each, then the double root and one simple level each
+    assert [sum(e.branch == BRANCH_POSITIVE for e in b)
+            for b in want[-8:]] == [3] * 2 + [2] * 6
+
+
+def test_a_law_rising_past_its_peak_takes_the_whole_deficit_scan():
+    # a bump at s = 1 makes mu rise between two cell ends above the
+    # declared peak (past where the shape check samples): outside the
+    # class, the deficit's scan reads the whole grid, with today's levels,
+    # and the check reads only the cell ends it samples
+    h = Haldane(12.0, 1.0, 0.08)
+    bump = lambda s: 0.1 * math.exp(-((s - 1.0) / 0.05) ** 2)
+    calls, primes = [], []
+
+    def mu(s):
+        calls.append(s)
+        return h.rate(s) + bump(s)
+
+    def mu_prime(s):
+        primes.append(s)
+        return h.rate_prime(s) - 2.0 * (s - 1.0) / 0.05 ** 2 * bump(s)
+
+    model = CustomUnimodal(mu, mu_prime, h.peak().abscissa)
+    config = BufferedConfig(model, 1.4, 1.0, 0.35, 0.65)
+    s2 = _buffer_level(config)
+    step = config.S_in / _GRID
+    first = max(i for i in range(_GRID)
+                if step * (i + 0.5) <= model.peak_abscissa)
+    ends = [step * (i + 0.5)
+            for i in [*range(first + 1, _GRID - 1, _CELL), _GRID - 1]]
+    assert any(mu(e) > mu(d) for d, e in zip(ends, ends[1:]))
+    calls.clear()
+    primes.clear()
+    want = _whole_scan_levels(config, s2)
+    whole = (calls[:], primes[:])
+    calls.clear()
+    primes.clear()
+    assert _scan_levels(config, s2) == want
+    assert calls[:len(ends)] == ends
+    assert (calls[len(ends):], primes) == whole
