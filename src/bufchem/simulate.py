@@ -38,14 +38,17 @@ that is a sink of a system of an exact Haldane, Monod or CustomUnimodal
 law, single or buffered, a capture region, ranges of each vessel's
 substrate and mass excess s + x - S_in from which the system provably
 ends within eps of it, certified from values of mu (_capture), and a
-run settles on the first state inside one.  The rule is written out
-too, per state size and number of candidates: per candidate, the
-capture test (a <= s <= b and z_lo <= s + x - S_in <= z_hi for each
-vessel, an end no face needs being infinite) and the dwell rule; the
-first candidate that passes wins.  detect_convergence
-applies the dwell rule alone to a stored trajectory; basin_probe hands
-the whole rule to integrate as the stop condition, checked after each
-accepted step, and resets it between runs.
+run settles on the first state inside one.  The sink of a single vessel
+whose feed supports growth, mu(S_in) > D, captures every state with
+biomass, so each such run stops after its first step.  The rule is
+written out too, per state size and number of candidates: per
+candidate, the capture test (a <= s <= b and z_lo <= s + x - S_in <=
+z_hi for each vessel, an end no face needs being infinite, then x >
+floor, -inf but for that quadrant) and the dwell rule; the first
+candidate that passes wins.  detect_convergence applies the dwell rule
+alone to a stored trajectory; basin_probe hands the whole rule to
+integrate as the stop condition, checked after each accepted step, has
+integrate store no state, and resets the rule between runs.
 """
 from __future__ import annotations
 
@@ -112,7 +115,7 @@ _SYSTEMS = {
 # and max give.
 _RUN = """
     def run(t_end, h, y, k1, abs_tol, rel_tol, max_step, neg_floor, h_min,
-            stop):
+            stop, keep):
         {y}, = y
         {k1}, = k1
         sqrt = math.sqrt
@@ -151,12 +154,15 @@ _RUN = """
             t = t_end if last else t + h
 {advance}
             accepted += 1
-            times.append(t)
-            states.append(y)
+            if keep:
+                times.append(t)
+                states.append(y)
             if stop is not None and stop(t, y):
                 break
             fac = 0.9 * (err_n if err_n > 1e-10 else 1e-10) ** -0.2
             h *= (fac if fac < 5.0 else 5.0) if fac > 0.2 else 0.2
+        if not keep:
+            times, states = [t], [y]
         return times, states, accepted, rejected
 """
 
@@ -170,12 +176,13 @@ def _dp5_step(n: int, law: str) -> Callable:
     kind law: a CLOSED_FORMS type, whose fields it closes over and whose
     _RATE it writes in, or "callable", a call of mu.  rhs(t, y) is the
     right-hand side.  run(t_end, h, y, k1, abs_tol, rel_tol, max_step,
-    neg_floor, h_min, stop) is integrate's adaptive loop from t = 0,
-    state y, rhs there k1 and a first step h (_RUN): it returns the lists
-    of accepted times and states with the counts of accepted and
-    rejected steps.  Its source works on scalar locals: y_0, k1_0, ...,
-    k7_{n-1}, each stage's input in the state's names and the rates m1,
-    m2; the only tuple it builds is each accepted state.
+    neg_floor, h_min, stop, keep) is integrate's adaptive loop from t =
+    0, state y, rhs there k1 and a first step h (_RUN): it returns the
+    lists of accepted times and states (with keep false, the last of
+    each alone) with the counts of accepted and rejected steps.  Its
+    source works on scalar locals: y_0, k1_0, ..., k7_{n-1}, each
+    stage's input in the state's names and the rates m1, m2; the only
+    tuple it builds is each accepted state.
     """
     constants, state, substrates, components = _SYSTEMS[n]
     closed = CLOSED_FORMS.get(law)
@@ -358,7 +365,7 @@ def integrate(system: Union[SingleParams, BufferedConfig],
               x0: Sequence[float],
               settings: Optional[IntegratorSettings] = None,
               stop_condition: Optional[Callable[[float, State], bool]] = None,
-              ) -> Trajectory:
+              *, _last_only: bool = False) -> Trajectory:
     """Integrate from x0 over [0, t_end], recording every accepted step.
 
     stop_condition, when given, is checked after each accepted step and
@@ -366,7 +373,9 @@ def integrate(system: Union[SingleParams, BufferedConfig],
     Raises StiffnessError on step-size underflow (carrying the last
     valid state), and ValueError on a negative or non-finite initial
     component or on a non-finite error norm (the right-hand side left
-    the finite floats).
+    the finite floats).  _last_only, for basin_probe, which reads no
+    state of a run, stores none: the trajectory holds the last state
+    alone, with the step counts of the whole run.
     """
     y = tuple(float(c) for c in x0)
     if not all(0.0 <= c < math.inf for c in y):
@@ -383,7 +392,7 @@ def integrate(system: Union[SingleParams, BufferedConfig],
     h = _initial_step(rhs, 0.0, y, k1, abs_tol, rel_tol, t_end, max_step)
     times, states, accepted, rejected = run(
         t_end, h, y, k1, abs_tol, rel_tol, max_step, neg_floor, h_min,
-        stop_condition)
+        stop_condition, not _last_only)
     return Trajectory(tuple(times), tuple(states), accepted, rejected)
 
 
@@ -409,15 +418,21 @@ _TIGHT = 2.0 ** -16
 # range may take before that stretch is given up
 _HALVINGS = 64
 # a capture test that no state passes: the empty ranges (+inf, -inf)
-_EMPTY = (math.inf, -math.inf) * 2
+_EMPTY = (math.inf, -math.inf) * 2 + (math.inf,)
+# the region of a vessel fed by the feed alone that the feed can invade:
+# every state of the quadrant with biomass
+_QUADRANT = (0.0, math.inf, -math.inf, math.inf, 0.0)
 
 
 class _Capture(Record):
     """A certified capture region of a candidate y*: the states with a_i
-    <= s_i <= b_i and z_lo_i <= s_i + x_i - feed <= z_hi_i, with (a_i,
-    b_i, z_lo_i, z_hi_i) = regions[i], for each vessel i of _VESSELS,
-    feed the system's S_in.  An end of z that no face needs is infinite;
-    each finite one allows for the rounding of its test."""
+    <= s_i <= b_i, z_lo_i <= s_i + x_i - feed <= z_hi_i and x_i >
+    floor_i, with (a_i, b_i, z_lo_i, z_hi_i, floor_i) = regions[i], for
+    each vessel i of _VESSELS, feed the system's S_in.  An end of z that
+    no face needs is infinite; each finite one allows for the rounding of
+    its test.  A box's floor is -inf (its z_lo keeps x > 0); the quadrant
+    of a vessel the feed invades is _QUADRANT, whose floor 0 alone
+    bounds it."""
     feed: float
     regions: tuple
 
@@ -434,14 +449,15 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
         s' = g(s, z, u) = -mu(s) (S_in + z - s) + k (u - s),
     z' = -k z, with u = S_in and k = D (single vessel) or alpha D
     (buffer); in the main vessel k = D / r, u = c s_2 + (1 - c) S_in with
-    c = alpha (1 - r), and z_1' = k (c z_2 - z_1).  A region is s in [a,
-    b], z in [z_lo, z_hi] for each vessel.  g is affine in z and in u, and
-    its z term is -mu(s) x with x = S_in + z - s >= 0, so one value of mu
-    and the worst corner decide each face: s = b needs z >= z_lo, s = a
-    needs z <= z_hi.  At a = 0 there is no face, since g = k u > 0 there,
-    and z_hi = +inf; where b exceeds every u the region allows, g <= k (u
-    - b) < 0 on s = b whatever x, and z_lo = -inf.  Every certified
-    inequality below keeps _SLACK of the size of its terms to spare.
+    c = alpha (1 - r), and z_1' = k (c z_2 - z_1).  A region is a box, s
+    in [a, b], z in [z_lo, z_hi] for each vessel, or the quadrant of 7.
+    g is affine in z and in u, and its z term is -mu(s) x with x = S_in +
+    z - s >= 0, so one value of mu and the worst corner decide each face:
+    s = b needs z >= z_lo, s = a needs z <= z_hi.  At a = 0 there is no
+    face, since g = k u > 0 there, and z_hi = +inf; where b exceeds every
+    u the region allows, g <= k (u - b) < 0 on s = b whatever x, and z_lo
+    = -inf.  Every certified inequality below keeps _SLACK of the size of
+    its terms to spare.
 
     A vessel driven by the feed alone (the single vessel, the buffer),
     with [a, b] = [max(s* - sigma, 0), s* + sigma], is certified when
@@ -457,7 +473,7 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
     would give G(a) and G(b) one sign: by 2, G has exactly one zero in [a,
     b], the one 3 brackets, so the region holds S_in only when that zero
     is S_in.  For a CustomUnimodal law the declared peak is an assumption
-    of 1.
+    of 1, and of 7 below.
 
     The main vessel of a buffered system, with the buffer's region and
     the bracket [lo_2, hi_2] about s_2* of 3, each end bisected toward
@@ -508,6 +524,31 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
     (0, or a b past that u, at once).  The buffer takes the level of its
     ladder whose lesser z end under 5's caps is largest, the main
     vessel's z ends taken from 4 at each level.
+
+    A single vessel (n == 2) whose candidate passes 3 captures the whole
+    quadrant s >= 0, x > 0 (_QUADRANT), in place of a box, when
+      7. the feed invades it: mu(S_in) - k > _SLACK (mu(S_in) + k), one
+         value of mu per call.
+    Its tests are exact comparisons (s >= 0, x > 0), which need no
+    rounding allowance.  Proof.  mu(0) = 0 < k < mu(S_in), and mu - k has
+    one sign change on [0, S_in], since mu rises to its peak and then
+    falls (the law's class): G > 0 on [0, lambda) and G < 0 on (lambda,
+    S_in) for the lower break-even lambda.  3 brackets lambda: x* >= 0
+    and the balance keep s* - eps/4 at or below S_in, where G > 0 only
+    below lambda, and G(s* + eps/4) < 0 only above it.  Along every run z -> 0,
+    so the omega-limit set of a state with x > 0 lies in z = 0, 0 <= s <=
+    S_in, and is chain transitive for the limit flow s' = G(s) (Thieme
+    1992): a rest point, lambda or the washout S_in.  The washout is a
+    hyperbolic saddle, with eigenvalues -k and mu(S_in) - k > 0, whose
+    stable manifold is the axis x = 0, and x > 0 is forward invariant (x'
+    = (mu - k) x); so the run does not tend to it, and by the
+    Butler-McGehee lemma an omega-limit set holding it holds more than
+    it.  Each run with x > 0 ends at lambda, within eps/4 of s* and eps/2
+    of y*: the classical result for a chemostat whose feed supports
+    growth (Butler and Wolkowicz, SIAM J. Appl. Math. 45 (1985) 138;
+    Smith and Waltman 1995, ch. 2).  A buffer is invaded the same way, but
+    the main vessel's region is sized from the buffer's box, so a
+    buffered system keeps its boxes.
     """
     S_in = constants[0]
     mu = model._rate_raw
@@ -566,17 +607,27 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
                 <= quarter)
 
     def tested(region: tuple) -> tuple:
-        # the mass test's own rounding comes off each z end
+        # the mass test's own rounding comes off each z end; a box needs
+        # no floor
         a, b, z_lo, z_hi = region
         pad = _SLACK * (2.0 * S_in + b)
-        return a, b, z_lo * (1.0 - _SLACK) + pad, z_hi * (1.0 - _SLACK) - pad
+        return (a, b, z_lo * (1.0 - _SLACK) + pad,
+                z_hi * (1.0 - _SLACK) - pad, -math.inf)
 
     if n == 2:
         D = constants[1]
 
+        @functools.cache
+        def invaded() -> bool:
+            # 7, from one value of mu per call
+            m_in = mu(S_in)
+            return m_in - D > _SLACK * (m_in + D)
+
         def box(ref: State) -> Optional[_Capture]:
             if bracket(ref[0], D) is None or not balanced(ref, 0, 1):
                 return None
+            if invaded():
+                return _Capture(S_in, (_QUADRANT,))
             got = ladder(lambda sigma: fed(ref[0], D, sigma))
             if got is None:
                 return None
@@ -758,9 +809,9 @@ def _captures(system, candidates: Sequence, eps: float
 
 def _capture_arguments(capture: Optional[_Capture], n: int) -> tuple:
     """A candidate's capture test in _settling_rule over n-component
-    states: the feed, then each vessel's a, b, z_lo and z_hi.  Without a
-    capture region every range is empty (+inf, -inf), so the test never
-    passes."""
+    states: the feed, then each vessel's a, b, z_lo, z_hi and floor.
+    Without a capture region every range is empty (+inf, -inf), so the
+    test never passes."""
     if capture is None:
         return (0.0,) + _EMPTY * len(_VESSELS.get(n, ()))
     return (capture.feed,) + tuple(chain.from_iterable(capture.regions))
@@ -773,18 +824,18 @@ def _settling_rule(n: int, m: int) -> Callable:
 
     _settling_rule(n, m)(*coordinates, *tests, eps, eps2, t0), given
     the candidates' coordinates, then each candidate's capture test (the
-    feed, then each vessel's a, b, z_lo and z_hi: _capture_arguments)
-    and eps2 = 2 * eps, returns (settled, label, reset) as _settling
-    describes.  settled works on the state's components y_0, ... as
-    locals and closes over the coordinates r{j}_{i} and the tests f_{j},
-    a{j}_{v}, b{j}_{v}, l{j}_{v}, h{j}_{v}; the far times far_{j} and the
-    label are cells.
+    feed, then each vessel's a, b, z_lo, z_hi and floor:
+    _capture_arguments) and eps2 = 2 * eps, returns (settled, label,
+    reset) as _settling describes.  settled works on the state's
+    components y_0, ... as locals and closes over the coordinates
+    r{j}_{i} and the tests f_{j}, a{j}_{v}, b{j}_{v}, l{j}_{v}, h{j}_{v},
+    p{j}_{v}; the far times far_{j} and the label are cells.
     """
     coordinates = [f"r{j}_{i}" for j in range(m) for i in range(n)]
     vessels = _VESSELS.get(n, ())
     tests = [name for j in range(m) for name in (
         [f"f_{j}"] + [f"{v}{j}_{i}" for i in range(len(vessels))
-                      for v in ("a", "b", "l", "h")])]
+                      for v in ("a", "b", "l", "h", "p")])]
     fars = [f"far_{j}" for j in range(m)]
     lines = [f"def factory("
              f"{', '.join(coordinates + tests + ['eps', 'eps2', 't0'])}):"]
@@ -798,12 +849,15 @@ def _settling_rule(n: int, m: int) -> Callable:
               "        t_cut = t - 0.1 * (t - t0)",
               "        hit = None"]
     for j in range(m):
-        # the capture region: each vessel's substrate, then its mass
-        # excess
+        # the capture region: each vessel's substrate and mass excess,
+        # then each one's biomass floor, which only a state inside every
+        # box reaches
         inside = " and ".join(
-            f"a{j}_{i} <= y_{s} <= b{j}_{i} and"
-            f" l{j}_{i} <= y_{s} + y_{x} - f_{j} <= h{j}_{i}"
-            for i, (s, x) in enumerate(vessels)) or "False"
+            [f"a{j}_{i} <= y_{s} <= b{j}_{i} and"
+             f" l{j}_{i} <= y_{s} + y_{x} - f_{j} <= h{j}_{i}"
+             for i, (s, x) in enumerate(vessels)]
+            + [f"y_{x} > p{j}_{i}" for i, (s, x) in enumerate(vessels)]
+        ) or "False"
         lines += [f"        if hit is None and {inside}:",
                   f"            hit = {j}"]
         # the sup-norm distance as max() takes it: a later component
@@ -910,13 +964,18 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     feed alone (the single vessel, the buffer) on one side of the law's
     peak, and the main vessel of a buffered system by the sign of its
     flow at rest, on pieces on one side of the peak; for a CustomUnimodal
-    law that is its declared peak, which the region takes as given.  Each
-    run stops at the first accepted state that lies in a capture region
-    or where detect_convergence's settling rule (the dwell rule) holds,
-    and the first candidate that passes either test wins.  Any other
-    candidate, law or system (a subclass of any law above included)
-    relies on the dwell rule alone.  eps = None means 1e-6 S_in, resolved against the
-    system's feed, so the labels do not depend on the substrate unit.
+    law that is its declared peak, which the region takes as given.  In
+    a single vessel whose feed supports growth, mu(S_in) > D, the region
+    of the positive sink is every state with biomass x > 0.  Each run
+    stops at the first accepted state that lies in a capture region or
+    where detect_convergence's settling rule (the dwell rule) holds,
+    which may be after one step; every start is integrated through the
+    module's integrate, for one accepted step at least, and no state of
+    a run is stored.  The first candidate that passes either test wins.
+    Any other candidate, law or system (a subclass of any law above
+    included) relies on the dwell rule alone.  eps = None means 1e-6
+    S_in, resolved against the system's feed, so the labels do not
+    depend on the substrate unit.
     None marks unresolved runs (not settled by t_end, or stiffness
     failure).  Runs execute sequentially in input order, so output
     ordering and determinism hold regardless of environment.  A
@@ -948,7 +1007,8 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
         settled, label, reset = rules[len(x0)]
         reset()
         try:
-            integrate(system, x0, settings, stop_condition=settled)
+            integrate(system, x0, settings, stop_condition=settled,
+                      _last_only=True)
         except StiffnessError:
             pass  # no state settled, so the label is None
         labels.append(label())

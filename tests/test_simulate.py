@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -456,21 +457,31 @@ def test_basin_probe_includes_eps_validation(reference_model, monkeypatch):
 def test_basin_probe_integrates_through_the_module_attribute(
         reference_model, monkeypatch):
     # the benchmark's traced run wraps simulate.integrate to count steps
-    params = SingleParams(reference_model, 1.4, 1.0)
-    candidates = [e for e in classify_portrait(params).equilibria
-                  if e.tag in ("positive_attracting", "washout_attracting")]
-    expected = basin_probe(params, BISTABLE_GRID, candidates=candidates)
-    calls = []
-    original = simulate.integrate
+    # and divides by its calls: one per start, each of at least one
+    # accepted step, even where the feed invades and every start is
+    # certified from the outset
+    invaded = SingleParams(reference_model, 1.4, 0.5)
+    for params in (SingleParams(reference_model, 1.4, 1.0), invaded):
+        candidates = [e for e in classify_portrait(params).equilibria
+                      if e.tag in ("positive_attracting",
+                                   "washout_attracting")]
+        expected = basin_probe(params, BISTABLE_GRID, candidates=candidates)
+        calls = []
+        original = simulate.integrate
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+        def counting(*args, **kwargs):
+            traj = original(*args, **kwargs)
+            calls.append((args[1], traj.accepted_steps))
+            return traj
 
-    monkeypatch.setattr(simulate, "integrate", counting)
-    assert basin_probe(params, BISTABLE_GRID,
-                       candidates=candidates) == expected
-    assert calls == BISTABLE_GRID
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "integrate", counting)
+            assert basin_probe(params, BISTABLE_GRID,
+                               candidates=candidates) == expected
+        assert [start for start, _ in calls] == BISTABLE_GRID
+        assert all(steps >= 1 for _, steps in calls)
+    assert expected == [0] * len(BISTABLE_GRID)
+    assert all(steps == 1 for _, steps in calls)
 
 
 RECORDED_INTEGRATE_DIGESTS = {
@@ -768,6 +779,43 @@ def _all_certified(unit: float = 1.0):
                            _callable_buffered_certified(unit))
 
 
+@functools.cache
+def _invaded_cases(unit: float = 1.0) -> tuple:
+    """(system, candidates, captures) of single vessels the feed invades,
+    mu(S_in) >= 1.5 D, with substrate in units 1 / unit: seeded draws of
+    a Haldane, a Monod, an Andrews and a callable Haldane law, each with
+    its positive rest point and its washout, a saddle."""
+    rng = random.Random(38)
+    laws = (Haldane, lambda a, K, K_I: Monod(a, K), _andrews,
+            _haldane_callables)
+    cases = []
+    for make in laws:
+        while True:
+            law = make(rng.uniform(2.0, 20.0), rng.uniform(0.1, 1.5) * unit,
+                       rng.uniform(0.05, 4.0) * unit)
+            S_in, D = rng.uniform(0.3, 4.0) * unit, rng.uniform(0.1, 2.0)
+            if law.rate(S_in) >= 1.5 * D:
+                break
+        params = SingleParams(law, S_in, D)
+        candidates = list(classify_portrait(params).equilibria)
+        assert [e.tag for e in candidates] == ["positive_attracting",
+                                               "washout_saddle"]
+        cases.append((params, candidates,
+                      simulate._captures(params, candidates, 1e-6 * unit)))
+    return tuple(cases)
+
+
+def _invaded_certified(unit: float = 1.0):
+    """(system, candidates, 0, capture) of each case of _invaded_cases,
+    whose positive rest point captures the quadrant and whose washout
+    gets no region."""
+    for system, candidates, captures in _invaded_cases(unit):
+        assert captures == [simulate._Capture(system.S_in,
+                                              (simulate._QUADRANT,)),
+                            None], system
+        yield system, candidates, 0, captures[0]
+
+
 def _vessels(system) -> tuple:
     """(substrate index, biomass index) of each vessel, main one first."""
     return ((0, 1),) if isinstance(system, SingleParams) else ((0, 1), (2, 3))
@@ -799,15 +847,19 @@ def _mass_rate(system, y, v: int) -> float:
 
 def _region_state(system, capture, pick) -> list:
     """A state of the capture region: vessel v's substrate pick(a, b') and
-    mass excess pick(max(z_lo, s - S_in), z_hi'), where an open z end is
-    cut at z_hi' = 2 S_in, b' keeps x = S_in + z - s >= 0 reachable, and
-    the least z is the one with x = 0."""
+    mass excess pick(max(z_lo, s - S_in + least), z_hi'), where an open z
+    end is cut at z_hi' = 2 S_in, b' keeps x = S_in + z - s >= least
+    reachable, and the least z is the one with x = least: 0 under a box,
+    whose floor is -inf, and 1e-8 S_in above a finite floor, which the
+    region leaves open."""
     y = [0.0] * 2 * len(capture.regions)
-    for (s, x), (a, b, z_lo, z_hi) in zip(_vessels(system), capture.regions):
+    for (s, x), (a, b, z_lo, z_hi, floor) in zip(_vessels(system),
+                                                 capture.regions):
+        least = 0.0 if math.isinf(floor) else floor + 1e-8 * system.S_in
         z_hi = min(z_hi, 2.0 * system.S_in)
-        y[s] = pick(a, min(b, system.S_in + z_hi))
-        y[x] = max(system.S_in + pick(max(z_lo, y[s] - system.S_in), z_hi)
-                   - y[s], 0.0)
+        y[s] = pick(a, min(b, system.S_in + z_hi - least))
+        y[x] = max(system.S_in + pick(max(z_lo, y[s] - system.S_in + least),
+                                      z_hi) - y[s], least)
     return y
 
 
@@ -853,7 +905,8 @@ def _refuses_off_rest_level(certified) -> None:
 
 
 def test_capture_refuses_a_candidate_off_its_rest_level():
-    _refuses_off_rest_level(_certified())
+    _refuses_off_rest_level(itertools.chain(_certified(),
+                                            _invaded_certified()))
 
 
 def test_capture_refuses_a_callable_candidate_off_its_rest_level():
@@ -862,25 +915,34 @@ def test_capture_refuses_a_callable_candidate_off_its_rest_level():
 
 
 def test_capture_box_faces_point_inward():
-    # every finite face: s = a > 0 and s = b, where s' points inward, and
-    # each finite z end, where z' does (up to the rounding allowance the
-    # stored ends take off); open sides are sampled up to 2 S_in
+    # every finite face: s = a > 0 and s = b, where s' points inward, each
+    # finite z end, where z' does (up to the rounding allowance the
+    # stored ends take off), and a finite biomass floor, which x' = (mu -
+    # k) x leaves; open sides are sampled up to 2 S_in
     rng = random.Random(12)
     pick = _anywhere(rng)
     for system, candidates, j, capture in itertools.chain.from_iterable(
-            map(_all_certified, UNITS)):
+            itertools.chain(_all_certified(unit), _invaded_certified(unit))
+            for unit in UNITS):
         S_in = system.S_in
         for v, (s, x) in enumerate(_vessels(system)):
-            a, b, z_lo, z_hi = capture.regions[v]
+            a, b, z_lo, z_hi, floor = capture.regions[v]
             assert a <= candidates[j].state[s] <= b and z_lo < 0.0 < z_hi
+            assert candidates[j].state[x] > floor
             faces = [(s, a, 1.0)] if a > 0.0 else []
-            faces += [(s, b, -1.0)]
+            faces += [(s, b, -1.0)] if math.isfinite(b) else []
             faces += [(x, z, sign) for z, sign in ((z_lo, 1.0), (z_hi, -1.0))
                       if math.isfinite(z)]
+            faces += [(None, floor, 1.0)] if math.isfinite(floor) else []
             for at, end, sign in faces:
                 for _ in range(300):
                     y = _region_state(system, capture, pick)
-                    if at == s:
+                    if at is None:
+                        # the biomass on its floor stays there
+                        y[x] = end
+                        assert _mass_rate(system, y, v) == _substrate_rate(
+                            system, y, s), (system, j, v, y)
+                    elif at == s:
                         # the same mass excess, on the face
                         y[x] += y[s] - end
                         y[s] = end
@@ -899,14 +961,18 @@ def test_capture_box_faces_point_inward():
 def test_capture_limit_flow_has_the_certified_sign():
     # at z = 0, with the buffer at rest, s' of each certified vessel is > 0
     # on [a, s* - eps/4] and < 0 on [s* + eps/4, b]: ends, a dense grid
-    # and points closing in on each end of the bracket
+    # and points closing in on each end of the bracket; an open b is cut
+    # at the last float below S_in, where z = 0 still leaves x > 0
     for unit in UNITS:
         quarter = 0.25e-6 * unit
-        for system, candidates, j, capture in _all_certified(unit):
+        for system, candidates, j, capture in itertools.chain(
+                _all_certified(unit), _invaded_certified(unit)):
             ref = candidates[j].state
             S_in = system.S_in
             for v, (s, x) in enumerate(_vessels(system)):
                 a, b = capture.regions[v][:2]
+                if math.isinf(b):
+                    b = math.nextafter(S_in, 0.0)
                 for lo, hi, sign in ((a, ref[s] - quarter, 1.0),
                                      (ref[s] + quarter, b, -1.0)):
                     if not lo < hi:
@@ -926,13 +992,15 @@ def test_capture_limit_flow_has_the_certified_sign():
 
 def test_states_on_the_capture_boundary_settle_on_their_candidate():
     rng = random.Random(14)
-    settings = IntegratorSettings(t_end=200.0)
     for system, candidates, j, capture in itertools.chain(
             _certified(), _callable_buffered_certified(),
-            *map(_callable_certified, UNITS)):
+            *map(_callable_certified, UNITS),
+            *map(_invaded_certified, UNITS)):
         ref = candidates[j].state
+        settings = IntegratorSettings(t_end=200.0 / system.D)
         # the region has one range per state component, open ones cut at
-        # 2 S_in: every corner, then random points of its faces
+        # 2 S_in and 1e-8 S_in above a floor: every corner, then random
+        # points of its faces
         starts = []
         for corner in itertools.product((0, 1), repeat=len(ref)):
             ends = iter(corner)
@@ -1026,17 +1094,20 @@ def test_subclasses_are_never_certified(monkeypatch):
         raise AssertionError("a capture region was built")
 
     params = SingleParams(_HaldaneKin(12.0, 1.0, 0.08), 1.4, 1.0)
+    # a vessel the feed invades: its one sink gets no quadrant either
+    invaded = SingleParams(_HaldaneKin(12.0, 1.0, 0.08), 1.4, 0.5)
     cfg = BufferedConfig(_HaldaneKin(12.0, 1.0, 0.08), 1.4, 1.0, 0.35, 0.65)
     buffered = [e for e in find_equilibria(cfg) if e.tag == "stable"]
-    for system, grid, candidates in (
-            (params, BISTABLE_GRID, _single_sinks(params)),
+    for system, grid, candidates, sinks in (
+            (params, BISTABLE_GRID, _single_sinks(params), {0, 1}),
+            (invaded, BISTABLE_GRID, _single_sinks(invaded), {0}),
             (cfg, [(1.0, 0.2, 1.0, 0.2), (0.2, 1.2, 0.03, 1.37)],
-             buffered)):
+             buffered, {0, 1})):
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_capture", refuse)
             labels = _without_captures(monkeypatch, system, grid,
-                                       candidates, (0, 1))
-        assert set(labels) == {0, 1}
+                                       candidates, range(len(candidates)))
+        assert set(labels) == sinks
 
 
 # the accepted steps of the benchmark's six buffered basin maps of seed 1
@@ -1185,8 +1256,44 @@ def test_invasion_probes_of_callable_laws_stop_in_their_boxes(monkeypatch):
                          1e-6)[0]
              for system, start, targets, settings in probes]
     assert certified == dwell and None not in certified
-    # the boxes stop these runs at about 0.38 of the dwell rule's steps
-    assert captured <= 0.5 * sum(steps)
+    # the feed invades each buffer, so the quadrant stops every run after
+    # one step (boxes stopped them at about 0.38 of the dwell rule's)
+    assert captured == len(probes) and sum(steps) > 50 * len(probes)
+
+
+def test_invaded_vessels_capture_every_start_with_biomass():
+    # starts with x down to 1e-8 S_in and s up to 2 S_in, past the feed:
+    # each is labelled the positive rest point, as the dwell rule labels
+    # its full run to t_end
+    rng = random.Random(41)
+    for unit in UNITS:
+        eps = 1e-6 * unit
+        for system, candidates, j, _ in _invaded_certified(unit):
+            S_in = system.S_in
+            starts = [(0.0, 1e-8 * S_in), (2.0 * S_in, 1e-8 * S_in)] + [
+                (rng.uniform(0.0, 2.0 * S_in),
+                 S_in * 10.0 ** rng.uniform(-8.0, 0.0)) for _ in range(8)]
+            settings = IntegratorSettings(t_end=200.0 / system.D)
+            labels = basin_probe(system, starts, settings, candidates, eps)
+            assert labels == [j] * len(starts), system
+            assert labels == [
+                detect_convergence(integrate(system, y, settings),
+                                   candidates, eps)
+                for y in starts], system
+
+
+def test_the_quadrant_needs_biomass_and_an_invaded_vessel():
+    # a start with no biomass stays on the s-axis and washes out
+    for system, candidates, _, _ in _invaded_certified():
+        starts = [(f * system.S_in, 0.0) for f in (0.0, 0.5, 1.0, 2.0)]
+        settings = IntegratorSettings(t_end=200.0 / system.D)
+        assert basin_probe(system, starts, settings, candidates) == [1] * 4
+    # the README's bistable single vessel keeps a box about each sink
+    system, candidates, captures = _capture_cases()[0]
+    assert len(captures) == 2
+    for capture in captures:
+        a, b, z_lo, z_hi, floor = capture.regions[0]
+        assert math.isfinite(b) and floor == -math.inf
 
 
 def _counted(law, calls: list):
@@ -1202,8 +1309,10 @@ def _counted(law, calls: list):
 def test_capture_certificates_keep_to_their_rate_law_budget():
     # a vessel driven by the feed alone makes as many calls as its box did
     # (sizing it by halving once cost the generic benchmark's one-start
-    # invasion probes nearly half their speed); the buffered README map's
-    # two regions are pinned too
+    # invasion probes nearly half their speed), and one more, mu(S_in),
+    # for whether the feed invades it; an invaded vessel's sink then
+    # takes no box (397 calls for the 64 probes while it did); the
+    # buffered README map's two regions are pinned too
     calls = []
 
     def count(system, candidates, eps) -> int:
@@ -1218,9 +1327,9 @@ def test_capture_certificates_keep_to_their_rate_law_budget():
         return len(calls)
 
     assert sum(count(system, targets, 1e-6) for system, _, targets, _
-               in _invasion_probes(101, 64)) == 397
+               in _invasion_probes(101, 64)) == 256
     assert [count(system, candidates, 1e-6) for system, candidates, _
-            in _callable_cases()] == [13, 14]
+            in _callable_cases()] == [14, 15]
     # 365 calls while the buffer's bracket was bisected to the last ulp
     (cfg, candidates, _), _ = _callable_buffered_cases()
     assert count(cfg, candidates, 1e-6) == 287
@@ -1241,6 +1350,47 @@ def test_saddles_and_inexact_rest_points_are_never_certified(monkeypatch):
     labels = _without_captures(monkeypatch, params, BISTABLE_GRID,
                                [near, washout], (0,))
     assert set(labels) == {0, 1}
+
+
+def test_basin_probe_memory_stays_flat_over_a_long_run():
+    # a one-start probe of a buffer alone at alpha D = 0.016 with no
+    # capture region (a Haldane subclass) takes some 67,000 steps; the
+    # runs store no state, so it peaks within 1 MiB of a probe of some
+    # 1000 steps (storing every state cost some 13 MiB here).  The peak is
+    # the child's own VmHWM: its ru_maxrss would start from the test
+    # process's, which exec keeps
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("peak resident memory is read from /proc/self/status")
+    code = (
+        "import re\n"
+        "from bufchem import (Haldane, IntegratorSettings, SingleParams,\n"
+        "                     basin_probe, simulate)\n"
+        "class Kin(Haldane):\n"
+        "    pass\n"
+        "law = Kin(12.0, 0.2, 2.0)\n"
+        "system = SingleParams(law, 4.0, 0.016)\n"
+        "s = law.break_even(0.016).lower\n"
+        "targets = [(s, 4.0 - s), (4.0, 0.0)]\n"
+        "steps = []\n"
+        "original = simulate.integrate\n"
+        "def counting(*args, **kwargs):\n"
+        "    traj = original(*args, **kwargs)\n"
+        "    steps.append(traj.accepted_steps)\n"
+        "    return traj\n"
+        "simulate.integrate = counting\n"
+        "def peak(t_end):\n"
+        "    basin_probe(system, [(2.0, 1e-8)],\n"
+        "                IntegratorSettings(t_end=t_end), targets, 1e-6)\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(re.search(r'VmHWM:\\s*(\\d+)', fh.read())[1])\n"
+        "short = peak(25.0)\n"
+        "grown = peak(200.0 / 0.016) - short\n"
+        "print(*steps, grown)\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    short, long, grown = map(int, proc.stdout.split()[-3:])
+    assert 500 <= short <= 2000 and long >= 50000
+    assert grown < 1024  # KiB
 
 
 def test_basin_probe_does_not_import_numpy():

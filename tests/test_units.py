@@ -150,9 +150,12 @@ def _sinks(system) -> list:
 def test_capture_boxes_scale_with_the_units():
     # powers of two scale every float exactly, so a certificate with no
     # floor fixed in some unit gives each region exactly scaled, and an
-    # end no face needs stays infinite
+    # end no face needs stays infinite; at D = 0.5 the feed invades the
+    # single vessel, whose sink takes the quadrant
     systems = [SingleParams(Haldane(*README_LAW), 1.4, 1.0),
                SingleParams(_law(README_LAW, True), 1.4, 1.0),
+               SingleParams(Haldane(*README_LAW), 1.4, 0.5),
+               SingleParams(_law(README_LAW, True), 1.4, 0.5),
                BufferedConfig(Haldane(*README_LAW), 1.4, 1.0, 0.35, 0.65),
                BufferedConfig(_law(README_LAW, True), 1.4, 1.0, 0.35, 0.65),
                BufferedConfig(Haldane(*README_LAW), 1.4, 1.0, 0.25, 0.3),
