@@ -160,7 +160,7 @@ def test_capture_boxes_scale_with_the_units():
                BufferedConfig(_law(README_LAW, True), 1.4, 1.0, 0.35, 0.65),
                BufferedConfig(Haldane(*README_LAW), 1.4, 1.0, 0.25, 0.3),
                BufferedConfig(Monod(2.0, 0.3), 1.4, 1.0, 0.35, 0.6)]
-    open_ends = 0
+    open_ends = quadrants = 0
     scales = [2.0 ** k for k in (-30, -10, 10, 30)]
     for system in systems:
         sinks = _sinks(system)
@@ -186,6 +186,9 @@ def test_capture_boxes_scale_with_the_units():
                     box.feed * c, tuple(tuple(c * v for v in region)
                                         for region in box.regions)), (
                         system, c, tau)
+                # a box end no face needs, not the floor every box has
                 open_ends += sum(map(math.isinf, itertools.chain(
-                    *scaled.regions)))
+                    *(r[:4] for r in scaled.regions if r[4] == -math.inf))))
+                quadrants += scaled.regions.count(simulate._QUADRANT)
     assert open_ends > 0
+    assert quadrants > 0
