@@ -3,9 +3,9 @@
 critical_levels is the sign-change scan: it samples a function on the
 _GRID-point midpoint grid, or on the pieces of it a caller reads, and
 bisects each sign change.  The function need not be a derivative.
-critical_levels_above starts the same scan at the last grid point at or
-below a level where the caller knows the sign cannot change: a rate
-law's peak, for the scans of the split map and the growth deficit.
+Given a floor below which the caller knows the sign cannot change (a
+rate law's peak, for the scans of the split map and the growth
+deficit), it starts at the last grid point at or below it.
 Every extremum the analysis layer needs, save the closed forms a law
 declares, is a zero of a closed-form derivative found this way.
 proxy_levels finds the same levels from a Chebyshev proxy of a few
@@ -122,6 +122,15 @@ def finite_positive(x: float) -> bool:
     return 0.0 < x < math.inf
 
 
+def check_feed(*values: float) -> None:
+    """Refuse a feed concentration S_in, then a dilution rate D and a flow
+    share alpha where given, that is not finite and > 0, in that order."""
+    for value, name in zip(values, ("feed concentration S_in",
+                                    "dilution rate D", "flow share alpha")):
+        if not finite_positive(value):
+            raise ValueError(f"{name} must be positive")
+
+
 def bisect_root(f: Callable[[float], float], lo: float, hi: float,
                 f_tol: float) -> float:
     """Bisection on a bracketing interval [lo, hi].
@@ -176,7 +185,8 @@ def golden_min(f: Callable[[float], float], lo: float,
 
 
 def critical_levels(g: Callable[[float], float], lo: float, hi: float,
-                    pieces: Optional[Sequence] = None) -> list[float]:
+                    pieces: Optional[Sequence] = None,
+                    floor: Optional[float] = None) -> list[float]:
     """The sign changes of g on (lo, hi), ascending: a _GRID-point scan
     brackets each one and bisection refines it to machine resolution.
     g need not be a derivative.
@@ -194,12 +204,33 @@ def critical_levels(g: Callable[[float], float], lo: float, hi: float,
     of exact zeros whose nearest non-zero neighbours share a sign is a
     touch and gives none; a run that reaches an end of the grid keeps
     its v > 0 flip.  A piece with a zero at an end, which such a run may
-    cross, is read on the whole grid."""
+    cross, is read on the whole grid.
+
+    Given a floor, below which g keeps one scan sign, v > 0 or not, at
+    every point the scan would sample, the scan starts at the last grid
+    point at or below floor: the whole grid is read from that point on,
+    and not at all when it is the last.  A piece that ends at or below
+    floor is dropped, and one that starts before that point starts there
+    instead.  Either way the samples kept are the whole scan's from that
+    point on, and those left out hold no sign change, so the levels are
+    bit for bit the whole scan's; cutting at floor itself would add a
+    sample and could move a bracket.  With no grid point at or below
+    floor nothing is cut.  A rate law's slope scans pass the law's
+    declared peak, below which mu' >= 0 fixes the sign of what they
+    scan."""
     step = (hi - lo) / _GRID
-    if pieces is None:
-        xs = _grid(lo, step, range(_GRID))
-        return _bisected_sign_changes(g, xs, [g(x) for x in xs])
     at = lambda i: lo + step * (i + 0.5)
+    # the last grid point at or below floor, or -1
+    first = (-1 if floor is None
+             else bisect_right(range(_GRID), floor, key=at) - 1)
+    if pieces is None:
+        if first >= _GRID - 1:
+            return []
+        xs = _grid(lo, step, range(max(first, 0), _GRID))
+        return _bisected_sign_changes(g, xs, [g(x) for x in xs])
+    if floor is not None:
+        cut = at(first) if first >= 0 else lo
+        pieces = [(max(a, cut), b) for a, b in pieces if b > floor]
     levels = []
     for a, b in pieces:
         xs = [a, *map(at, range(bisect_right(range(_GRID), a, key=at),
@@ -210,38 +241,6 @@ def critical_levels(g: Callable[[float], float], lo: float, hi: float,
             vs = [g(x) for x in xs]
         levels += [s for s in _bisected_sign_changes(g, xs, vs) if a < s < b]
     return levels
-
-
-def critical_levels_above(g: Callable[[float], float], lo: float, hi: float,
-                          x: Optional[float], pieces: Optional[Sequence] = None
-                          ) -> list[float]:
-    """critical_levels(g, lo, hi, pieces) for a g that keeps one scan
-    sign, v > 0 or not, at every point at or below x that the scan would
-    sample: the scan starts at the last grid point at or below x.  With
-    x None it is critical_levels.
-
-    The whole grid is read from that point on, and not at all when it is
-    the last.  A piece that ends at or below x is dropped, and one that
-    starts before that point starts there instead.  Either way the
-    samples kept are the whole scan's from that point on, and those left
-    out hold no sign change, so the levels are bit for bit the whole
-    scan's; cutting at x itself would add a sample and could move a
-    bracket.  With no grid point at or below x nothing is cut.  A rate
-    law's slope scans use it with x at the law's declared peak, below
-    which mu' >= 0 fixes the sign of what they scan."""
-    if x is None:
-        return critical_levels(g, lo, hi, pieces)
-    step = (hi - lo) / _GRID
-    at = lambda i: lo + step * (i + 0.5)
-    first = bisect_right(range(_GRID), x, key=at) - 1
-    if pieces is not None:
-        cut = at(first) if first >= 0 else lo
-        return critical_levels(g, lo, hi, [(max(a, cut), b)
-                                           for a, b in pieces if b > x])
-    if first >= _GRID - 1:
-        return []
-    xs = _grid(lo, step, range(max(first, 0), _GRID))
-    return _bisected_sign_changes(g, xs, [g(v) for v in xs])
 
 
 def _grid(lo: float, step: float, indices) -> list[float]:

@@ -27,8 +27,8 @@ import math
 from bisect import bisect_right
 from typing import Optional
 
-from ._numerics import (_GRID, Record, _grid, bisect_root,
-                        critical_levels_above, finite_positive, newton_polish,
+from ._numerics import (_GRID, Record, _grid, bisect_root, check_feed,
+                        critical_levels, finite_positive, newton_polish,
                         real_cubic_roots)
 from .kinetics import GrowthModel, closed_form, declared_peak
 
@@ -100,7 +100,7 @@ class BufferedConfig(Record):
     r: float
 
     def __post_init__(self) -> None:
-        _check_feed(self.S_in, self.D, self.alpha)
+        check_feed(self.S_in, self.D, self.alpha)
         if not (0.0 < self.r < 1.0):
             raise ValueError("volume split r must lie strictly inside (0, 1)")
         if self.alpha * (1.0 - self.r) > 1.0 + 1e-12:
@@ -166,13 +166,6 @@ class IntervalSet(Record):
         return any(lo < x < hi for lo, hi in self.components)
 
 
-def _check_feed(S_in: float, D: float, alpha: float) -> None:
-    for value, name in ((S_in, "feed concentration S_in"),
-                        (D, "dilution rate D"), (alpha, "flow share alpha")):
-        if not finite_positive(value):
-            raise ValueError(f"{name} must be positive")
-
-
 # ---------------------------------------------------------------------------
 # scalar maps; explicit-argument forms feed the multiplicity module, which
 # sweeps alpha without committing to a volume split r
@@ -185,7 +178,7 @@ def buffer_substrate(model: GrowthModel, S_in: float, D: float,
     rate alpha * D.  Raises InfeasibleBufferError when the buffer cannot hold a
     positive equilibrium below the feed level.
     """
-    _check_feed(S_in, D, alpha)
+    check_feed(S_in, D, alpha)
     window = model.break_even(alpha * D)
     if window is None:
         raise InfeasibleBufferError(
@@ -366,7 +359,7 @@ def _scan_levels(config: BufferedConfig, s2: float) -> list[float]:
 
     The slope -D k a_gap / (S_in - s)^2 - mu'(s), k a_gap > 0, is < 0
     wherever mu' >= 0: below a declared peak.  So its scan reads the grid
-    from the last point at or below the peak on (critical_levels_above),
+    from the last point at or below the peak on (critical_levels' floor),
     and nothing for a peak at or past the grid's last point.  Above the
     peak it reads only the cells _enclosed leaves open: on the others
     the deficit keeps one sign, farther than the tolerance from zero, so
@@ -380,8 +373,7 @@ def _scan_levels(config: BufferedConfig, s2: float) -> list[float]:
     tol = _TANGENCY_TOL * D
     peak = declared_peak(config.model)
     runs, known = _enclosed(config, ratio, peak, tol)
-    crit = sorted([*critical_levels_above(fp, 0.0, S_in, peak, runs),
-                   *known])
+    crit = sorted([*critical_levels(fp, 0.0, S_in, runs, peak), *known])
     cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
     vals = [known[c] if c in known else f(c) for c in cuts]
     double = [False, *(abs(v) <= tol for v in vals[1:-1]), False]

@@ -46,8 +46,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ._numerics import (_GRID, Record, bisect_root, critical_levels,
-                        finite_positive, proxy_levels)
+from ._numerics import (_GRID, Record, bisect_root, check_feed,
+                        critical_levels, finite_positive, proxy_levels)
 from .kinetics import GrowthModel, closed_form
 
 __all__ = [
@@ -71,19 +71,11 @@ def min_enlargement_ratio(model: GrowthModel, S_in: float, D: float) -> float:
     Zero when growth at the feed level already beats dilution (nothing
     to fix).
     """
-    _check_inputs(S_in, D)
+    check_feed(S_in, D)
     mu_feed = model.rate(S_in)
     if mu_feed <= 0.0:
         raise ValueError("growth rate vanishes at the feed level")
     return max(0.0, D / mu_feed - 1.0)
-
-
-def _check_inputs(S_in: float, D: Optional[float] = None) -> None:
-    """Refuse a feed level, and a dilution rate if given, not finite > 0."""
-    if not finite_positive(S_in):
-        raise ValueError("feed concentration S_in must be positive")
-    if D is not None and not finite_positive(D):
-        raise ValueError("dilution rate D must be positive")
 
 
 def washout_surplus(model: GrowthModel, S_in: float, D: float,
@@ -93,7 +85,7 @@ def washout_surplus(model: GrowthModel, S_in: float, D: float,
     Negative exactly where growth beats dilution, zero at the break-even
     levels and at the feed.
     """
-    _check_inputs(S_in, D)
+    check_feed(S_in, D)
     if not (0.0 <= s <= S_in):
         raise ValueError(f"level s must lie in [0, S_in], got {s}")
     return (S_in - s) * (D - model.rate(s))
@@ -101,7 +93,7 @@ def washout_surplus(model: GrowthModel, S_in: float, D: float,
 
 def uptake_capacity(model: GrowthModel, S_in: float, s: float) -> float:
     """mu(s)(S_in - s): substrate conversion rate a vessel held at s runs."""
-    _check_inputs(S_in)
+    check_feed(S_in)
     if not (0.0 <= s <= S_in):
         raise ValueError(f"level s must lie in [0, S_in], got {s}")
     return model.rate(s) * (S_in - s)

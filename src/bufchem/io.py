@@ -68,14 +68,8 @@ def _trajectory_header(traj: Trajectory) -> list[str]:
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    # every cell is a float, so one format string writes a row as
-    # write_csv's fmt_float would
-    header = _trajectory_header(traj)
-    row = ",".join(["{:.17g}"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row.format(t, *state)
-                      for t, state in zip(traj.times, traj.states))
+    write_csv(path, _trajectory_header(traj),
+              ((t, *state) for t, state in zip(traj.times, traj.states)))
 
 
 def trajectory_payload(traj: Trajectory) -> dict:

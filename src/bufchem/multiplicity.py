@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ._numerics import (Record, bisect_root, critical_levels,
-                        critical_levels_above, golden_min)
+from ._numerics import (Record, bisect_root, check_feed, critical_levels,
+                        golden_min)
 from .buffered import (BufferedConfig, ConsistencyError, SingularSplitPoint,
-                       _check_feed, _pivot_split_map, buffer_substrate,
-                       pivot_level, split_map)
+                       _pivot_split_map, buffer_substrate, pivot_level,
+                       split_map)
 from .kinetics import GrowthModel, closed_form, declared_peak
 
 __all__ = [
@@ -206,7 +206,7 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
     values inside the extrema interval.
 
     For a law with a declared peak the scan reads only what lies above
-    it, from the last grid point at or below it (critical_levels_above),
+    it, from the last grid point at or below it (critical_levels' floor),
     with the same levels.  The numerator times -D is
 
         (S_in - pv)(mu(s) - D) + (pv - s)(S_in - s) mu'(s),
@@ -225,8 +225,8 @@ def split_threshold(model: GrowthModel, S_in: float, D: float,
     rising = declared_peak(model)
     if rising is not None and case == CASE_PIVOT_AT:
         rising = min(rising, pv)
-    levels = critical_levels_above(gamma.prime_numerator, 0.0, S_in, rising,
-                                   pieces)
+    levels = critical_levels(gamma.prime_numerator, 0.0, S_in, pieces,
+                             rising)
 
     def values_inside(iv):
         return [gamma(s) for s in levels if iv and iv[0] < s < iv[1]]
@@ -317,7 +317,7 @@ def stable_domain_curve(model: GrowthModel, S_in: float, D: float,
     if not alpha_grid:
         raise ValueError("alpha_grid must not be empty")
     _check_alpha_grid(alpha_grid)
-    _check_feed(S_in, D, alpha_grid[0])  # before the bound divides by D
+    check_feed(S_in, D, alpha_grid[0])  # before the bound divides by D
     bound = model.rate(S_in) / D
     if alpha_grid[-1] > bound + 1e-12:
         raise ValueError(

@@ -38,16 +38,19 @@ that is a sink of a system of an exact Haldane, Monod or CustomUnimodal
 law, single or buffered, a capture region, ranges of each vessel's
 substrate and mass excess s + x - S_in from which the system provably
 ends within eps of it, certified from values of mu (_capture), and a
-run settles on the first state inside one.  The sink of a single vessel
-whose feed supports growth, mu(S_in) > D, captures every state with
-biomass, so each such run stops after its first step.  The rule is
+run settles on the first state inside one.  A region is a plain tuple
+of one (a, b, z_lo, z_hi, floor) per vessel.  The sink of a single
+vessel whose feed supports growth, mu(S_in) > D, captures every state
+with biomass, so each such run stops after its first step.  The rule is
 written out too, per state size and number of candidates: per
 candidate, the capture test (a <= s <= b and z_lo <= s + x - S_in <=
-z_hi for each vessel, an end no face needs being infinite, then x >
-floor, -inf but for that quadrant) and the dwell rule; the first
-candidate that passes wins.  detect_convergence applies the dwell rule
-alone to a stored trajectory; basin_probe hands the whole rule to
-integrate as the stop condition, checked after each accepted step, has
+z_hi for each vessel, with the system's one feed S_in, an end no face
+needs being infinite, then x > floor, -inf but for that quadrant) and
+the dwell rule; the first candidate that passes wins.
+detect_convergence applies the dwell rule alone to a stored trajectory.
+basin_probe checks the system and the candidates once, builds one rule
+for the system's state size, hands it to integrate as the stop
+condition of every start, checked after each accepted step, has
 integrate store no state, and resets the rule between runs.
 """
 from __future__ import annotations
@@ -424,24 +427,18 @@ _EMPTY = (math.inf, -math.inf) * 2 + (math.inf,)
 _QUADRANT = (0.0, math.inf, -math.inf, math.inf, 0.0)
 
 
-class _Capture(Record):
-    """A certified capture region of a candidate y*: the states with a_i
-    <= s_i <= b_i, z_lo_i <= s_i + x_i - feed <= z_hi_i and x_i >
-    floor_i, with (a_i, b_i, z_lo_i, z_hi_i, floor_i) = regions[i], for
-    each vessel i of _VESSELS, feed the system's S_in.  An end of z that
-    no face needs is infinite; each finite one allows for the rounding of
-    its test.  A box's floor is -inf (its z_lo keeps x > 0); the quadrant
-    of a vessel the feed invades is _QUADRANT, whose floor 0 alone
-    bounds it."""
-    feed: float
-    regions: tuple
-
-
 def _capture(n: int, constants: tuple, model, peak: float, eps: float
-             ) -> Callable[[State], Optional[_Capture]]:
+             ) -> Callable[[State], Optional[tuple]]:
     """box(ref): the certified capture region of a candidate ref of one
     basin_probe call, or None.  peak is the law's peak abscissa (math.inf
     for a law that rises for ever).
+
+    The region is a tuple of one (a, b, z_lo, z_hi, floor) per vessel of
+    _VESSELS: the states with a <= s <= b, z_lo <= s + x - S_in <= z_hi
+    and x > floor in each vessel.  An end of z that no face needs is
+    infinite; each finite one allows for the rounding of its test.  A
+    box's floor is -inf (its z_lo keeps x > 0); the quadrant of a vessel
+    the feed invades is _QUADRANT, whose floor 0 alone bounds it.
 
     In each vessel's substrate s and mass excess z = s + x - S_in both
     systems are a cascade (Smith and Waltman, The Theory of the Chemostat,
@@ -623,15 +620,15 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
             m_in = mu(S_in)
             return m_in - D > _SLACK * (m_in + D)
 
-        def box(ref: State) -> Optional[_Capture]:
+        def box(ref: State) -> Optional[tuple]:
             if bracket(ref[0], D) is None or not balanced(ref, 0, 1):
                 return None
             if invaded():
-                return _Capture(S_in, (_QUADRANT,))
+                return (_QUADRANT,)
             got = ladder(lambda sigma: fed(ref[0], D, sigma))
             if got is None:
                 return None
-            return _Capture(S_in, (tested(got[1][1]),))
+            return (tested(got[1][1]),)
 
         return box
 
@@ -722,7 +719,7 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
     offsets = [S_in * level for level in reversed((2.0, 1.0) + _LADDER)
                if S_in * level >= eps]
 
-    def box(ref: State) -> Optional[_Capture]:
+    def box(ref: State) -> Optional[tuple]:
         s1, s2 = ref[0], ref[2]
         u = cross * s2 + direct * S_in
         # the saddle tests: the buffer's bracket (3), then g's sign at the
@@ -782,39 +779,27 @@ def _capture(n: int, constants: tuple, model, peak: float, eps: float
         if not fits:
             return None
         best = max(fits, key=operator.itemgetter(0))
-        return _Capture(S_in, tuple(map(tested, best[1])))
+        return tuple(map(tested, best[1]))
 
     return box
 
 
 def _captures(system, candidates: Sequence, eps: float
-              ) -> list[Optional[_Capture]]:
-    """The capture region of each candidate of a basin_probe call, or None.
+              ) -> list[Optional[tuple]]:
+    """The capture region of each candidate of a basin_probe call
+    (_capture), or None.
 
     A system of an exact Haldane, Monod or CustomUnimodal law
     (declared_peak), single or buffered, has regions; a subclass of any of
-    them never does.
+    them never does.  _settling has checked the candidates' sizes and
+    coordinates; one with a negative coordinate gets no region.
     """
-    sized = _constants(system)
-    refs = list(map(_candidate_state, candidates))
-    peak = declared_peak(system.model) if sized is not None else None
+    refs = [tuple(map(float, _candidate_state(c))) for c in candidates]
+    peak = declared_peak(system.model)
     if peak is None:
         return [None] * len(refs)
-    n, constants = sized
-    box = _capture(n, constants, system.model, peak, eps)
-    return [box(tuple(map(float, ref)))
-            if len(ref) == n and all(0.0 <= v < math.inf for v in ref)
-            else None for ref in refs]
-
-
-def _capture_arguments(capture: Optional[_Capture], n: int) -> tuple:
-    """A candidate's capture test in _settling_rule over n-component
-    states: the feed, then each vessel's a, b, z_lo, z_hi and floor.
-    Without a capture region every range is empty (+inf, -inf), so the
-    test never passes."""
-    if capture is None:
-        return (0.0,) + _EMPTY * len(_VESSELS.get(n, ()))
-    return (capture.feed,) + tuple(chain.from_iterable(capture.regions))
+    box = _capture(*_constants(system), system.model, peak, eps)
+    return [box(ref) if all(v >= 0.0 for v in ref) else None for ref in refs]
 
 
 @functools.cache
@@ -822,23 +807,22 @@ def _settling_rule(n: int, m: int) -> Callable:
     """The factory of the written-out settling rule of m candidates over
     n-component states.
 
-    _settling_rule(n, m)(*coordinates, *tests, eps, eps2, t0), given
-    the candidates' coordinates, then each candidate's capture test (the
-    feed, then each vessel's a, b, z_lo, z_hi and floor:
-    _capture_arguments) and eps2 = 2 * eps, returns (settled, label,
-    reset) as _settling describes.  settled works on the state's
-    components y_0, ... as locals and closes over the coordinates
-    r{j}_{i} and the tests f_{j}, a{j}_{v}, b{j}_{v}, l{j}_{v}, h{j}_{v},
-    p{j}_{v}; the far times far_{j} and the label are cells.
+    _settling_rule(n, m)(*coordinates, feed, *tests, eps, eps2, t0),
+    given the candidates' coordinates, the system's S_in, then each
+    candidate's capture test (each vessel's a, b, z_lo, z_hi and floor)
+    and eps2 = 2 * eps, returns (settled, label, reset) as _settling
+    describes.  settled works on the state's components y_0, ... as
+    locals and closes over the coordinates r{j}_{i}, the feed f and the
+    tests a{j}_{v}, b{j}_{v}, l{j}_{v}, h{j}_{v}, p{j}_{v}; the far times
+    far_{j} and the label are cells.
     """
     coordinates = [f"r{j}_{i}" for j in range(m) for i in range(n)]
     vessels = _VESSELS.get(n, ())
-    tests = [name for j in range(m) for name in (
-        [f"f_{j}"] + [f"{v}{j}_{i}" for i in range(len(vessels))
-                      for v in ("a", "b", "l", "h", "p")])]
+    tests = [f"{v}{j}_{i}" for j in range(m) for i in range(len(vessels))
+             for v in ("a", "b", "l", "h", "p")]
     fars = [f"far_{j}" for j in range(m)]
-    lines = [f"def factory("
-             f"{', '.join(coordinates + tests + ['eps', 'eps2', 't0'])}):"]
+    parameters = coordinates + ["f"] + tests + ["eps", "eps2", "t0"]
+    lines = [f"def factory({', '.join(parameters)}):"]
     if m:
         lines.append(f"    {' = '.join(fars)} = -math.inf")
     lines += ["    found = None",
@@ -854,7 +838,7 @@ def _settling_rule(n: int, m: int) -> Callable:
         # box reaches
         inside = " and ".join(
             [f"a{j}_{i} <= y_{s} <= b{j}_{i} and"
-             f" l{j}_{i} <= y_{s} + y_{x} - f_{j} <= h{j}_{i}"
+             f" l{j}_{i} <= y_{s} + y_{x} - f <= h{j}_{i}"
              for i, (s, x) in enumerate(vessels)]
             + [f"y_{x} > p{j}_{i}" for i, (s, x) in enumerate(vessels)]
         ) or "False"
@@ -891,7 +875,7 @@ def _settling_rule(n: int, m: int) -> Callable:
 
 
 def _settling(candidates: Sequence, eps: float, t0: float, n: int,
-              tests: Sequence[tuple] = ()
+              system=None
               ) -> tuple[Callable[[float, State], bool],
                          Callable[[], Optional[int]], Callable[[], None]]:
     """The settling rule of a run: (settled, label, reset).
@@ -899,13 +883,14 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
     settled(t, y) is fed the states of the run in time order.  It keeps
     the last time the run was over 2*eps from each candidate, records as
     the label the first candidate that y lies in the capture region of
-    (tests, parallel to candidates, holds their _capture_arguments; when
-    empty, no candidate has one) or that is within eps of y with its
-    last far time before t_cut = t - 0.1 * (t - t0), else None, and
-    returns whether it found one; label() is the label recorded last;
-    reset() forgets the run, so the rule serves another run from t0.  A
-    candidate whose length is not the state size n, or with a non-finite
-    coordinate, is a ValueError.
+    (_captures of system, tested with its one feed S_in; without a
+    system, or a region, the empty ranges (+inf, -inf), which no state
+    passes) or that is within eps of y with its last far time before
+    t_cut = t - 0.1 * (t - t0), else None, and returns whether it found
+    one; label() is the label recorded last; reset() forgets the run, so
+    the rule serves another run from t0.  A candidate whose length is
+    not the state size n, or with a non-finite coordinate, is a
+    ValueError, raised before any region is built.
     """
     if n < 1:
         raise ValueError("the states have no components")
@@ -918,10 +903,13 @@ def _settling(candidates: Sequence, eps: float, t0: float, n: int,
         if not all(map(math.isfinite, ref)):
             raise ValueError(
                 f"candidate {i} has a non-finite coordinate: {ref}")
+    regions = ([None] * len(refs) if system is None
+               else _captures(system, refs, eps))
+    empty = (_EMPTY,) * len(_VESSELS.get(n, ()))
     return _settling_rule(n, len(refs))(
-        *chain.from_iterable(refs),
-        *chain.from_iterable(
-            tests or [_capture_arguments(None, n)] * len(refs)),
+        *chain.from_iterable(refs), 0.0 if system is None else system.S_in,
+        *chain.from_iterable(chain.from_iterable(
+            region or empty for region in regions)),
         eps, 2.0 * eps, t0)
 
 
@@ -955,11 +943,11 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     """Label each initial state with the candidate it converges to.
 
     A label is the certified candidate or the dwell verdict.  Once per
-    call, each candidate that is a sink gets a certified capture region
-    (ranges of each vessel's substrate s and mass excess s + x - S_in,
-    one-sided where a face needs only one end, from which the system
-    provably ends within eps of it; see _capture) when the system, single
-    or buffered, has an exact Haldane, Monod or CustomUnimodal law.  Each
+    call, each candidate that is a sink gets a certified capture region,
+    one (a, b, z_lo, z_hi, floor) per vessel (ranges of its substrate s
+    and mass excess s + x - S_in, and a biomass floor, from which the
+    system provably ends within eps of it; see _capture) when the system,
+    single or buffered, has an exact Haldane, Monod or CustomUnimodal law.  Each
     region is certified from values of mu alone: a vessel driven by the
     feed alone (the single vessel, the buffer) on one side of the law's
     peak, and the main vessel of a buffered system by the sign of its
@@ -978,33 +966,30 @@ def basin_probe(system: Union[SingleParams, BufferedConfig],
     depend on the substrate unit.
     None marks unresolved runs (not settled by t_end, or stiffness
     failure).  Runs execute sequentially in input order, so output
-    ordering and determinism hold regardless of environment.  A
-    candidate of another length than a start is a ValueError, raised
-    before that start is integrated; one with a non-finite coordinate is
-    a ValueError raised before the first start is.
+    ordering and determinism hold regardless of environment.  The system
+    and the candidates are checked once, before any start is integrated:
+    a system of another type is a TypeError, and a candidate of another
+    length than the system's states, or with a non-finite coordinate, a
+    ValueError.  A start of another length fails in integrate, with its
+    own ValueError.
     """
     if not grid or not candidates:
         raise ValueError("basin_probe needs a non-empty grid and candidates")
+    sized = _constants(system)
+    if sized is None:
+        raise TypeError(f"unsupported system type {type(system).__name__}")
     if eps is None:
-        if _constants(system) is None:
-            raise TypeError(
-                f"unsupported system type {type(system).__name__}")
         eps = 1e-6 * system.S_in
     if not finite_positive(eps):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    captures = _captures(system, candidates, eps)
-    # one rule per state size serves every run, reset before each: a rule
-    # built per run allocated its closure per run, and that pinned memory
-    # (basin's peak rose by about 0.5 MiB once the capture test came in)
-    rules: dict = {}
+    # one rule serves every run, reset before each: a rule built per run
+    # allocated its closure per run, and that pinned memory (basin's peak
+    # rose by about 0.5 MiB once the capture test came in); a run starts
+    # at t = 0, which is never in its last 10%
+    settled, label, reset = _settling(candidates, eps, 0.0, sized[0],
+                                      system)
     labels: list[Optional[int]] = []
     for x0 in grid:
-        if len(x0) not in rules:
-            # a run starts at t = 0, which is never in its last 10%
-            rules[len(x0)] = _settling(
-                candidates, eps, 0.0, len(x0),
-                [_capture_arguments(c, len(x0)) for c in captures])
-        settled, label, reset = rules[len(x0)]
         reset()
         try:
             integrate(system, x0, settings, stop_condition=settled,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from ._numerics import Record, finite_positive
+from ._numerics import Record, check_feed, finite_positive
 from .kinetics import GrowthModel
 
 __all__ = [
@@ -71,10 +71,7 @@ class SingleParams(Record):
     D: float
 
     def __post_init__(self) -> None:
-        if not finite_positive(self.S_in):
-            raise ValueError("feed concentration S_in must be positive")
-        if not finite_positive(self.D):
-            raise ValueError("dilution rate D must be positive")
+        check_feed(self.S_in, self.D)
 
 
 class PortraitEquilibrium(Record):

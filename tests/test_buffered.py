@@ -186,7 +186,7 @@ def test_haldane_rest_levels_take_the_cubic_route_alone(reference_model,
     # scan; the same law behind callables has no closed form and reads
     # both, the enclosure first
     scans = []
-    for name in ("_enclosed", "critical_levels_above"):
+    for name in ("_enclosed", "critical_levels"):
         original = getattr(bufchem.buffered, name)
         monkeypatch.setattr(bufchem.buffered, name,
                             lambda *args, name=name, original=original:
@@ -201,7 +201,7 @@ def test_haldane_rest_levels_take_the_cubic_route_alone(reference_model,
     for analysis in (find_equilibria, surplus_region):
         scans.clear()
         analysis(generic)
-        assert scans == ["_enclosed", "critical_levels_above"]
+        assert scans == ["_enclosed", "critical_levels"]
 
 
 def test_general_rest_levels_keep_to_their_rate_law_budget(reference_model):

@@ -20,8 +20,7 @@ from bufchem import (BRANCH_POSITIVE, BufferedConfig, CustomUnimodal, Haldane,
                      Monod, buffer_design, find_equilibria, split_threshold,
                      surplus_region, uptake_capacity, washout_surplus)
 from bufchem._numerics import (_GRID, _bisected_sign_changes, bisect_root,
-                               critical_levels, critical_levels_above,
-                               proxy_levels)
+                               critical_levels, proxy_levels)
 from bufchem.buffered import (_CELL, _EDGE_PAD, _TANGENCY_TOL, _buffer_level,
                               _deficit_fn, _polished, _scan_levels,
                               pivot_level, split_map)
@@ -278,8 +277,9 @@ def test_threshold_on_its_intervals_equals_the_whole_grid(monkeypatch):
     assert {r.case for r in reports if not isinstance(r, tuple)} == {
         CASE_NO_UPPER, CASE_PIVOT_BELOW, CASE_PIVOT_AT, CASE_PIVOT_ABOVE}
     with monkeypatch.context() as m:
-        m.setattr(bufchem.multiplicity, "critical_levels_above",
-                  lambda g, lo, hi, x, pieces: _whole_grid(g, lo, hi, pieces))
+        m.setattr(bufchem.multiplicity, "critical_levels",
+                  lambda g, lo, hi, pieces, floor: _whole_grid(g, lo, hi,
+                                                               pieces))
         assert [_report(*point) for point in points] == reports
 
     def inside(g, lo, hi, pieces):
@@ -323,27 +323,27 @@ def _recorded(fn, calls: list):
 
 
 class _CheckedCut:
-    """critical_levels_above as the two rate-law scans call it, held to
-    the scan it cuts: the same levels as critical_levels on the whole
-    grid, or on the whole pieces.  calls is the list the law under test
-    records its arguments in; the law must not be called on a grid point
-    below the cut, the last one at or below the level x (None: no cut),
-    while the cut scan runs.  sampled and skipped count the cut scan's samples and
-    those it saved against the whole scan, per case."""
+    """critical_levels as the two rate-law scans call it, with a floor,
+    held to the scan it cuts: the same levels as critical_levels on the
+    whole grid, or on the whole pieces.  calls is the list the law under
+    test records its arguments in; the law must not be called on a grid
+    point below the cut, the last one at or below the floor (None: no
+    cut), while the cut scan runs.  sampled and skipped count the cut
+    scan's samples and those it saved against the whole scan, per case."""
 
     def __init__(self, calls: list, case: str = ""):
         self.calls, self.case = calls, case
         self.sampled, self.skipped = 0, {}
 
-    def __call__(self, g, lo, hi, x, pieces=None):
+    def __call__(self, g, lo, hi, pieces=None, floor=None):
         step = (hi - lo) / _GRID
         grid = [lo + step * (i + 0.5) for i in range(_GRID)]
-        cut = -math.inf if x is None else max([p for p in grid if p <= x],
-                                               default=-math.inf)
+        cut = -math.inf if floor is None else max(
+            [p for p in grid if p <= floor], default=-math.inf)
         mark = len(self.calls)
         cut_samples, whole_samples = [], []
-        levels = critical_levels_above(_recorded(g, cut_samples), lo, hi,
-                                       x, pieces)
+        levels = critical_levels(_recorded(g, cut_samples), lo, hi, pieces,
+                                 floor)
         assert not {p for p in grid if p < cut} & set(self.calls[mark:])
         args = () if pieces is None else (pieces,)
         assert levels == critical_levels(_recorded(g, whole_samples), lo, hi,
@@ -403,10 +403,9 @@ def test_rate_law_scans_skip_the_grid_below_the_peak(monkeypatch):
     _record_raw_calls(monkeypatch, Haldane, calls)
     split_scan, deficit_scan = _CheckedCut(calls), _CheckedCut(calls,
                                                                "deficit")
-    monkeypatch.setattr(bufchem.multiplicity, "critical_levels_above",
+    monkeypatch.setattr(bufchem.multiplicity, "critical_levels",
                         split_scan)
-    monkeypatch.setattr(bufchem.buffered, "critical_levels_above",
-                        deficit_scan)
+    monkeypatch.setattr(bufchem.buffered, "critical_levels", deficit_scan)
     points = 0
     for model, S_in, D, alpha in _draws_in_every_case(200, 33, calls):
         split_scan.case = _operating_point(model, S_in, D, alpha)[1]
@@ -452,7 +451,7 @@ def test_rising_laws_make_no_grid_call(monkeypatch):
         whole = answers()
     scans = _CheckedCut(calls)
     for module in (bufchem.multiplicity, bufchem.buffered):
-        monkeypatch.setattr(module, "critical_levels_above", scans)
+        monkeypatch.setattr(module, "critical_levels", scans)
     assert answers() == whole
     assert scans.sampled == 0 and scans.skipped[""] > 0
 
@@ -463,7 +462,8 @@ def _whole_scan_levels(config, s2):
     double roots and the same polish."""
     S_in = config.S_in
     _, _, f, fp = _deficit_fn(config, s2)
-    crit = critical_levels_above(fp, 0.0, S_in, declared_peak(config.model))
+    crit = critical_levels(fp, 0.0, S_in,
+                           floor=declared_peak(config.model))
     cuts = [_EDGE_PAD * S_in, *crit, (1.0 - _EDGE_PAD) * S_in]
     vals = [f(c) for c in cuts]
     tol = _TANGENCY_TOL * config.D
@@ -483,7 +483,8 @@ def _double_root_by_the_peak(config) -> bool:
     peak, step = declared_peak(config.model), config.S_in / _GRID
     return any(peak < c <= peak + step
                and abs(f(c)) <= _TANGENCY_TOL * config.D
-               for c in critical_levels_above(fp, 0.0, config.S_in, peak))
+               for c in critical_levels(fp, 0.0, config.S_in,
+                                        floor=peak))
 
 
 # (law, (mu_bar, K, K_I), S_in, D, alpha) whose deficit at r = r_bar has

@@ -21,7 +21,6 @@ from bufchem._numerics import (
     _GRID,
     bisect_root,
     critical_levels,
-    critical_levels_above,
     golden_min,
     newton_polish,
     proxy_levels,
@@ -105,9 +104,9 @@ def test_critical_levels_without_a_sign_change_are_empty():
 
 def test_scan_above_a_level_of_fixed_sign_keeps_the_whole_scans_levels():
     # cos > 0 below pi/2: a scan started at the last grid point at or
-    # below x, for x below the grid, on it or between its points, reads
-    # the whole scan's levels from fewer samples; a piece ending at or
-    # below x is not read at all
+    # below the floor x, for x below the grid, on it or between its
+    # points, reads the whole scan's levels from fewer samples; a piece
+    # ending at or below x is not read at all
     lo, hi = 0.0, 4.0 * math.pi
     step = (hi - lo) / _GRID
     grid = [lo + step * (i + 0.5) for i in range(_GRID)]
@@ -115,24 +114,26 @@ def test_scan_above_a_level_of_fixed_sign_keeps_the_whole_scans_levels():
     for x in (-1.0, 0.0, 0.4 * step, 0.5 * step, 1.0, 1.3, 1.5):
         calls = []
         g = lambda s: calls.append(s) or math.cos(s)
-        assert critical_levels_above(g, lo, hi, x) == critical_levels(
+        assert critical_levels(g, lo, hi, floor=x) == critical_levels(
             math.cos, lo, hi)
         assert min(calls) == max([p for p in grid if p <= x],
                                  default=grid[0])
-        assert critical_levels_above(math.cos, lo, hi, x, pieces) == (
+        assert critical_levels(math.cos, lo, hi, pieces, x) == (
             critical_levels(math.cos, lo, hi, pieces))
-    # with no level given it is the whole scan, samples and all
-    cut, whole = [], []
-    assert critical_levels_above(lambda s: cut.append(s) or math.cos(s),
-                                 lo, hi, None, pieces) == critical_levels(
-        lambda s: whole.append(s) or math.cos(s), lo, hi, pieces)
-    assert cut == whole
+    # with no grid point at or below the floor it is the whole scan,
+    # samples and all, on the whole grid and on pieces
+    for read in (None, pieces):
+        cut, whole = [], []
+        assert critical_levels(lambda s: cut.append(s) or math.cos(s),
+                               lo, hi, read, lo) == critical_levels(
+            lambda s: whole.append(s) or math.cos(s), lo, hi, read)
+        assert cut == whole
     # with no grid point past x nothing is sampled
     calls = []
-    assert critical_levels_above(lambda s: calls.append(s) or s, 0.0, 1.0,
-                                 1.0 - 0.5 / _GRID) == []
-    assert critical_levels_above(lambda s: calls.append(s) or s, 0.0, 1.0,
-                                 2.0, [(0.2, 0.9)]) == []
+    assert critical_levels(lambda s: calls.append(s) or s, 0.0, 1.0,
+                           floor=1.0 - 0.5 / _GRID) == []
+    assert critical_levels(lambda s: calls.append(s) or s, 0.0, 1.0,
+                           [(0.2, 0.9)], 2.0) == []
     assert calls == []
 
 

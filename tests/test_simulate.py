@@ -243,6 +243,19 @@ def test_basin_probe_refuses_candidates_of_another_size(
         basin_probe(single, [(1.0, 0.2)], None, [(1.0, 0.2, 1.0, 0.2)])
 
 
+def test_basin_probe_refuses_a_start_of_another_size_in_integrate(
+        reference_model):
+    # the candidates fit the system's states, so the start of the wrong
+    # size is the fault, and integrate names it
+    cfg = BufferedConfig(reference_model, 1.4, 1.0, 0.35, 0.48)
+    single = SingleParams(reference_model, 1.4, 1.0)
+    sinks = _single_sinks(single)
+    with pytest.raises(ValueError, match="single-vessel states have 2"):
+        basin_probe(single, [(1.0, 0.1, 1.0, 0.1)], None, sinks)
+    with pytest.raises(ValueError, match="buffered states have 4"):
+        basin_probe(cfg, [(1.0, 0.2)], None, [(1.0, 0.2, 1.0, 0.2)])
+
+
 def test_trajectory_refuses_non_finite_times_and_states():
     # NaN passes every ordering comparison, so it gets its own check;
     # -inf stays a floor violation, as it was before the finite check
@@ -810,9 +823,7 @@ def _invaded_certified(unit: float = 1.0):
     whose positive rest point captures the quadrant and whose washout
     gets no region."""
     for system, candidates, captures in _invaded_cases(unit):
-        assert captures == [simulate._Capture(system.S_in,
-                                              (simulate._QUADRANT,)),
-                            None], system
+        assert captures == [(simulate._QUADRANT,), None], system
         yield system, candidates, 0, captures[0]
 
 
@@ -852,9 +863,8 @@ def _region_state(system, capture, pick) -> list:
     reachable, and the least z is the one with x = least: 0 under a box,
     whose floor is -inf, and 1e-8 S_in above a finite floor, which the
     region leaves open."""
-    y = [0.0] * 2 * len(capture.regions)
-    for (s, x), (a, b, z_lo, z_hi, floor) in zip(_vessels(system),
-                                                 capture.regions):
+    y = [0.0] * 2 * len(capture)
+    for (s, x), (a, b, z_lo, z_hi, floor) in zip(_vessels(system), capture):
         least = 0.0 if math.isinf(floor) else floor + 1e-8 * system.S_in
         z_hi = min(z_hi, 2.0 * system.S_in)
         y[s] = pick(a, min(b, system.S_in + z_hi - least))
@@ -926,7 +936,7 @@ def test_capture_box_faces_point_inward():
             for unit in UNITS):
         S_in = system.S_in
         for v, (s, x) in enumerate(_vessels(system)):
-            a, b, z_lo, z_hi, floor = capture.regions[v]
+            a, b, z_lo, z_hi, floor = capture[v]
             assert a <= candidates[j].state[s] <= b and z_lo < 0.0 < z_hi
             assert candidates[j].state[x] > floor
             faces = [(s, a, 1.0)] if a > 0.0 else []
@@ -970,7 +980,7 @@ def test_capture_limit_flow_has_the_certified_sign():
             ref = candidates[j].state
             S_in = system.S_in
             for v, (s, x) in enumerate(_vessels(system)):
-                a, b = capture.regions[v][:2]
+                a, b = capture[v][:2]
                 if math.isinf(b):
                     b = math.nextafter(S_in, 0.0)
                 for lo, hi, sign in ((a, ref[s] - quarter, 1.0),
@@ -1114,6 +1124,9 @@ def test_subclasses_are_never_certified(monkeypatch):
 # (below) when the main vessel's box took Haldane's contraction bound and
 # a law as callables got none
 CONTRACTION_BOX_STEPS = 95053
+# and since the main vessel's region came from values of mu, for the exact
+# law and for the law as callables alike
+BENCHMARK_MAP_STEPS = 38632
 
 
 @functools.cache
@@ -1159,20 +1172,20 @@ def test_capture_regions_halve_the_steps_of_the_benchmark_maps():
     assert all(None not in simulate._captures(cfg, candidates, 1e-6)
                for cfg, _, candidates in maps)
     assert all(None not in row for row in labels)
-    # 38,632 at the time of writing
     assert steps <= 0.5 * CONTRACTION_BOX_STEPS
+    assert steps == BENCHMARK_MAP_STEPS
 
 
 def test_callable_buffered_maps_are_certified(monkeypatch):
     # the README law as callables: the same labels as the exact law and as
-    # the dwell rule alone, within 1.2x the exact law's steps (the same
-    # count at the time of writing)
+    # the dwell rule alone, and the same steps
     maps, labels, steps = _benchmark_maps(True)
     exact_labels, exact_steps = _benchmark_maps(False)[1:]
     assert all(None not in simulate._captures(cfg, candidates, 1e-6)
                for cfg, _, candidates in maps)
     assert labels == exact_labels
     assert steps <= 1.2 * exact_steps
+    assert steps == BENCHMARK_MAP_STEPS
     settings = IntegratorSettings(t_end=200.0)
     assert labels == [_dwell_only(monkeypatch, cfg, grid, settings,
                                   candidates, 1e-6)
@@ -1191,12 +1204,12 @@ def test_capture_box_of_a_sink_near_the_peak_stays_on_its_side():
     assert peak - 0.175 < sink.S < peak
     capture, = simulate._captures(params, [sink], 1e-6)
     assert capture is not None
-    assert capture.regions[0][1] <= peak
+    assert capture[0][1] <= peak
     # with the peak moved out of the way, the ladder takes a region across
     # it
     wide, = simulate._capture(2, (1.4, params.D), law, math.inf, 1e-6)(
         sink.state),
-    assert wide is not None and wide.regions[0][1] > peak
+    assert wide is not None and wide[0][1] > peak
 
 
 def test_a_law_that_rounds_to_zero_past_its_peak_gets_no_box(monkeypatch):
@@ -1292,7 +1305,7 @@ def test_the_quadrant_needs_biomass_and_an_invaded_vessel():
     system, candidates, captures = _capture_cases()[0]
     assert len(captures) == 2
     for capture in captures:
-        a, b, z_lo, z_hi, floor = capture.regions[0]
+        a, b, z_lo, z_hi, floor = capture[0]
         assert math.isfinite(b) and floor == -math.inf
 
 
